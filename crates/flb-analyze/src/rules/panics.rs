@@ -15,9 +15,16 @@ pub const ID: &str = "no-panic-in-request-path";
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 
 /// Files where `[]` indexing is also flagged: these parse wire bytes
-/// (or, for `journal.rs`, bytes recovered from a possibly-torn disk),
-/// so every index is a potential remote-triggered panic.
-const INDEXING_FILES: [&str; 4] = ["proto.rs", "server.rs", "snapshot.rs", "journal.rs"];
+/// (or, for `journal.rs`, bytes recovered from a possibly-torn disk;
+/// for `fingerprint.rs`, request payloads peeked before decoding), so
+/// every index is a potential remote-triggered panic.
+const INDEXING_FILES: [&str; 5] = [
+    "proto.rs",
+    "server.rs",
+    "snapshot.rs",
+    "journal.rs",
+    "fingerprint.rs",
+];
 
 /// Files exempt from the rule entirely: test harness transports and
 /// the test client, which live in src/ but never run in a server.
@@ -137,6 +144,11 @@ fn handle(buf: &[u8]) -> u32 {
         // The journal decodes bytes read back from a possibly-torn disk:
         // indexing is held to the same standard as the wire files.
         assert_eq!(run_on("crates/flb-service/src/journal.rs", src).len(), 1);
+        // The cache-key peek parses request payloads before decoding.
+        assert_eq!(
+            run_on("crates/flb-service/src/fingerprint.rs", src).len(),
+            1
+        );
         // The replay client is NOT exempt — a hostile trace must not be
         // able to panic the replay rig (only panic calls are flagged
         // there, like every other non-wire service file).

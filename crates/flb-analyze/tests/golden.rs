@@ -150,6 +150,40 @@ fn panic_rule_journal_indexing_waiver_requires_the_bounds_argument() {
 }
 
 #[test]
+fn panic_rule_holds_the_cache_key_peek_to_the_wire_standard() {
+    let report = analyze(
+        "crates/flb-service/src/fingerprint.rs",
+        include_str!("golden/panics_fingerprint_violating.rs"),
+    );
+    assert_eq!(
+        unwaived(&report),
+        [
+            ("no-panic-in-request-path", 8),  // expect
+            ("no-panic-in-request-path", 10), // unreachable!
+            ("no-panic-in-request-path", 12), // payload[10..14] on request bytes
+        ],
+        "full findings: {:#?}",
+        report.findings
+    );
+}
+
+#[test]
+fn panic_rule_peek_indexing_waiver_requires_the_bounds_argument() {
+    let report = analyze(
+        "crates/flb-service/src/fingerprint.rs",
+        include_str!("golden/panics_fingerprint_waived.rs"),
+    );
+    assert_eq!(unwaived(&report), [], "full: {:#?}", report.findings);
+    let waived: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.waived.is_some())
+        .collect();
+    assert_eq!(waived.len(), 1);
+    assert!(waived[0].waived.as_deref().unwrap().contains("guard"));
+}
+
+#[test]
 fn wallclock_rule_fires_in_sim_scoped_crates() {
     let report = analyze(
         "crates/flb-sim/src/clock.rs",

@@ -13,7 +13,10 @@
 
 use flb_graph::costs::{CostModel, Dist};
 use flb_graph::gen::RandomLayeredSpec;
-use flb_par::{run_flat, ExecMode, ParOptions};
+use flb_par::shard::Shard;
+use flb_par::shared::{Shared, StealCommit};
+use flb_par::threads::run_threads;
+use flb_par::{run_flat, ParOptions};
 use flb_workloads::million::random_layered_flat;
 use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -49,17 +52,35 @@ fn virtual_mode_routes_mail_clean_under_lockcheck() {
 /// OS-thread mode: four workers hammering the inboxes concurrently must
 /// stay clean under the checker (a re-entry would panic the worker,
 /// which `run_threads` surfaces as a propagated panic).
+///
+/// Whether OS-thread workers route mail to each other depends on timing:
+/// one worker can place every task before the others start. So the run
+/// is built to need the inboxes: every entry task is mailed to another
+/// shard's inbox instead of seeded on a deque, and no task can be placed
+/// until a worker thread takes an inbox lock to drain one.
 #[test]
 fn os_thread_mode_routes_mail_clean_under_lockcheck() {
     let g = routed_graph(12);
     let slow = vec![1u64; 4];
-    let opts = ParOptions {
-        exec: ExecMode::OsThreads,
-        ..ParOptions::deterministic(4, 7)
-    };
-    let run = run_flat(&g, &slow, &opts);
-    assert!(run.report.exactly_once());
-    assert!(run.report.totals.inbox_received > 0);
+    let sh = Shared::new(&g, &slow, 4);
+    let mut mailed = 0;
+    for (s, deque) in sh.deques.iter().enumerate() {
+        while let Some(t) = deque.take_top() {
+            sh.push_inbox((s + 1) % sh.num_shards(), t);
+            mailed += 1;
+        }
+    }
+    assert!(mailed > 0, "the graph has entry tasks");
+    let mut shards: Vec<Shard> = (0..sh.num_shards())
+        .map(|i| Shard::new(&sh, i, 7, StealCommit::Cas))
+        .collect();
+    let report = run_threads(&sh, &mut shards);
+    assert!(report.exactly_once());
+    assert!(
+        report.totals.inbox_received >= mailed,
+        "workers drained {} of {mailed} mailed tasks",
+        report.totals.inbox_received
+    );
 }
 
 /// The checker is armed for the real class: holding one

@@ -219,7 +219,6 @@ pub mod wire {
     //! self-description beyond those lengths — framing and versioning are
     //! the transport's job.
 
-    use super::ScheduleData;
     use crate::{Machine, Placement, ProcId, Schedule};
     use flb_graph::serialize::TaskGraphData;
     use flb_graph::TaskGraph;
@@ -266,6 +265,14 @@ pub mod wire {
             Self::default()
         }
 
+        /// An empty writer with room for `bytes` bytes.
+        #[must_use]
+        pub fn with_capacity(bytes: usize) -> Self {
+            Writer {
+                buf: Vec::with_capacity(bytes),
+            }
+        }
+
         /// Appends one byte.
         pub fn put_u8(&mut self, v: u8) {
             self.buf.push(v);
@@ -279,6 +286,11 @@ pub mod wire {
         /// Appends a `u64`, little-endian.
         pub fn put_u64(&mut self, v: u64) {
             self.buf.extend_from_slice(&v.to_le_bytes());
+        }
+
+        /// Appends raw bytes, without a length prefix.
+        pub fn put_bytes(&mut self, bytes: &[u8]) {
+            self.buf.extend_from_slice(bytes);
         }
 
         /// Appends a length-prefixed UTF-8 string.
@@ -351,26 +363,40 @@ pub mod wire {
             Ok(n)
         }
 
+        /// Reads `n` raw bytes without copying them.
+        pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+            self.take(n)
+        }
+
+        /// Reads a length-prefixed UTF-8 string without copying it.
+        pub fn str_ref(&mut self) -> Result<&'a str, WireError> {
+            let n = self.len("string byte", 1)?;
+            std::str::from_utf8(self.take(n)?).map_err(|_| malformed("string is not UTF-8"))
+        }
+
         /// Reads a length-prefixed UTF-8 string.
         pub fn str(&mut self) -> Result<String, WireError> {
-            let n = self.len("string byte", 1)?;
-            String::from_utf8(self.take(n)?.to_vec()).map_err(|_| malformed("string is not UTF-8"))
+            self.str_ref().map(str::to_owned)
         }
     }
 
-    /// Encodes a task graph (name, computation costs, edge list).
+    /// Encodes a task graph (name, computation costs, edge list). Edges
+    /// are written grouped by ascending source, ascending target within a
+    /// source — the order a built graph stores them in, so decoding and
+    /// re-encoding reproduces the bytes exactly.
     pub fn put_graph(w: &mut Writer, g: &TaskGraph) {
-        let data = TaskGraphData::from(g);
-        w.put_str(&data.name);
-        w.put_u32(data.comp.len() as u32);
-        for c in &data.comp {
-            w.put_u64(*c);
+        w.put_str(g.name());
+        w.put_u32(g.num_tasks() as u32);
+        for t in g.tasks() {
+            w.put_u64(g.comp(t));
         }
-        w.put_u32(data.edges.len() as u32);
-        for (s, d, c) in &data.edges {
-            w.put_u32(*s as u32);
-            w.put_u32(*d as u32);
-            w.put_u64(*c);
+        w.put_u32(g.num_edges() as u32);
+        for t in g.tasks() {
+            for &(s, c) in g.succs(t) {
+                w.put_u32(t.0 as u32);
+                w.put_u32(s.0 as u32);
+                w.put_u64(c);
+            }
         }
     }
 
@@ -422,16 +448,12 @@ pub mod wire {
 
     /// Encodes a schedule (machine plus per-task placements).
     pub fn put_schedule(w: &mut Writer, s: &Schedule) {
-        let data = ScheduleData::from(s);
-        w.put_u32(data.slowdowns.len() as u32);
-        for sl in &data.slowdowns {
-            w.put_u64(*sl);
-        }
-        w.put_u32(data.placements.len() as u32);
-        for (proc, start, finish) in &data.placements {
-            w.put_u32(*proc as u32);
-            w.put_u64(*start);
-            w.put_u64(*finish);
+        put_machine(w, s.machine());
+        w.put_u32(s.placements().len() as u32);
+        for p in s.placements() {
+            w.put_u32(p.proc.0 as u32);
+            w.put_u64(p.start);
+            w.put_u64(p.finish);
         }
     }
 
@@ -592,6 +614,33 @@ mod tests {
             assert_eq!(g2.comp(t), g.comp(t));
             assert_eq!(g2.succs(t), g.succs(t));
         }
+        // Encoding is canonical: decoding and re-encoding is the identity.
+        assert_eq!(wire::encode_graph(&g2), bytes);
+    }
+
+    #[test]
+    fn wire_graph_edges_come_out_sorted_whatever_order_they_went_in() {
+        let mut w = wire::Writer::new();
+        w.put_str("shuffled");
+        w.put_u32(3);
+        for c in [1u64, 2, 3] {
+            w.put_u64(c);
+        }
+        w.put_u32(3);
+        for (s, d, c) in [(1u32, 2u32, 9u64), (0, 2, 8), (0, 1, 7)] {
+            w.put_u32(s);
+            w.put_u32(d);
+            w.put_u64(c);
+        }
+        let g = wire::decode_graph(&w.into_bytes()).unwrap();
+        let again = wire::decode_graph(&wire::encode_graph(&g)).unwrap();
+        let edges = |g: &flb_graph::TaskGraph| -> Vec<_> {
+            g.tasks()
+                .flat_map(|t| g.succs(t).iter().map(move |&(s, c)| (t.0, s.0, c)))
+                .collect()
+        };
+        assert_eq!(edges(&g), [(0, 1, 7), (0, 2, 8), (1, 2, 9)]);
+        assert_eq!(edges(&again), edges(&g));
     }
 
     #[test]

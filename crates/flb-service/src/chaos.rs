@@ -1023,7 +1023,7 @@ pub fn run(endpoint: &Endpoint, cfg: &ChaosConfig) -> io::Result<ChaosReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fingerprint::graph_fingerprint;
+    use crate::fingerprint::request_fingerprint;
 
     #[test]
     fn marker_graphs_never_collide_with_ordinary_traffic() {
@@ -1034,10 +1034,9 @@ mod tests {
         let marker = marker_graph(PANIC_MARKER, 3);
         for _ in 0..200 {
             if let Request::Schedule { request, .. } = ordinary_request(&mut rng, 0) {
-                assert_ne!(
-                    graph_fingerprint(&marker),
-                    graph_fingerprint(&request.graph)
-                );
+                let key =
+                    |g: &TaskGraph| request_fingerprint(request.algorithm, g, &request.machine);
+                assert_ne!(key(&marker), key(&request.graph));
             }
         }
     }
@@ -1105,14 +1104,15 @@ mod tests {
 
     #[test]
     fn unique_graphs_never_repeat_a_fingerprint() {
+        let key = |g: &TaskGraph| request_fingerprint(AlgorithmId::Flb, g, &Machine::new(2));
         let mut seen = std::collections::HashSet::new();
         for _ in 0..64 {
             let g = unique_graph("u", 5);
-            assert!(seen.insert(graph_fingerprint(&g)), "fingerprint collision");
+            assert!(seen.insert(key(&g)), "fingerprint collision");
         }
         // And they stay clear of the marker-graph cost range.
         let marker = marker_graph(PANIC_MARKER, 5);
-        assert!(!seen.contains(&graph_fingerprint(&marker)));
+        assert!(!seen.contains(&key(&marker)));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod snapshot;
 pub use cache::ShardedLru;
 pub use chaos::{ChaosConfig, ChaosReport};
 pub use client::{Client, RetryPolicy, ScheduleReply, Submission};
-pub use fingerprint::{graph_fingerprint, request_fingerprint};
+pub use fingerprint::{peek_request_key, request_fingerprint};
 pub use journal::{JournalCounters, JournalRecord, SyncPolicy};
 pub use metrics::{Gauges, Metrics, StatsSnapshot, TenantStat};
 pub use overload::{

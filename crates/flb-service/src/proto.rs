@@ -98,7 +98,7 @@ pub enum Response {
     ShuttingDown,
 }
 
-const REQ_SCHEDULE: u8 = 1;
+pub(crate) const REQ_SCHEDULE: u8 = 1;
 const REQ_STATS: u8 = 2;
 const REQ_PING: u8 = 3;
 const REQ_SHUTDOWN: u8 = 4;
@@ -366,17 +366,25 @@ fn get_stats(r: &mut Reader<'_>) -> Result<StatsSnapshot, WireError> {
 #[must_use]
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     let mut w = Writer::new();
+    put_response(&mut w, resp);
+    w.into_bytes()
+}
+
+/// Appends a schedule reply's payload.
+fn put_schedule_reply(w: &mut Writer, cached: bool, micros: u64, schedule: &Schedule) {
+    w.put_u8(RESP_SCHEDULE);
+    w.put_u8(u8::from(cached));
+    w.put_u64(micros);
+    wire::put_schedule(w, schedule);
+}
+
+fn put_response(w: &mut Writer, resp: &Response) {
     match resp {
         Response::Schedule {
             cached,
             micros,
             schedule,
-        } => {
-            w.put_u8(RESP_SCHEDULE);
-            w.put_u8(u8::from(*cached));
-            w.put_u64(*micros);
-            wire::put_schedule(&mut w, schedule);
-        }
+        } => put_schedule_reply(w, *cached, *micros, schedule),
         Response::Busy { retry_after_ms } => {
             w.put_u8(RESP_BUSY);
             w.put_u64(*retry_after_ms);
@@ -392,7 +400,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         }
         Response::Stats(s) => {
             w.put_u8(RESP_STATS);
-            put_stats(&mut w, s);
+            put_stats(w, s);
         }
         Response::Error(msg) => {
             w.put_u8(RESP_ERROR);
@@ -401,7 +409,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Pong => w.put_u8(RESP_PONG),
         Response::ShuttingDown => w.put_u8(RESP_SHUTTING_DOWN),
     }
-    w.into_bytes()
 }
 
 /// Decodes a response payload.
@@ -447,24 +454,47 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     Ok(resp)
 }
 
-/// Writes one frame (magic, length, payload) and flushes.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME as usize {
-        return Err(invalid(format!(
-            "frame of {} bytes too large",
-            payload.len()
-        )));
+/// Bytes of the frame header (magic, length).
+const FRAME_HEADER: usize = 8;
+
+/// Largest read issued while receiving a payload. The payload buffer
+/// grows by at most this much ahead of the bytes received.
+const READ_STEP: usize = 64 * 1024;
+
+/// Builds a whole frame in one buffer: the header, then the payload
+/// `body` appends (`capacity` is a size hint for it).
+fn build_frame(capacity: usize, body: impl FnOnce(&mut Writer)) -> io::Result<Vec<u8>> {
+    let mut w = Writer::with_capacity(FRAME_HEADER + capacity);
+    w.put_u32(MAGIC);
+    w.put_u32(0); // the length, filled in below
+    body(&mut w);
+    let mut frame = w.into_bytes();
+    let len = frame.len() - FRAME_HEADER;
+    if len > MAX_FRAME as usize {
+        return Err(invalid(format!("frame of {len} bytes too large")));
     }
-    w.write_all(&MAGIC.to_le_bytes())?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    if let Some(slot) = frame.get_mut(4..FRAME_HEADER) {
+        slot.copy_from_slice(&(len as u32).to_le_bytes());
+    }
+    Ok(frame)
+}
+
+/// Sends a built frame with a single write and flushes.
+fn send_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
+    w.write_all(frame)?;
     w.flush()
+}
+
+/// Writes one frame (magic, length, payload) in a single write and
+/// flushes.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    send_frame(w, &build_frame(payload.len(), |f| f.put_bytes(payload))?)
 }
 
 /// Reads one frame's payload; `Ok(None)` on clean end-of-stream (the peer
 /// closed between frames).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut head = [0u8; 8];
+    let mut head = [0u8; FRAME_HEADER];
     match r.read(&mut head)? {
         0 => return Ok(None),
         mut n => {
@@ -478,31 +508,30 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             }
         }
     }
-    // flb-analyze: allow(no-panic-in-request-path, reason="fixed [0..4] of a [u8; 8] array; try_into to [u8; 4] is infallible")
-    let magic = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes"));
+    let [m0, m1, m2, m3, l0, l1, l2, l3] = head;
+    let magic = u32::from_le_bytes([m0, m1, m2, m3]);
     if magic != MAGIC {
         return Err(invalid(format!("bad frame magic {magic:#010x}")));
     }
-    // flb-analyze: allow(no-panic-in-request-path, reason="fixed [4..8] of a [u8; 8] array; try_into to [u8; 4] is infallible")
-    let len = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
+    let len = u32::from_le_bytes([l0, l1, l2, l3]);
     if len > MAX_FRAME {
         return Err(invalid(format!("frame of {len} bytes exceeds MAX_FRAME")));
     }
     // Grow with the bytes actually received instead of trusting the
     // header: a hostile 8-byte header claiming MAX_FRAME then costs its
-    // sender the bytes, not this process 64 MiB up front.
+    // sender the bytes, not this process 64 MiB up front. Each read goes
+    // straight into the payload, at most READ_STEP past what arrived.
     let len = len as usize;
-    let mut payload = Vec::with_capacity(len.min(64 * 1024));
-    let mut chunk = [0u8; 64 * 1024];
+    let mut payload = Vec::new();
     while payload.len() < len {
-        let want = (len - payload.len()).min(chunk.len());
-        // flb-analyze: allow(no-panic-in-request-path, reason="want = (len - payload.len()).min(chunk.len()) on the previous line")
-        let n = r.read(&mut chunk[..want])?;
+        let filled = payload.len();
+        payload.resize(filled + (len - filled).min(READ_STEP), 0);
+        // flb-analyze: allow(no-panic-in-request-path, reason="the resize on the previous line makes payload.len() > filled")
+        let n = r.read(&mut payload[filled..])?;
         if n == 0 {
             return Err(invalid("EOF inside frame payload"));
         }
-        // flb-analyze: allow(no-panic-in-request-path, reason="read(2) returns n <= want <= chunk.len()")
-        payload.extend_from_slice(&chunk[..n]);
+        payload.truncate(filled + n);
     }
     Ok(Some(payload))
 }
@@ -522,9 +551,26 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Option<Request>> {
     }
 }
 
-/// Writes a response as one frame.
+/// Writes a response as one frame, encoded straight into the frame
+/// buffer and sent with a single write.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    write_frame(w, &encode_response(resp))
+    send_frame(w, &build_frame(0, |f| put_response(f, resp))?)
+}
+
+/// Writes a schedule reply from a borrowed schedule: the same bytes as
+/// [`write_response`] of `Response::Schedule { cached, micros, schedule }`
+/// without cloning the schedule into a [`Response`].
+pub fn write_schedule_reply(
+    w: &mut impl Write,
+    cached: bool,
+    micros: u64,
+    schedule: &Schedule,
+) -> io::Result<()> {
+    let size = 10 + 4 + 8 * schedule.machine().num_procs() + 4 + 20 * schedule.num_tasks();
+    send_frame(
+        w,
+        &build_frame(size, |f| put_schedule_reply(f, cached, micros, schedule))?,
+    )
 }
 
 /// Reads a response frame; errors on end-of-stream (a response is always

@@ -3,11 +3,15 @@
 //!
 //! Request flow for `schedule`:
 //!
-//! 1. the connection thread fingerprints the request and probes the
-//!    cache — a hit is answered immediately, bypassing the queue (this is
-//!    the "repeated workloads skip scheduling entirely" path, and it keeps
-//!    working even while the queue is saturated);
-//! 2. a miss is pushed onto the bounded queue; when the queue is full the
+//! 1. the connection thread reads the cache key straight off the payload
+//!    bytes ([`peek_request_key`]) and probes the cache. A hit is
+//!    answered immediately: no decode, no graph, no queue. The reply is
+//!    encoded from the cached schedule into one frame and sent with one
+//!    write (this is the "repeated workloads skip scheduling entirely"
+//!    path, and it keeps working even while the queue is saturated);
+//! 2. otherwise the payload is decoded (a payload the peek declined is
+//!    keyed by [`request_fingerprint`] now, and may still hit), and a
+//!    miss is pushed onto the bounded queue; when the queue is full the
 //!    client gets a `busy` response with a retry hint instead of blocking
 //!    the daemon (backpressure, never a hang);
 //! 3. a worker pops the job, drops it with an `expired` response if its
@@ -41,13 +45,16 @@
 //!   boot; a corrupt snapshot is quarantined, never fatal.
 
 use crate::cache::ShardedLru;
-use crate::fingerprint::request_fingerprint;
+use crate::fingerprint::{peek_request_key, request_fingerprint};
 use crate::journal::{self, SyncPolicy};
 use crate::metrics::{Gauges, Metrics};
 use crate::overload::{Decision, OverloadConfig, OverloadCtl, ShedPolicy, TenantId};
-use crate::proto::{decode_request, read_frame, write_response, Request, Response};
+use crate::proto::{
+    decode_request, read_frame, write_response, write_schedule_reply, Request, Response,
+    RESP_SCHEDULE,
+};
 use crate::snapshot::{self, SnapshotError};
-use flb_core::{schedule_request, ScheduleRequest};
+use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
 use flb_sched::Schedule;
 use parking_lot::{Condvar, Mutex};
 use std::io;
@@ -563,9 +570,70 @@ fn snapshot_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Serves one schedule request end-to-end, returning the response plus
-/// the served schedule as an `Arc` (so the journal writer can digest it
-/// off the request path — the connection thread never re-encodes it).
+/// A connection's answer to one request.
+enum Reply {
+    /// A schedule, still shared with the cache and the journal: it is
+    /// encoded straight from the `Arc`, never cloned.
+    Schedule {
+        cached: bool,
+        micros: u64,
+        schedule: Arc<Schedule>,
+    },
+    /// Any other response.
+    Other(Response),
+}
+
+impl Reply {
+    /// The wire kind code of the response this reply encodes to.
+    fn kind_code(&self) -> u8 {
+        match self {
+            Reply::Schedule { .. } => RESP_SCHEDULE,
+            Reply::Other(resp) => resp.kind_code(),
+        }
+    }
+
+    /// The schedule the journal digests, if any.
+    fn schedule(&self) -> Option<Arc<Schedule>> {
+        match self {
+            Reply::Schedule { schedule, .. } => Some(Arc::clone(schedule)),
+            Reply::Other(_) => None,
+        }
+    }
+
+    /// Writes the reply as one frame.
+    fn write(&self, w: &mut impl io::Write) -> io::Result<()> {
+        match self {
+            Reply::Schedule {
+                cached,
+                micros,
+                schedule,
+            } => write_schedule_reply(w, *cached, *micros, schedule),
+            Reply::Other(resp) => write_response(w, resp),
+        }
+    }
+}
+
+/// Counts a schedule request of algorithm `alg`.
+fn count_schedule_request(shared: &Shared, alg: AlgorithmId) {
+    Metrics::bump(&shared.metrics.schedule_requests);
+    shared.metrics.count_algorithm(alg);
+}
+
+/// Answers a cache hit on a request whose service started at `t0`.
+fn cache_hit(shared: &Shared, schedule: Arc<Schedule>, t0: Instant) -> Reply {
+    Metrics::bump(&shared.metrics.cache_hits);
+    let micros = t0.elapsed().as_micros() as u64;
+    shared.metrics.latency.record(micros);
+    Reply::Schedule {
+        cached: true,
+        micros,
+        schedule,
+    }
+}
+
+/// Serves one decoded schedule request end-to-end. `key` is the cache
+/// key when the payload's peek already found it (and missed); otherwise
+/// the key is computed and the cache probed here.
 ///
 /// Cache hits bypass admission entirely — answering from memory costs
 /// the daemon almost nothing, so quotas only govern the expensive path.
@@ -574,31 +642,28 @@ fn serve_schedule(
     request: Box<ScheduleRequest>,
     deadline_ms: u64,
     tenant: &TenantId,
-) -> (Response, Option<Arc<Schedule>>) {
+    key: Option<u64>,
+) -> Reply {
     let t0 = Instant::now();
-    Metrics::bump(&shared.metrics.schedule_requests);
-    shared.metrics.count_algorithm(request.algorithm);
-
-    let fp = request_fingerprint(request.algorithm, &request.graph, &request.machine);
-    if let Some(schedule) = shared.cache.get(fp) {
-        Metrics::bump(&shared.metrics.cache_hits);
-        let micros = t0.elapsed().as_micros() as u64;
-        shared.metrics.latency.record(micros);
-        let resp = Response::Schedule {
-            cached: true,
-            micros,
-            schedule: (*schedule).clone(),
-        };
-        return (resp, Some(schedule));
-    }
+    count_schedule_request(shared, request.algorithm);
+    let fp = match key {
+        Some(fp) => fp,
+        None => {
+            let fp = request_fingerprint(request.algorithm, &request.graph, &request.machine);
+            if let Some(schedule) = shared.cache.get(fp) {
+                return cache_hit(shared, schedule, t0);
+            }
+            fp
+        }
+    };
     Metrics::bump(&shared.metrics.cache_misses);
 
+    let busy = Reply::Other(Response::Busy {
+        retry_after_ms: shared.cfg.retry_after_ms,
+    });
     if shared.shutdown.load(Ordering::SeqCst) {
         Metrics::bump(&shared.metrics.rejected);
-        let resp = Response::Busy {
-            retry_after_ms: shared.cfg.retry_after_ms,
-        };
-        return (resp, None);
+        return busy;
     }
     let (tx, rx) = mpsc::channel();
     let job = Job {
@@ -613,37 +678,30 @@ fn serve_schedule(
         Decision::Admitted => shared.job_ready.notify_one(),
         Decision::Busy => {
             Metrics::bump(&shared.metrics.rejected);
-            let resp = Response::Busy {
-                retry_after_ms: shared.cfg.retry_after_ms,
-            };
-            return (resp, None);
+            return busy;
         }
         Decision::Shed { retry_after_ms } => {
             Metrics::bump(&shared.metrics.shed);
-            return (Response::Overloaded { retry_after_ms }, None);
+            return Reply::Other(Response::Overloaded { retry_after_ms });
         }
         Decision::BreakerOpen { retry_after_ms } => {
             Metrics::bump(&shared.metrics.breaker_rejected);
-            return (Response::BreakerOpen { retry_after_ms }, None);
+            return Reply::Other(Response::BreakerOpen { retry_after_ms });
         }
     }
     match rx.recv() {
-        Ok(WorkerReply::Done { schedule, micros }) => {
-            let resp = Response::Schedule {
-                cached: false,
-                micros,
-                schedule: (*schedule).clone(),
-            };
-            (resp, Some(schedule))
-        }
-        Ok(WorkerReply::Expired) => (Response::Expired, None),
+        Ok(WorkerReply::Done { schedule, micros }) => Reply::Schedule {
+            cached: false,
+            micros,
+            schedule,
+        },
+        Ok(WorkerReply::Expired) => Reply::Other(Response::Expired),
         Ok(WorkerReply::Panicked(msg)) => {
             Metrics::bump(&shared.metrics.errors);
-            let resp = Response::Error(format!("scheduler panicked: {msg}"));
-            (resp, None)
+            Reply::Other(Response::Error(format!("scheduler panicked: {msg}")))
         }
         // All workers gone: shutdown raced the request.
-        Err(_) => (Response::ShuttingDown, None),
+        Err(_) => Reply::Other(Response::ShuttingDown),
     }
 }
 
@@ -673,50 +731,61 @@ fn connection_loop<S: Transport>(shared: &Arc<Shared>, conn: &mut DeadlineConn<S
                 return;
             }
         };
-        let request = match decode_request(&payload) {
-            Ok(req) => req,
-            Err(e) => {
-                Metrics::bump(&shared.metrics.errors);
-                conn.begin_write();
-                let _ = write_response(conn, &Response::Error(e.to_string()));
-                return;
-            }
-        };
-        Metrics::bump(&shared.metrics.requests);
-        let ts_us = shared.now_us();
-        let mut journal_schedule = None;
-        let mut journal_this = false;
-        let response = match request {
-            Request::Ping => Response::Pong,
-            Request::Stats => {
-                let (gauges, per_tenant) = shared.stats_view();
-                Response::Stats(Box::new(shared.metrics.snapshot(gauges, per_tenant)))
-            }
-            Request::Shutdown => {
-                // Answer the client *before* tearing the daemon down: once
-                // the flag is set, the accept loop and workers exit and the
-                // process may finish before a late write reaches the wire.
-                conn.begin_write();
-                let _ = write_response(conn, &Response::ShuttingDown);
-                shared.shutdown.store(true, Ordering::SeqCst);
-                shared.job_ready.notify_all();
-                nudge_accept_loop(&shared.endpoint);
-                return;
-            }
-            Request::Schedule {
-                request,
-                deadline_ms,
-                tenant,
-            } => {
-                let id = if tenant.is_empty() {
-                    TenantId::Anon(conn_id)
-                } else {
-                    TenantId::Named(tenant)
-                };
-                let (resp, schedule) = serve_schedule(shared, request, deadline_ms, &id);
-                journal_schedule = schedule;
-                journal_this = true;
-                resp
+        // The hit path: key the payload bytes and answer from the cache
+        // before anything is decoded.
+        let t0 = Instant::now();
+        let peeked = peek_request_key(&payload);
+        let hit = peeked.and_then(|p| Some((p.algorithm, shared.cache.get(p.key)?)));
+        let (reply, ts_us, journal_this) = if let Some((alg, schedule)) = hit {
+            Metrics::bump(&shared.metrics.requests);
+            let ts_us = shared.now_us();
+            count_schedule_request(shared, alg);
+            (cache_hit(shared, schedule, t0), ts_us, true)
+        } else {
+            let request = match decode_request(&payload) {
+                Ok(req) => req,
+                Err(e) => {
+                    Metrics::bump(&shared.metrics.errors);
+                    conn.begin_write();
+                    let _ = write_response(conn, &Response::Error(e.to_string()));
+                    return;
+                }
+            };
+            Metrics::bump(&shared.metrics.requests);
+            let ts_us = shared.now_us();
+            match request {
+                Request::Ping => (Reply::Other(Response::Pong), ts_us, false),
+                Request::Stats => {
+                    let (gauges, per_tenant) = shared.stats_view();
+                    let stats = shared.metrics.snapshot(gauges, per_tenant);
+                    (Reply::Other(Response::Stats(Box::new(stats))), ts_us, false)
+                }
+                Request::Shutdown => {
+                    // Answer the client *before* tearing the daemon down:
+                    // once the flag is set, the accept loop and workers
+                    // exit and the process may finish before a late write
+                    // reaches the wire.
+                    conn.begin_write();
+                    let _ = write_response(conn, &Response::ShuttingDown);
+                    shared.shutdown.store(true, Ordering::SeqCst);
+                    shared.job_ready.notify_all();
+                    nudge_accept_loop(&shared.endpoint);
+                    return;
+                }
+                Request::Schedule {
+                    request,
+                    deadline_ms,
+                    tenant,
+                } => {
+                    let id = if tenant.is_empty() {
+                        TenantId::Anon(conn_id)
+                    } else {
+                        TenantId::Named(tenant)
+                    };
+                    let key = peeked.map(|p| p.key);
+                    let reply = serve_schedule(shared, request, deadline_ms, &id, key);
+                    (reply, ts_us, true)
+                }
             }
         };
         // Journal the served request (schedule traffic only — that is
@@ -727,23 +796,20 @@ fn connection_loop<S: Transport>(shared: &Arc<Shared>, conn: &mut DeadlineConn<S
                 j.append(journal::JournalEvent {
                     ts_us,
                     conn_id,
-                    reply_kind: response.kind_code(),
-                    reply: journal_schedule,
+                    reply_kind: reply.kind_code(),
+                    reply: reply.schedule(),
                     request: payload,
                 });
             }
         }
         conn.begin_write();
-        match write_response(conn, &response) {
-            Ok(()) => {}
-            Err(e) => {
-                if is_timeout(&e) {
-                    // Unresponsive reader: evict.
-                    Metrics::bump(&shared.metrics.io_timeouts);
-                    Metrics::bump(&shared.metrics.evicted_slow);
-                }
-                return; // client went away (or stopped draining) mid-reply
+        if let Err(e) = reply.write(conn) {
+            if is_timeout(&e) {
+                // Unresponsive reader: evict.
+                Metrics::bump(&shared.metrics.io_timeouts);
+                Metrics::bump(&shared.metrics.evicted_slow);
             }
+            return; // client went away (or stopped draining) mid-reply
         }
     }
 }

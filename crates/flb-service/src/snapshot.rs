@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic    u32 LE = 0x464C_4253 ("FLBS")
-//! version  u32 LE = 1
+//! version  u32 LE = 2
 //! count    u32 LE
 //! entries  count × (fingerprint u64 LE, len u32 LE, schedule wire bytes)
 //! checksum u64 LE  (FNV-1a over every preceding byte)
@@ -28,8 +28,12 @@ use std::sync::Arc;
 /// Snapshot file magic: `"FLBS"`.
 pub const SNAPSHOT_MAGIC: u32 = 0x464C_4253;
 
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version. Version 2 entries are keyed by the
+/// word-hash [`request_fingerprint`](crate::request_fingerprint) over the
+/// canonical wire sections; version 1 files hold keys of the retired
+/// byte-wise FNV-1a key, are refused as `unsupported version` and
+/// quarantined, and the daemon boots cold once.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot could not be loaded.
 #[derive(Debug)]

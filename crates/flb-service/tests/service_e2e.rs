@@ -12,7 +12,7 @@
 use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
 use flb_graph::costs::CostModel;
 use flb_graph::gen::Family;
-use flb_graph::TaskGraph;
+use flb_graph::{TaskGraph, TaskGraphBuilder, TaskId};
 use flb_sched::validate::validate;
 use flb_sched::Machine;
 use flb_service::{serve, Client, Endpoint, ServiceConfig, Submission};
@@ -142,6 +142,47 @@ fn full_queue_answers_busy_instead_of_hanging() {
     handle.join();
 }
 
+/// Two graphs the old undelimited FNV-1a key hashed alike: costs [5, 9]
+/// with edge 0→1 (cost 0), and costs [5, 1] with edge 1→0 (cost 9).
+/// A shared key would answer B with A's schedule, which starts task 0
+/// before its predecessor, task 1.
+#[test]
+fn distinct_graphs_never_share_a_cache_entry() {
+    let graph = |costs: [u64; 2], (src, dst, comm): (usize, usize, u64)| {
+        let mut b = TaskGraphBuilder::new();
+        for c in costs {
+            b.add_task(c);
+        }
+        b.add_edge(TaskId(src), TaskId(dst), comm).unwrap();
+        b.build().unwrap()
+    };
+    let a = graph([5, 9], (0, 1, 0));
+    let b = graph([5, 1], (1, 0, 9));
+    let machine = Machine::new(2);
+
+    let handle = local_server(ServiceConfig::default());
+    let mut client = Client::connect(&handle.endpoint()).unwrap();
+    expect_done(
+        client
+            .schedule(AlgorithmId::Flb, a, machine.clone(), 0)
+            .unwrap(),
+    );
+    let reply = expect_done(
+        client
+            .schedule(AlgorithmId::Flb, b.clone(), machine.clone(), 0)
+            .unwrap(),
+    );
+    assert!(!reply.cached, "B was never scheduled; it cannot be a hit");
+    assert_eq!(
+        reply.schedule,
+        schedule_request(&ScheduleRequest::new(AlgorithmId::Flb, b.clone(), machine))
+    );
+    assert_eq!(validate(&b, &reply.schedule), Ok(()));
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 #[test]
 fn tight_deadline_expires_in_queue() {
     let handle = local_server(ServiceConfig {
@@ -154,21 +195,38 @@ fn tight_deadline_expires_in_queue() {
     // Occupy the single worker with two genuinely slow requests (ETF on
     // a 2000-task LU graph takes tens of milliseconds even in release
     // builds), then queue a request whose 1 ms deadline will certainly
-    // have passed by the time the worker gets to it.
+    // have passed by the time the worker gets to it. All three share one
+    // tenant, whose backlog is served first in, first out.
+    const TENANT: &str = "deadline-test";
     let slow: Vec<_> = [1u64, 2]
         .into_iter()
         .map(|seed| {
             let endpoint = endpoint.clone();
             thread::spawn(move || {
-                let mut client = Client::connect(&endpoint).unwrap();
+                let mut client = Client::connect_as(&endpoint, TENANT).unwrap();
                 client.schedule(AlgorithmId::Etf, lu(2000, seed), Machine::new(8), 0)
             })
         })
         .collect();
-    // Give the slow requests a head start so they reach the queue first.
-    thread::sleep(std::time::Duration::from_millis(20));
+    // Wait until the daemon itself shows one blocker running and the
+    // other queued: the deadline request then queues behind a whole
+    // blocker, however fast or slow the host is.
+    let mut client = Client::connect_as(&endpoint, TENANT).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let stats = client.stats().unwrap();
+        if stats.scheduler_invocations == 1 && stats.queue_depth == 1 {
+            break;
+        }
+        assert!(
+            stats.scheduler_invocations <= 1 && std::time::Instant::now() < deadline,
+            "the blockers did not line up: {} invocations, queue depth {}",
+            stats.scheduler_invocations,
+            stats.queue_depth
+        );
+        thread::sleep(std::time::Duration::from_millis(1));
+    }
 
-    let mut client = Client::connect(&endpoint).unwrap();
     let outcome = client
         .schedule(AlgorithmId::Flb, lu(80, 2), Machine::new(4), 1)
         .unwrap();

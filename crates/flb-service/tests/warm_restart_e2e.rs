@@ -1,14 +1,16 @@
 //! Warm-restart acceptance tests: the schedule cache survives a graceful
 //! restart via its checksummed snapshot (≥ 90% hits on replay), interval
 //! snapshots land on disk while the daemon runs (the crash-safety story),
-//! a corrupt snapshot is quarantined rather than fatal, and the stale
+//! a corrupt or outdated snapshot is quarantined rather than fatal, and the stale
 //! Unix-socket handling never clobbers a *live* server.
 
-use flb_core::AlgorithmId;
+use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
 use flb_graph::gen;
 use flb_sched::Machine;
+use flb_service::fingerprint::Fnv64;
 use flb_service::{serve, snapshot, Client, Endpoint, ServiceConfig, Submission};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -132,6 +134,65 @@ fn corrupt_snapshot_is_quarantined_and_the_server_boots_anyway() {
     client.shutdown().unwrap();
     handle.join();
     // The graceful shutdown wrote a fresh, valid snapshot in its place.
+    assert_eq!(snapshot::load(&cache_file).unwrap().len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A version-1 snapshot holds keys of the retired cache key. It is
+/// refused as an unsupported version and quarantined; the daemon boots
+/// cold once, then serves and re-caches under the current key.
+#[test]
+fn version_1_snapshot_is_quarantined_and_the_cache_refills() {
+    let dir = temp_dir("snapshot-v1");
+    let cache_file = dir.join("cache.snap");
+    let entries: Vec<_> = (0..3)
+        .map(|i| {
+            let request =
+                ScheduleRequest::new(AlgorithmId::Flb, gen::chain(i + 2), Machine::new(2));
+            (
+                0x1899_d0fb_0dca_ec07 + i as u64,
+                Arc::new(schedule_request(&request)),
+            )
+        })
+        .collect();
+    let mut bytes = snapshot::encode(&entries);
+    bytes.truncate(bytes.len() - 8);
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let mut h = Fnv64::new();
+    h.write(&bytes);
+    bytes.extend_from_slice(&h.finish().to_le_bytes());
+    std::fs::write(&cache_file, &bytes).unwrap();
+
+    let cfg = ServiceConfig {
+        workers: 1,
+        cache_file: Some(cache_file.clone()),
+        ..ServiceConfig::default()
+    };
+    let handle = serve(&Endpoint::parse("127.0.0.1:0"), cfg).unwrap();
+    let mut client = Client::connect(&handle.endpoint()).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.snapshot_quarantined, 1);
+    assert_eq!(stats.snapshot_loaded, 0);
+    assert!(
+        dir.join("cache.snap.corrupt").exists(),
+        "evidence must be preserved"
+    );
+
+    submit_workload(&mut client, 3);
+    submit_workload(&mut client, 3);
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        stats.cache_misses, 3,
+        "the cold boot schedules each graph once"
+    );
+    assert_eq!(
+        stats.cache_hits, 3,
+        "and answers the repeats from the cache"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+    // The shutdown snapshot is written in the current format.
     assert_eq!(snapshot::load(&cache_file).unwrap().len(), 3);
     let _ = std::fs::remove_dir_all(&dir);
 }
