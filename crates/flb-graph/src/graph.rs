@@ -1,5 +1,7 @@
 //! The weighted task-DAG type and its builder.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Discrete time unit used throughout the system.
@@ -322,24 +324,28 @@ impl TaskGraph {
     }
 
     /// Kahn's algorithm; `None` when a cycle exists. Deterministic: the
-    /// frontier is kept as a sorted stack of candidate ids processed in
-    /// ascending order per layer.
+    /// smallest ready id goes first. When every edge points from a smaller
+    /// to a larger id, that order is `0..V` itself (each task's
+    /// predecessors all precede it), so it is returned without a pass.
     fn kahn_topo(&self) -> Option<Vec<TaskId>> {
+        // Successor rows are sorted, so the first entry is the smallest.
+        let forward = self
+            .tasks()
+            .all(|t| self.succs(t).first().is_none_or(|&(s, _)| s > t));
+        if forward {
+            return Some(self.tasks().collect());
+        }
         let v = self.num_tasks();
         let mut indeg: Vec<usize> = (0..v).map(|i| self.in_degree(TaskId(i))).collect();
         let mut order = Vec::with_capacity(v);
-        // Ready queue in ascending id order (BinaryHeap of Reverse would also
-        // do; a sorted Vec used as a min-stack keeps this allocation-light).
-        let mut ready: Vec<usize> = (0..v).filter(|&i| indeg[i] == 0).collect();
-        ready.sort_unstable_by(|a, b| b.cmp(a)); // descending; pop() = min
-        while let Some(i) = ready.pop() {
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..v).filter(|&i| indeg[i] == 0).map(Reverse).collect();
+        while let Some(Reverse(i)) = ready.pop() {
             order.push(TaskId(i));
             for &(s, _) in self.succs(TaskId(i)) {
                 indeg[s.0] -= 1;
                 if indeg[s.0] == 0 {
-                    // Insert keeping descending order.
-                    let pos = ready.partition_point(|&x| x > s.0);
-                    ready.insert(pos, s.0);
+                    ready.push(Reverse(s.0));
                 }
             }
         }
@@ -394,6 +400,66 @@ mod tests {
             g.topological_order(),
             &[TaskId(0), TaskId(1), TaskId(2), TaskId(3)]
         );
+    }
+
+    /// The sorted-`Vec` Kahn pass `kahn_topo` replaced, kept as its oracle.
+    fn sorted_vec_kahn(g: &TaskGraph) -> Option<Vec<TaskId>> {
+        let v = g.num_tasks();
+        let mut indeg: Vec<usize> = (0..v).map(|i| g.in_degree(TaskId(i))).collect();
+        let mut order = Vec::with_capacity(v);
+        let mut ready: Vec<usize> = (0..v).filter(|&i| indeg[i] == 0).collect();
+        ready.sort_unstable_by(|a, b| b.cmp(a));
+        while let Some(i) = ready.pop() {
+            order.push(TaskId(i));
+            for &(s, _) in g.succs(TaskId(i)) {
+                indeg[s.0] -= 1;
+                if indeg[s.0] == 0 {
+                    let pos = ready.partition_point(|&x| x > s.0);
+                    ready.insert(pos, s.0);
+                }
+            }
+        }
+        (order.len() == v).then_some(order)
+    }
+
+    #[test]
+    fn topological_order_matches_the_sorted_vec_kahn() {
+        let mut graphs = vec![
+            diamond(),
+            crate::gen::lu(9),
+            crate::gen::fft(4),
+            crate::gen::laplace(6),
+        ];
+        for seed in 0..20 {
+            graphs.push(crate::gen::random_dag(40, 0.15, seed));
+        }
+        // Permuted copies break the forward-edge shortcut, so the heap
+        // pass runs on them.
+        let permuted: Vec<TaskGraph> = graphs
+            .iter()
+            .enumerate()
+            .map(|(k, g)| {
+                let n = g.num_tasks();
+                let stride = (1..n).rev().find(|s| gcd(*s, n) == 1).unwrap_or(1);
+                let perm: Vec<TaskId> = (0..n).map(|i| TaskId((i * stride + k) % n)).collect();
+                crate::transform::permute(g, &perm)
+            })
+            .collect();
+        let mut permuted_runs = 0;
+        for g in graphs.iter().chain(&permuted) {
+            assert_eq!(Some(g.topological_order().to_vec()), sorted_vec_kahn(g));
+            let forward = g.tasks().all(|t| g.succs(t).iter().all(|&(s, _)| s > t));
+            permuted_runs += usize::from(!forward);
+        }
+        assert_eq!(permuted_runs, permuted.len());
+    }
+
+    fn gcd(a: usize, b: usize) -> usize {
+        if b == 0 {
+            a
+        } else {
+            gcd(b, a % b)
+        }
     }
 
     #[test]

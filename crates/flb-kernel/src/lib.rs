@@ -14,7 +14,10 @@
 //!   [`list::PairingForest`]); zero heap allocations after init;
 //! * [`FlbKernel`] — a [`flb_sched::Scheduler`] adapter so the kernel sits
 //!   in the conformance registry next to the reference scheduler and every
-//!   differential oracle applies to it.
+//!   differential oracle applies to it. Its
+//!   [`schedule_flat`](FlbKernel::schedule_flat) runs a [`FlatGraph`]
+//!   straight to a [`Schedule`]; the scheduler daemon serves FLB through
+//!   it.
 //!
 //! The kernel must be **bit-identical** to `flb_core::FlbRun`: same
 //! `(task, processor, start)` triple at every step, same run counters.
@@ -29,7 +32,7 @@ mod graph;
 pub mod list;
 mod run;
 
-pub use graph::{FlatGraph, NONE};
+pub use graph::{FlatGraph, SortedEdgesError, NONE};
 pub use run::{KernelRun, KernelStep};
 
 use flb_core::TieBreak;
@@ -53,6 +56,26 @@ impl FlbKernel {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Runs [`KernelRun`] on `g` to completion and wraps its placements
+    /// as a [`Schedule`] on `machine`.
+    #[must_use]
+    pub fn schedule_flat(&self, g: &FlatGraph, machine: &Machine) -> Schedule {
+        let slow: Vec<Time> = machine.procs().map(|p| machine.slowdown(p)).collect();
+        let mut run = KernelRun::new(g, &slow, self.tie_break);
+        run.run();
+        let placements = run
+            .procs()
+            .iter()
+            .zip(run.starts().iter().zip(run.finishes()))
+            .map(|(&proc, (&start, &finish))| Placement {
+                proc: ProcId(proc as usize),
+                start,
+                finish,
+            })
+            .collect();
+        Schedule::from_raw_on(machine.clone(), placements)
+    }
 }
 
 impl Scheduler for FlbKernel {
@@ -61,20 +84,7 @@ impl Scheduler for FlbKernel {
     }
 
     fn schedule(&self, graph: &TaskGraph, machine: &Machine) -> Schedule {
-        let fg = FlatGraph::from_task_graph(graph);
-        let slow: Vec<Time> = (0..machine.num_procs())
-            .map(|p| machine.slowdown(ProcId(p)))
-            .collect();
-        let mut run = KernelRun::new(&fg, &slow, self.tie_break);
-        run.run();
-        let placements = (0..graph.num_tasks())
-            .map(|i| Placement {
-                proc: ProcId(run.procs()[i] as usize),
-                start: run.starts()[i],
-                finish: run.finishes()[i],
-            })
-            .collect();
-        Schedule::from_raw_on(machine.clone(), placements)
+        self.schedule_flat(&FlatGraph::from_task_graph(graph), machine)
     }
 }
 

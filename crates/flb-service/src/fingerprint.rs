@@ -234,46 +234,84 @@ pub struct PeekedKey {
 /// would reject for a reason this function can see.
 #[must_use]
 pub fn peek_request_key(payload: &[u8]) -> Option<PeekedKey> {
-    let mut r = Reader::new(payload);
-    if r.u8().ok()? != REQ_SCHEDULE {
-        return None;
-    }
-    let code = r.u8().ok()?;
-    let algorithm = AlgorithmId::from_code(code)?;
-    r.u64().ok()?; // deadline
-    let procs = r.len("processor", 8).ok()?;
-    let slowdowns = r.bytes(8 * procs).ok()?;
-    r.str_ref().ok()?; // graph name
-    let tasks = r.len("task", 8).ok()?;
-    let costs = r.bytes(8 * tasks).ok()?;
-    let edge_count = r.len("edge", 16).ok()?;
-    let edges = r.bytes(16 * edge_count).ok()?;
-    if !edges_canonical(edges) {
-        return None;
-    }
-    if r.remaining() != 0 && r.str_ref().ok()?.len() > MAX_TENANT_NAME {
-        return None;
-    }
-    if r.remaining() != 0 {
-        return None;
-    }
-
+    let f = ScheduleFields::split(payload)?;
     let mut h = KeyHasher::new();
-    h.section(1, |h| h.write_u8(code));
-    h.section(4 + slowdowns.len(), |h| {
-        h.write_u32(procs as u32);
-        h.write(slowdowns);
+    h.section(1, |h| h.write_u8(f.algorithm.code()));
+    h.section(4 + f.slowdowns.len(), |h| {
+        h.write_u32((f.slowdowns.len() / 8) as u32);
+        h.write(f.slowdowns);
     });
-    h.section(8 + costs.len() + edges.len(), |h| {
-        h.write_u32(tasks as u32);
-        h.write(costs);
-        h.write_u32(edge_count as u32);
-        h.write(edges);
+    h.section(8 + f.costs.len() + f.edges.len(), |h| {
+        h.write_u32((f.costs.len() / 8) as u32);
+        h.write(f.costs);
+        h.write_u32((f.edges.len() / 16) as u32);
+        h.write(f.edges);
     });
     Some(PeekedKey {
-        algorithm,
+        algorithm: f.algorithm,
         key: h.finish(),
     })
+}
+
+/// A schedule-request payload split into its fields without decoding
+/// the machine or the graph: the layout both [`peek_request_key`] and
+/// [`decode_flat_request`](crate::proto::decode_flat_request) read.
+pub(crate) struct ScheduleFields<'a> {
+    pub(crate) algorithm: AlgorithmId,
+    pub(crate) deadline_ms: u64,
+    /// Little-endian `u64` slowdowns, one per processor.
+    pub(crate) slowdowns: &'a [u8],
+    pub(crate) name: &'a str,
+    /// Little-endian `u64` costs, one per task.
+    pub(crate) costs: &'a [u8],
+    /// 16-byte edge records (source u32, target u32, cost u64), in
+    /// canonical order.
+    pub(crate) edges: &'a [u8],
+    pub(crate) tenant: &'a str,
+}
+
+impl<'a> ScheduleFields<'a> {
+    /// Splits `payload`, checking what
+    /// [`decode_request`](crate::proto::decode_request) checks outside the
+    /// machine and graph contents: the kind byte, the algorithm code, the
+    /// length fields, the graph name (UTF-8), the tenant (UTF-8, at most
+    /// [`MAX_TENANT_NAME`] bytes) and no trailing bytes. The edges must
+    /// also be in canonical order. `None` for anything else.
+    pub(crate) fn split(payload: &'a [u8]) -> Option<Self> {
+        let mut r = Reader::new(payload);
+        if r.u8().ok()? != REQ_SCHEDULE {
+            return None;
+        }
+        let algorithm = AlgorithmId::from_code(r.u8().ok()?)?;
+        let deadline_ms = r.u64().ok()?;
+        let procs = r.len("processor", 8).ok()?;
+        let slowdowns = r.bytes(8 * procs).ok()?;
+        let name = r.str_ref().ok()?;
+        let tasks = r.len("task", 8).ok()?;
+        let costs = r.bytes(8 * tasks).ok()?;
+        let edge_count = r.len("edge", 16).ok()?;
+        let edges = r.bytes(16 * edge_count).ok()?;
+        if !edges_canonical(edges) {
+            return None;
+        }
+        let tenant = if r.remaining() == 0 {
+            ""
+        } else {
+            r.str_ref().ok()?
+        };
+        if tenant.len() > MAX_TENANT_NAME || r.remaining() != 0 {
+            return None;
+        }
+        Some(ScheduleFields {
+            algorithm,
+            deadline_ms,
+            slowdowns,
+            name,
+            costs,
+            edges,
+            tenant,
+        })
+    }
 }
 
 /// Whether 16-byte edge records (source u32, target u32, cost u64) run in

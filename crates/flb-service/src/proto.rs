@@ -21,11 +21,13 @@
 //! table), so a decoder reading an older peer's frame sees them absent
 //! and fills in defaults — old field order is never disturbed.
 
+use crate::fingerprint::ScheduleFields;
 use crate::metrics::{StatsSnapshot, TenantStat};
 use crate::overload::{OverloadState, MAX_TENANT_NAME};
 use flb_core::{AlgorithmId, ScheduleRequest};
+use flb_kernel::FlatGraph;
 use flb_sched::io::wire::{self, Reader, WireError, Writer};
-use flb_sched::Schedule;
+use flb_sched::{Machine, Schedule};
 use std::io::{self, Read, Write};
 
 /// Frame magic: `"FLB1"`.
@@ -207,6 +209,56 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
         )));
     }
     Ok(req)
+}
+
+/// An FLB schedule request decoded straight into the kernel's CSR form.
+#[derive(Clone, Debug)]
+pub struct FlatScheduleRequest {
+    /// The task graph, as the kernel schedules it.
+    pub graph: FlatGraph,
+    /// The target machine.
+    pub machine: Machine,
+    /// Give up when not finished within this budget (0 = none).
+    pub deadline_ms: u64,
+    /// Tenant name for quota accounting; empty means anonymous.
+    pub tenant: String,
+}
+
+/// Decodes an FLB schedule request into [`FlatGraph`] form, with no
+/// `TaskGraph` in between.
+///
+/// Accepts only payloads [`decode_request`] accepts too. The fields
+/// around the machine and graph are checked as the cache-key peek checks
+/// them (`ScheduleFields::split`), the machine as `wire::get_machine` checks
+/// it, and the graph by [`FlatGraph::from_sorted_edges`], which rejects
+/// everything the graph builder rejects. Edges out of the canonical wire
+/// order (strictly ascending source, then target) and requests for other
+/// algorithms are declined too. The caller then decodes with
+/// [`decode_request`], so every error reply is its.
+#[must_use]
+pub fn decode_flat_request(payload: &[u8]) -> Option<FlatScheduleRequest> {
+    let f = ScheduleFields::split(payload)?;
+    if f.algorithm != AlgorithmId::Flb {
+        return None;
+    }
+    let le_u64 = |b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?));
+    let slowdowns: Vec<u64> = f.slowdowns.chunks_exact(8).map_while(le_u64).collect();
+    if slowdowns.is_empty() || slowdowns.contains(&0) {
+        return None;
+    }
+    let comp = f.costs.chunks_exact(8).map_while(le_u64).collect();
+    let edges = f
+        .edges
+        .chunks_exact(16)
+        .map_while(|rec| Some(u128::from_le_bytes(rec.try_into().ok()?)))
+        .map(|x| (x as u32, (x >> 32) as u32, (x >> 64) as u64));
+    let graph = FlatGraph::from_sorted_edges(f.name, comp, f.edges.len() / 16, edges).ok()?;
+    Some(FlatScheduleRequest {
+        graph,
+        machine: Machine::related(slowdowns),
+        deadline_ms: f.deadline_ms,
+        tenant: f.tenant.to_owned(),
+    })
 }
 
 fn put_stats(w: &mut Writer, s: &StatsSnapshot) {

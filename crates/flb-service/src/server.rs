@@ -9,15 +9,19 @@
 //!    encoded from the cached schedule into one frame and sent with one
 //!    write (this is the "repeated workloads skip scheduling entirely"
 //!    path, and it keeps working even while the queue is saturated);
-//! 2. otherwise the payload is decoded (a payload the peek declined is
-//!    keyed by [`request_fingerprint`] now, and may still hit), and a
-//!    miss is pushed onto the bounded queue; when the queue is full the
-//!    client gets a `busy` response with a retry hint instead of blocking
-//!    the daemon (backpressure, never a hang);
+//! 2. otherwise the payload is decoded, and the miss is pushed onto the
+//!    bounded queue; when the queue is full the client gets a `busy`
+//!    response with a retry hint instead of blocking the daemon
+//!    (backpressure, never a hang). An FLB request is decoded straight
+//!    into the kernel's CSR form ([`decode_flat_request`]); everything
+//!    else, and any payload that decoder declines, goes through
+//!    [`decode_request`] into a `TaskGraph` (a payload the peek declined
+//!    is keyed by [`request_fingerprint`] now, and may still hit);
 //! 3. a worker pops the job, drops it with an `expired` response if its
 //!    deadline passed while it queued, otherwise runs the scheduler,
 //!    populates the cache and hands the schedule back to the connection
-//!    thread.
+//!    thread. FLB always runs on `flb-kernel`'s [`FlbKernel`]; the
+//!    baselines run through [`schedule_request`].
 //!
 //! Two concurrent misses on the same fingerprint may both run the
 //! scheduler; the algorithms are deterministic, so both compute the same
@@ -50,12 +54,13 @@ use crate::journal::{self, SyncPolicy};
 use crate::metrics::{Gauges, Metrics};
 use crate::overload::{Decision, OverloadConfig, OverloadCtl, ShedPolicy, TenantId};
 use crate::proto::{
-    decode_request, read_frame, write_response, write_schedule_reply, Request, Response,
-    RESP_SCHEDULE,
+    decode_flat_request, decode_request, read_frame, write_response, write_schedule_reply, Request,
+    Response, RESP_SCHEDULE,
 };
 use crate::snapshot::{self, SnapshotError};
 use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
-use flb_sched::Schedule;
+use flb_kernel::{FlatGraph, FlbKernel};
+use flb_sched::{Machine, Schedule};
 use parking_lot::{Condvar, Mutex};
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -360,9 +365,50 @@ enum WorkerReply {
     Panicked(String),
 }
 
+/// What a job schedules.
+enum Work {
+    /// An FLB request decoded straight into the kernel's CSR form.
+    Flat {
+        graph: Box<FlatGraph>,
+        machine: Machine,
+    },
+    /// A request decoded into a `TaskGraph`: the baselines, and FLB
+    /// requests whose edges were not in canonical wire order.
+    Graph(Box<ScheduleRequest>),
+}
+
+impl Work {
+    fn algorithm(&self) -> AlgorithmId {
+        match self {
+            Work::Flat { .. } => AlgorithmId::Flb,
+            Work::Graph(request) => request.algorithm,
+        }
+    }
+
+    fn graph_name(&self) -> &str {
+        match self {
+            Work::Flat { graph, .. } => graph.name(),
+            Work::Graph(request) => request.graph.name(),
+        }
+    }
+
+    /// Runs the scheduler. FLB always runs on the kernel, which is
+    /// bit-identical to `flb_core`'s reference run.
+    fn schedule(&self) -> Schedule {
+        match self {
+            Work::Flat { graph, machine } => FlbKernel::new().schedule_flat(graph, machine),
+            Work::Graph(request) if request.algorithm == AlgorithmId::Flb => {
+                let graph = FlatGraph::from_task_graph(&request.graph);
+                FlbKernel::new().schedule_flat(&graph, &request.machine)
+            }
+            Work::Graph(request) => schedule_request(request),
+        }
+    }
+}
+
 /// One queued scheduling job.
 struct Job {
-    request: Box<ScheduleRequest>,
+    work: Work,
     fingerprint: u64,
     accepted_at: Instant,
     deadline: Option<Duration>,
@@ -489,14 +535,14 @@ fn worker_loop(shared: &Arc<Shared>) {
             continue;
         }
         let inject = shared.cfg.panic_injection;
-        let hard_kill = inject && job.request.graph.name() == HARD_PANIC_MARKER;
+        let hard_kill = inject && job.work.graph_name() == HARD_PANIC_MARKER;
         Metrics::bump(&shared.metrics.scheduler_invocations);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inject && job.request.graph.name() == PANIC_MARKER {
+            if inject && job.work.graph_name() == PANIC_MARKER {
                 // flb-analyze: allow(no-panic-in-request-path, reason="chaos injection, gated by cfg.panic_injection and confined by the catch_unwind below")
                 panic!("injected scheduler panic ({PANIC_MARKER})");
             }
-            schedule_request(&job.request)
+            job.work.schedule()
         }));
         match outcome {
             Ok(schedule) => {
@@ -631,31 +677,38 @@ fn cache_hit(shared: &Shared, schedule: Arc<Schedule>, t0: Instant) -> Reply {
     }
 }
 
-/// Serves one decoded schedule request end-to-end. `key` is the cache
-/// key when the payload's peek already found it (and missed); otherwise
-/// the key is computed and the cache probed here.
+/// The tenant a request is accounted to: its name, or else the
+/// connection it came in on.
+fn tenant_id(tenant: String, conn_id: u64) -> TenantId {
+    if tenant.is_empty() {
+        TenantId::Anon(conn_id)
+    } else {
+        TenantId::Named(tenant)
+    }
+}
+
+/// Serves one decoded schedule request end-to-end under cache key
+/// `key`. The peek has already probed the cache under that key and
+/// missed, unless `probe` is set: the peek declined the payload, and the
+/// key was computed from the decoded request.
 ///
 /// Cache hits bypass admission entirely — answering from memory costs
 /// the daemon almost nothing, so quotas only govern the expensive path.
 fn serve_schedule(
     shared: &Shared,
-    request: Box<ScheduleRequest>,
+    work: Work,
+    key: u64,
+    probe: bool,
     deadline_ms: u64,
     tenant: &TenantId,
-    key: Option<u64>,
 ) -> Reply {
     let t0 = Instant::now();
-    count_schedule_request(shared, request.algorithm);
-    let fp = match key {
-        Some(fp) => fp,
-        None => {
-            let fp = request_fingerprint(request.algorithm, &request.graph, &request.machine);
-            if let Some(schedule) = shared.cache.get(fp) {
-                return cache_hit(shared, schedule, t0);
-            }
-            fp
+    count_schedule_request(shared, work.algorithm());
+    if probe {
+        if let Some(schedule) = shared.cache.get(key) {
+            return cache_hit(shared, schedule, t0);
         }
-    };
+    }
     Metrics::bump(&shared.metrics.cache_misses);
 
     let busy = Reply::Other(Response::Busy {
@@ -667,8 +720,8 @@ fn serve_schedule(
     }
     let (tx, rx) = mpsc::channel();
     let job = Job {
-        request,
-        fingerprint: fp,
+        work,
+        fingerprint: key,
         accepted_at: t0,
         deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
         reply: tx,
@@ -736,11 +789,28 @@ fn connection_loop<S: Transport>(shared: &Arc<Shared>, conn: &mut DeadlineConn<S
         let t0 = Instant::now();
         let peeked = peek_request_key(&payload);
         let hit = peeked.and_then(|p| Some((p.algorithm, shared.cache.get(p.key)?)));
+        // An FLB miss the peek keyed decodes straight into CSR.
+        let flat = match peeked {
+            Some(p) if hit.is_none() && p.algorithm == AlgorithmId::Flb => {
+                decode_flat_request(&payload).map(|req| (p.key, req))
+            }
+            _ => None,
+        };
         let (reply, ts_us, journal_this) = if let Some((alg, schedule)) = hit {
             Metrics::bump(&shared.metrics.requests);
             let ts_us = shared.now_us();
             count_schedule_request(shared, alg);
             (cache_hit(shared, schedule, t0), ts_us, true)
+        } else if let Some((key, req)) = flat {
+            Metrics::bump(&shared.metrics.requests);
+            let ts_us = shared.now_us();
+            let work = Work::Flat {
+                graph: Box::new(req.graph),
+                machine: req.machine,
+            };
+            let id = tenant_id(req.tenant, conn_id);
+            let reply = serve_schedule(shared, work, key, false, req.deadline_ms, &id);
+            (reply, ts_us, true)
         } else {
             let request = match decode_request(&payload) {
                 Ok(req) => req,
@@ -777,13 +847,16 @@ fn connection_loop<S: Transport>(shared: &Arc<Shared>, conn: &mut DeadlineConn<S
                     deadline_ms,
                     tenant,
                 } => {
-                    let id = if tenant.is_empty() {
-                        TenantId::Anon(conn_id)
-                    } else {
-                        TenantId::Named(tenant)
+                    let id = tenant_id(tenant, conn_id);
+                    let (key, probe) = match peeked {
+                        Some(p) => (p.key, false),
+                        None => {
+                            let r = &request;
+                            (request_fingerprint(r.algorithm, &r.graph, &r.machine), true)
+                        }
                     };
-                    let key = peeked.map(|p| p.key);
-                    let reply = serve_schedule(shared, request, deadline_ms, &id, key);
+                    let work = Work::Graph(request);
+                    let reply = serve_schedule(shared, work, key, probe, deadline_ms, &id);
                     (reply, ts_us, true)
                 }
             }
