@@ -1,8 +1,8 @@
 //! Cross-algorithm properties: every scheduler in the paper's comparison
 //! produces valid schedules with sane bounds, on every graph family.
 
-use flb_baselines::{Dls, DscLlb, Etf, Fcp, Heft, Hlfet, LlbPriority, Mcp, McpTieBreak};
-use flb_core::Flb;
+use flb_baselines::{DscLlb, Etf, LlbPriority, Mcp, McpTieBreak};
+use flb_core::{AlgorithmId, Flb};
 use flb_graph::costs::CostModel;
 use flb_graph::levels::critical_path_comp_only;
 use flb_graph::{gen, TaskGraph};
@@ -10,23 +10,20 @@ use flb_sched::validate::validate;
 use flb_sched::{Machine, Scheduler};
 use proptest::prelude::*;
 
+/// Every wire algorithm, plus two tie-break variants.
 fn schedulers() -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(Flb::default()),
-        Box::new(Etf),
-        Box::new(Mcp::default()),
-        Box::new(Mcp::original()),
+    let variants: [Box<dyn Scheduler>; 2] = [
         Box::new(Mcp {
             tie_break: McpTieBreak::TaskId,
             insertion: false,
         }),
-        Box::new(Fcp),
-        Box::new(Dls),
-        Box::new(Heft),
-        Box::new(Hlfet),
-        Box::new(DscLlb::default()),
         Box::new(DscLlb::with_priority(LlbPriority::Least)),
-    ]
+    ];
+    AlgorithmId::ALL
+        .map(AlgorithmId::scheduler)
+        .into_iter()
+        .chain(variants)
+        .collect()
 }
 
 fn arb_weighted_graph() -> impl Strategy<Value = TaskGraph> {

@@ -4,10 +4,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flb_baselines::{Mcp, McpTieBreak};
-use flb_core::{Flb, TieBreak};
 use flb_graph::costs::CostModel;
 use flb_graph::gen::Family;
-use flb_sched::{Machine, Scheduler};
+use flb_kernel::FlbKernel;
+use flb_sched::{Machine, Scheduler, TieBreak};
 use std::hint::black_box;
 
 fn ablation_mcp_insertion(c: &mut Criterion) {
@@ -36,7 +36,7 @@ fn ablation_flb_tiebreak(c: &mut Criterion) {
         ("bottom_level", TieBreak::BottomLevel),
         ("fifo", TieBreak::TaskId),
     ] {
-        let flb = Flb::with_tie_break(tb);
+        let flb = FlbKernel { tie_break: tb };
         group.bench_with_input(BenchmarkId::from_parameter(label), &machine, |b, m| {
             b.iter(|| black_box(flb.schedule(&g, m).makespan()));
         });

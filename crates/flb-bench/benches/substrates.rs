@@ -3,11 +3,11 @@
 //! simulator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flb_core::Flb;
 use flb_ds::IndexedMinHeap;
 use flb_graph::costs::CostModel;
 use flb_graph::gen::Family;
 use flb_graph::{levels, width};
+use flb_kernel::FlbKernel;
 use flb_sched::{Machine, Scheduler};
 use std::hint::black_box;
 
@@ -67,7 +67,7 @@ fn simulator(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator");
     group.sample_size(20);
     let g = CostModel::paper_default(1.0).apply(&Family::Stencil.topology(2000), 2);
-    let s = Flb::default().schedule(&g, &Machine::new(8));
+    let s = FlbKernel::new().schedule(&g, &Machine::new(8));
     group.bench_function("replay_stencil_2000_p8", |b| {
         b.iter(|| black_box(flb_sim::simulate(&g, &s).expect("feasible").makespan));
     });

@@ -14,9 +14,9 @@
 use flb_baselines::{DscLlb, LlbPriority, Mcp, McpTieBreak};
 use flb_bench::report::{fmt_ratio, table};
 use flb_bench::suite_from_args;
-use flb_core::{Flb, TieBreak};
 use flb_graph::costs::Dist;
-use flb_sched::{Machine, Scheduler};
+use flb_kernel::FlbKernel;
+use flb_sched::{Machine, Scheduler, TieBreak};
 use flb_workloads::stats::geo_mean;
 use flb_workloads::{SuiteSpec, Workload};
 
@@ -70,8 +70,10 @@ fn main() {
         fmt_ratio(ratio(
             &suite,
             procs,
-            &Flb::with_tie_break(TieBreak::BottomLevel),
-            &Flb::with_tie_break(TieBreak::TaskId),
+            &FlbKernel::new(),
+            &FlbKernel {
+                tie_break: TieBreak::TaskId,
+            },
         )),
     ]);
 
@@ -91,7 +93,7 @@ fn main() {
     let mut exp_spec = SuiteSpec { ..spec.clone() };
     exp_spec.comp_dist = Dist::Exponential(100);
     let exp_suite = exp_spec.generate();
-    let flb = Flb::default();
+    let flb = FlbKernel::new();
     let mut uni = Vec::new();
     let mut exp = Vec::new();
     for (wu, we) in suite.iter().zip(&exp_suite) {

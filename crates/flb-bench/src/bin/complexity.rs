@@ -11,17 +11,19 @@
 //!    linearly in `P`, FLB logarithmically (near-flat);
 //! 3. **operation counts** — FLB's internal list operations per task
 //!    (selections, promotions, demotions) are `O(1)` amortised, measured
-//!    via `flb_core::RunStats`.
+//!    via `flb_sched::RunStats`.
+//!
+//! FLB runs on `flb-kernel`, the engine behind `AlgorithmId::Flb`.
 //!
 //! Run: `cargo run -p flb-bench --release --bin complexity [--quick]`
 
 use flb_baselines::{Etf, Fcp, Mcp};
 use flb_bench::mem::{fmt_peak_rss, peak_rss_kb};
 use flb_bench::report::{fmt_seconds, table};
-use flb_core::{Flb, FlbRun, TieBreak};
 use flb_graph::costs::CostModel;
 use flb_graph::gen::Family;
-use flb_sched::{Machine, Scheduler};
+use flb_kernel::{FlatGraph, FlbKernel, KernelRun};
+use flb_sched::{Machine, Scheduler, TieBreak};
 use std::time::Instant;
 
 fn time_it(f: impl FnOnce() -> u64) -> (f64, u64) {
@@ -44,7 +46,7 @@ fn main() {
     for &v in sizes {
         let g = CostModel::paper_default(1.0).apply(&Family::Lu.topology(v), 5);
         let machine = Machine::new(p_fixed);
-        let (t_flb, _) = time_it(|| Flb::default().schedule(&g, &machine).makespan());
+        let (t_flb, _) = time_it(|| FlbKernel::new().schedule(&g, &machine).makespan());
         let (t_fcp, _) = time_it(|| Fcp.schedule(&g, &machine).makespan());
         let (t_mcp, _) = time_it(|| Mcp::default().schedule(&g, &machine).makespan());
         // ETF becomes painful beyond a few thousand tasks; cap it.
@@ -91,7 +93,7 @@ fn main() {
     let mut rows = Vec::new();
     for &p in p_list {
         let machine = Machine::new(p);
-        let (t_flb, _) = time_it(|| Flb::default().schedule(&g, &machine).makespan());
+        let (t_flb, _) = time_it(|| FlbKernel::new().schedule(&g, &machine).makespan());
         let (t_mcp, _) = time_it(|| Mcp::default().schedule(&g, &machine).makespan());
         let (t_etf, _) = time_it(|| Etf.schedule(&g, &machine).makespan());
         rows.push(vec![
@@ -114,9 +116,9 @@ fn main() {
     for &v in sizes {
         for fam in [Family::Lu, Family::Stencil] {
             let g = CostModel::paper_default(1.0).apply(&fam.topology(v), 5);
-            let machine = Machine::new(p_fixed);
-            let mut run = FlbRun::new(&g, &machine, TieBreak::BottomLevel);
-            while run.step().is_some() {}
+            let fg = FlatGraph::from_task_graph(&g);
+            let mut run = KernelRun::new(&fg, &vec![1; p_fixed], TieBreak::BottomLevel);
+            run.run();
             let st = run.stats();
             rows.push(vec![
                 fam.name().to_string(),

@@ -12,7 +12,7 @@
 use flb_baselines::duplication::{validate_dup, Cpd};
 use flb_bench::report::{fmt_ratio, table};
 use flb_bench::suite_from_args;
-use flb_core::Flb;
+use flb_kernel::FlbKernel;
 use flb_sched::{validate::validate, Machine, Scheduler};
 use flb_workloads::stats::geo_mean;
 use std::time::Instant;
@@ -43,7 +43,7 @@ fn main() {
             let mut overhead = Vec::new();
             for w in suite.iter().filter(|w| w.ccr == ccr) {
                 let t0 = Instant::now();
-                let flb = Flb::default().schedule(&w.graph, &machine);
+                let flb = FlbKernel::new().schedule(&w.graph, &machine);
                 let t_flb = t0.elapsed().as_secs_f64();
                 validate(&w.graph, &flb).expect("FLB valid");
 

@@ -5,26 +5,18 @@
 //!
 //! Run: `cargo run -p flb-bench --release --bin extended [--quick]`
 
-use flb_baselines::{Dls, DscLlb, Etf, Fcp, Heft, Hlfet, Mcp};
 use flb_bench::report::{fmt_ratio, fmt_seconds, table};
 use flb_bench::suite_from_args;
-use flb_core::Flb;
+use flb_core::AlgorithmId::{self, Dls, DscLlb, Etf, Fcp, Flb, Heft, Hlfet, Mcp, McpInsertion};
 use flb_sched::{validate::validate, Machine, Scheduler};
 use flb_workloads::stats::{geo_mean, mean};
 use std::time::Instant;
 
+/// The compared algorithms, in table order.
+const EXTENDED: [AlgorithmId; 9] = [Mcp, McpInsertion, Etf, Dls, Heft, Hlfet, DscLlb, Fcp, Flb];
+
 fn schedulers() -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(Mcp::default()),
-        Box::new(Mcp::original()),
-        Box::new(Etf),
-        Box::new(Dls),
-        Box::new(Heft),
-        Box::new(Hlfet),
-        Box::new(DscLlb::default()),
-        Box::new(Fcp),
-        Box::new(Flb::default()),
-    ]
+    EXTENDED.map(AlgorithmId::scheduler).into()
 }
 
 fn main() {
@@ -47,7 +39,7 @@ fn main() {
     for w in &suite {
         for &p in procs {
             let machine = Machine::new(p);
-            let mcp_span = Mcp::default().schedule(&w.graph, &machine).makespan() as f64;
+            let mcp_span = Mcp.scheduler().schedule(&w.graph, &machine).makespan() as f64;
             for (i, s) in schedulers().iter().enumerate() {
                 let t0 = Instant::now();
                 let sched = s.schedule(&w.graph, &machine);

@@ -21,7 +21,8 @@
 
 use flb_bench::report::{fmt_ratio, table};
 use flb_bench::suite_from_args;
-use flb_core::{clairvoyant_flb, naive_remap, repair_flb, Flb, TieBreak};
+use flb_core::{clairvoyant_flb, naive_remap, repair_flb, TieBreak};
+use flb_kernel::FlbKernel;
 use flb_sched::repair::validate_repaired;
 use flb_sched::{Machine, ProcId, Scheduler};
 use flb_sim::{simulate_faulty, FaultSpec, SimConfig};
@@ -39,7 +40,7 @@ fn main() {
         spec.target_tasks
     );
 
-    let flb = Flb::default();
+    let flb = FlbKernel::new();
 
     // --- 1. Processor failure at a fraction of the fault-free makespan,
     //        repaired three ways. ---------------------------------------

@@ -8,8 +8,8 @@
 
 use flb_bench::report::table;
 use flb_bench::suite_from_args;
-use flb_core::Flb;
 use flb_graph::gen::Family;
+use flb_kernel::FlbKernel;
 use flb_sched::metrics::speedup;
 use flb_sched::{Machine, Scheduler};
 use flb_workloads::stats::mean;
@@ -26,7 +26,7 @@ fn main() {
         if quick { "quick suite" } else { "paper suite" }
     );
 
-    let flb = Flb::default();
+    let flb = FlbKernel::new();
     for &ccr in &spec.ccrs {
         println!("\nCCR = {ccr}");
         let mut header = vec!["P".to_string()];

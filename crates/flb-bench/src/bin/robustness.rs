@@ -18,8 +18,8 @@
 
 use flb_bench::report::{fmt_ratio, table};
 use flb_bench::suite_from_args;
-use flb_core::Flb;
 use flb_graph::{Cost, TaskGraph, TaskGraphBuilder};
+use flb_kernel::FlbKernel;
 use flb_sched::{validate::validate, Machine, Scheduler};
 use flb_sim::simulate;
 use flb_workloads::stats::geo_mean;
@@ -69,7 +69,7 @@ fn main() {
         spec.target_tasks
     );
 
-    let flb = Flb::default();
+    let flb = FlbKernel::new();
     let mut rows = Vec::new();
     for &ccr in &spec.ccrs {
         for &p in procs {

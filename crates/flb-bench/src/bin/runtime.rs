@@ -12,7 +12,7 @@
 use flb_bench::mem::{fmt_peak_rss, peak_rss_kb};
 use flb_bench::report::{fmt_ratio, table};
 use flb_bench::suite_from_args;
-use flb_core::Flb;
+use flb_kernel::FlbKernel;
 use flb_sched::{validate::validate, Machine, Scheduler};
 use flb_sim::{dynamic_schedule, DispatchPolicy};
 use flb_workloads::stats::geo_mean;
@@ -40,7 +40,7 @@ fn main() {
             let machine = Machine::new(p);
             let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); policies.len()];
             for w in suite.iter().filter(|w| w.ccr == ccr) {
-                let ct = Flb::default().schedule(&w.graph, &machine);
+                let ct = FlbKernel::new().schedule(&w.graph, &machine);
                 validate(&w.graph, &ct).expect("FLB valid");
                 let ct_span = ct.makespan() as f64;
                 for (i, (_, policy)) in policies.iter().enumerate() {

@@ -18,11 +18,11 @@
 
 use crate::json::{self, quote, Value};
 use crate::mem::peak_rss_kb;
-use flb_core::{FlbRun, TieBreak};
+use flb_core::{Flb, TieBreak};
 use flb_graph::costs::{CostModel, Dist};
 use flb_graph::gen::RandomLayeredSpec;
 use flb_kernel::{FlatGraph, KernelRun};
-use flb_sched::Machine;
+use flb_sched::{Machine, Scheduler};
 use flb_workloads::million;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -218,9 +218,7 @@ pub fn run(spec: &KernelBenchSpec) -> KernelDatapoint {
     let makespan_ratio_vs_reference = spec.reference.then(|| {
         let g = graph.to_task_graph();
         let machine = Machine::new(spec.procs);
-        let mut reference = FlbRun::new(&g, &machine, TieBreak::BottomLevel);
-        while reference.step().is_some() {}
-        makespan as f64 / reference.finish().makespan() as f64
+        makespan as f64 / Flb::default().schedule(&g, &machine).makespan() as f64
     });
 
     KernelDatapoint {

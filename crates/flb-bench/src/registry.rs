@@ -1,31 +1,34 @@
-//! The algorithm registry: the five schedulers of the paper's comparison.
+//! The algorithm registry: the five schedulers of the paper's comparison,
+//! drawn from [`AlgorithmId`], the workspace's one scheduler registry.
 
-use flb_baselines::{DscLlb, Etf, Fcp, Mcp};
-use flb_core::Flb;
+use flb_core::AlgorithmId::{self, DscLlb, Etf, Fcp, Flb, Mcp};
 use flb_sched::Scheduler;
 
-/// The display order used in the paper's figures.
-pub const NAMES: [&str; 5] = ["MCP", "ETF", "DSC-LLB", "FCP", "FLB"];
+/// The paper's comparison, in the display order of its figures.
+pub const PAPER: [AlgorithmId; 5] = [Mcp, Etf, DscLlb, Fcp, Flb];
 
-/// Fresh instances of the five compared schedulers, in [`NAMES`] order.
+/// Fresh instances of the five compared schedulers, in [`PAPER`] order,
+/// each labelled with its display name.
 ///
 /// A new set per call: the boxed schedulers are cheap to construct and this
 /// keeps the registry usable from worker threads without `Sync` bounds.
 #[must_use]
 pub fn named_schedulers() -> Vec<(&'static str, Box<dyn Scheduler>)> {
-    vec![
-        ("MCP", Box::new(Mcp::default())),
-        ("ETF", Box::new(Etf)),
-        ("DSC-LLB", Box::new(DscLlb::default())),
-        ("FCP", Box::new(Fcp)),
-        ("FLB", Box::new(Flb::default())),
-    ]
+    PAPER
+        .map(|alg| {
+            let s = alg.scheduler();
+            (s.name(), s)
+        })
+        .into()
 }
 
 /// Just the display names, in figure order.
 #[must_use]
 pub fn scheduler_names() -> Vec<&'static str> {
-    NAMES.to_vec()
+    named_schedulers()
+        .into_iter()
+        .map(|(name, _)| name)
+        .collect()
 }
 
 #[cfg(test)]
@@ -34,11 +37,6 @@ mod tests {
 
     #[test]
     fn registry_matches_names() {
-        let regs = named_schedulers();
-        assert_eq!(regs.len(), NAMES.len());
-        for ((label, s), expect) in regs.iter().zip(NAMES) {
-            assert_eq!(*label, expect);
-            assert_eq!(s.name(), expect);
-        }
+        assert_eq!(scheduler_names(), ["MCP", "ETF", "DSC-LLB", "FCP", "FLB"]);
     }
 }

@@ -52,8 +52,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use flb_baselines::{DscLlb, Etf, Fcp, Mcp};
-use flb_core::{trace, Flb, TieBreak};
+use flb_core::{trace, AlgorithmId, TieBreak};
 use flb_graph::costs::CostModel;
 use flb_graph::gen::Family;
 use flb_graph::serialize::{parse_text, to_text};
@@ -254,17 +253,13 @@ fn load_machine(a: &Args<'_>) -> Result<Machine, CliError> {
     Ok(Machine::new(procs))
 }
 
+/// The `--alg` registry: every [`AlgorithmId`] name, plus the three
+/// `runtime-*` dispatchers of `flb-sim`, which are not wire algorithms.
 fn scheduler_by_name(name: &str) -> Result<Box<dyn Scheduler>, CliError> {
+    if let Ok(alg) = name.parse::<AlgorithmId>() {
+        return Ok(alg.scheduler());
+    }
     Ok(match name.to_ascii_lowercase().as_str() {
-        "flb" => Box::new(Flb::default()),
-        "etf" => Box::new(Etf),
-        "mcp" => Box::new(Mcp::default()),
-        "mcp-ins" => Box::new(Mcp::original()),
-        "fcp" => Box::new(Fcp),
-        "dsc-llb" | "dscllb" => Box::new(DscLlb::default()),
-        "dls" => Box::new(flb_baselines::Dls),
-        "heft" => Box::new(flb_baselines::Heft),
-        "hlfet" => Box::new(flb_baselines::Hlfet),
         "runtime-bl" => Box::new(flb_sim::RuntimeDispatcher(
             flb_sim::DispatchPolicy::BottomLevel,
         )),
@@ -732,6 +727,7 @@ fn cmd_transform(a: &Args<'_>) -> Result<String, CliError> {
 /// `report`: a self-contained HTML page with graph statistics, the
 /// algorithm comparison table, and an SVG Gantt chart per algorithm.
 fn cmd_report(a: &Args<'_>) -> Result<String, CliError> {
+    use AlgorithmId as A;
     let g = load_graph(a)?;
     let machine = load_machine(a)?;
     let out_path = a
@@ -739,7 +735,7 @@ fn cmd_report(a: &Args<'_>) -> Result<String, CliError> {
         .ok_or_else(|| err("missing --out FILE.html"))?;
 
     let stats = flb_graph::analyze::stats(&g, g.num_tasks() <= 5000);
-    let algs = ["MCP", "ETF", "DSC-LLB", "FCP", "FLB", "DLS", "HEFT"];
+    let algs = [A::Mcp, A::Etf, A::DscLlb, A::Fcp, A::Flb, A::Dls, A::Heft].map(A::scheduler);
 
     let mut html = String::new();
     let _ = writeln!(html, "<!DOCTYPE html><html><head><meta charset=\"utf-8\">");
@@ -778,9 +774,8 @@ fn cmd_report(a: &Args<'_>) -> Result<String, CliError> {
          <th>speedup</th><th>efficiency</th></tr>"
     );
     let mut schedules = Vec::new();
-    for alg in algs {
-        let s = scheduler_by_name(alg)?;
-        let sched = s.schedule(&g, &machine);
+    for s in &algs {
+        let (alg, sched) = (s.name(), s.schedule(&g, &machine));
         validate(&g, &sched).map_err(|e| err(format!("{alg} invalid: {e}")))?;
         let m = summarise(&g, &sched);
         let _ = writeln!(
@@ -910,7 +905,7 @@ fn cmd_submit(a: &Args<'_>) -> Result<String, CliError> {
 
     let g = load_graph(a)?;
     let machine = load_machine(a)?;
-    let alg: flb_core::AlgorithmId = a
+    let alg: AlgorithmId = a
         .value("--alg")
         .unwrap_or("flb")
         .parse()
@@ -957,11 +952,12 @@ fn cmd_submit(a: &Args<'_>) -> Result<String, CliError> {
     let schedule = last.expect("repeat >= 1 round always runs");
 
     if a.flag("--check") {
-        let local = flb_core::schedule_request(&flb_core::ScheduleRequest::new(
-            alg,
-            g.clone(),
-            machine.clone(),
-        ));
+        // The conformance entry of the same name: for FLB that is the
+        // `FlbRun` reference, an engine independent of the daemon's kernel.
+        let local = flb_conformance::registry::by_name(alg.name())
+            .expect("every wire algorithm is a conformance entry")
+            .scheduler
+            .schedule(&g, &machine);
         if local != schedule {
             return Err(err(format!(
                 "daemon schedule differs from local {alg} run (makespans {} vs {})",
@@ -1062,9 +1058,9 @@ fn trace_requests(seed: u64, n: u32) -> Vec<flb_core::ScheduleRequest> {
             _ => flb_graph::gen::independent(rng.random_range(3..9usize)),
         };
         let alg = match rng.random_range(0..3u32) {
-            0 => flb_core::AlgorithmId::Flb,
-            1 => flb_core::AlgorithmId::Etf,
-            _ => flb_core::AlgorithmId::Mcp,
+            0 => AlgorithmId::Flb,
+            1 => AlgorithmId::Etf,
+            _ => AlgorithmId::Mcp,
         };
         let machine = Machine::new(rng.random_range(2..5usize));
         out.push(flb_core::ScheduleRequest::new(alg, graph, machine));
@@ -1182,10 +1178,11 @@ fn cmd_replay(a: &Args<'_>) -> Result<String, CliError> {
 }
 
 fn cmd_compare(a: &Args<'_>) -> Result<String, CliError> {
+    use AlgorithmId as A;
     let g = load_graph(a)?;
     let machine = load_machine(a)?;
     let procs = machine.num_procs();
-    let algs = ["MCP", "ETF", "DSC-LLB", "FCP", "FLB", "DLS"];
+    let algs = [A::Mcp, A::Etf, A::DscLlb, A::Fcp, A::Flb, A::Dls].map(A::scheduler);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -1200,10 +1197,9 @@ fn cmd_compare(a: &Args<'_>) -> Result<String, CliError> {
         "{:<9} {:>10} {:>8} {:>9}",
         "algorithm", "makespan", "NSL", "speedup"
     );
-    let mcp_span = Mcp::default().schedule(&g, &machine).makespan();
-    for alg in algs {
-        let s = scheduler_by_name(alg)?;
-        let sched = s.schedule(&g, &machine);
+    let mcp_span = algs[0].schedule(&g, &machine).makespan();
+    for s in &algs {
+        let (alg, sched) = (s.name(), s.schedule(&g, &machine));
         validate(&g, &sched).map_err(|e| err(format!("{alg} invalid: {e}")))?;
         let _ = writeln!(
             out,
@@ -1700,14 +1696,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_fig1_all_algorithms() {
-        for alg in ["flb", "etf", "mcp", "mcp-ins", "fcp", "dsc-llb"] {
-            let out = run_str(&["schedule", "--fig1", "--alg", alg, "--procs", "2"]).unwrap();
-            assert!(out.contains("makespan"), "{alg}: {out}");
-        }
-    }
-
-    #[test]
     fn schedule_with_trace_gantt_simulate() {
         let out = run_str(&[
             "schedule",
@@ -1789,16 +1777,30 @@ mod tests {
         assert!(dot.starts_with("digraph"));
     }
 
+    /// `AlgorithmId` is the one scheduler registry: each of its names is a
+    /// conformance entry with the replay class its kind of schedule owes
+    /// the simulator, and an `--alg` value.
+    #[test]
+    fn every_wire_algorithm_is_a_conformance_entry_and_a_cli_algorithm() {
+        use flb_conformance::registry::{by_name, Replay};
+        for alg in AlgorithmId::ALL {
+            let entry = by_name(alg.name()).unwrap_or_else(|| panic!("{alg} not registered"));
+            let insertion = matches!(alg, AlgorithmId::McpInsertion | AlgorithmId::Heft);
+            let expected = if insertion {
+                Replay::NoLater
+            } else {
+                Replay::Exact
+            };
+            assert_eq!(entry.replay, expected, "{alg}");
+            let out =
+                run_str(&["schedule", "--fig1", "--alg", alg.name(), "--procs", "2"]).unwrap();
+            assert!(out.contains("makespan"), "{alg}: {out}");
+        }
+    }
+
     #[test]
     fn extended_algorithms_available() {
-        for alg in [
-            "dls",
-            "heft",
-            "hlfet",
-            "runtime-bl",
-            "runtime-fifo",
-            "runtime-lpt",
-        ] {
+        for alg in ["runtime-bl", "runtime-fifo", "runtime-lpt"] {
             let out = run_str(&["schedule", "--fig1", "--alg", alg, "--procs", "2"]).unwrap();
             assert!(out.contains("makespan"), "{alg}");
         }

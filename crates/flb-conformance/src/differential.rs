@@ -19,7 +19,7 @@ use crate::{registry, Instance, Violation};
 use flb_core::oracle::min_est;
 use flb_core::{FlbRun, TieBreak};
 use flb_graph::{levels, TaskId};
-use flb_sched::{validate, ProcId, Schedule, ScheduleBuilder};
+use flb_sched::{validate, ProcId, ScheduleBuilder};
 use flb_sim::simulate;
 
 /// A greedy scheduler expressed as a per-step choice: given the current
@@ -299,19 +299,6 @@ pub fn check_bounds(inst: &Instance) -> Vec<Violation> {
         }
     }
     out
-}
-
-/// Convenience: schedules `inst` with the named registered scheduler.
-///
-/// # Panics
-///
-/// Panics when `name` is not in the registry.
-#[must_use]
-pub fn schedule_with(inst: &Instance, name: &str) -> Schedule {
-    registry::by_name(name)
-        .unwrap_or_else(|| panic!("unknown scheduler {name:?}"))
-        .scheduler
-        .schedule(&inst.graph, &inst.machine)
 }
 
 #[cfg(test)]

@@ -6,10 +6,12 @@
 //! replay *exactly*; insertion schedulers (idle-slot backfilling) may only
 //! replay equal-or-earlier, because the simulator is eager given the fixed
 //! per-processor order.
+//!
+//! The wire algorithms come from [`AlgorithmId`], the workspace's one
+//! scheduler registry. Only the `FlbRun` references (`flb`, `flb-fifo`)
+//! and the parallel `flb-par-N` are written out here.
 
-use flb_baselines::{Dls, DscLlb, Etf, Fcp, Heft, Hlfet, Mcp};
-use flb_core::{Flb, TieBreak};
-use flb_kernel::FlbKernel;
+use flb_core::{AlgorithmId, Flb, TieBreak};
 use flb_par::FlbPar;
 use flb_sched::Scheduler;
 
@@ -30,7 +32,9 @@ pub enum Replay {
 
 /// One registered scheduler.
 pub struct Entry {
-    /// Stable name (also accepted by the `flb` CLI and corpus files).
+    /// Stable name, as corpus files spell it. Of these, `flb schedule
+    /// --alg` accepts only the [`AlgorithmId`] names (plus its own
+    /// `runtime-*` dispatchers), not `flb-kernel`, `flb-fifo` or `flb-par-N`.
     pub name: &'static str,
     /// The algorithm.
     pub scheduler: Box<dyn Scheduler>,
@@ -48,47 +52,46 @@ pub fn all() -> Vec<Entry> {
             replay,
         }
     }
-    vec![
+    // `flb` names the `FlbRun` reference, so the wire algorithm's engine,
+    // the kernel, is registered as `flb-kernel`: it must be
+    // indistinguishable from the reference under every differential and
+    // metamorphic oracle, and the sim-replay check holds it to exact times.
+    let [kernel, baselines @ ..] = AlgorithmId::ALL.map(|alg| {
+        let name = match alg {
+            AlgorithmId::Flb => "flb-kernel",
+            _ => alg.name(),
+        };
+        let replay = match alg {
+            AlgorithmId::McpInsertion | AlgorithmId::Heft => Replay::NoLater,
+            _ => Replay::Exact,
+        };
+        e(name, alg.scheduler(), replay)
+    });
+    let mut entries = vec![
         e("flb", Box::new(Flb::default()), Replay::Exact),
         e(
             "flb-fifo",
             Box::new(Flb::with_tie_break(TieBreak::TaskId)),
             Replay::Exact,
         ),
-        // The data-oriented kernel must be indistinguishable from "flb":
-        // registering it subjects it to every differential and metamorphic
-        // oracle, and the sim-replay check holds it to exact times.
-        e("flb-kernel", Box::new(FlbKernel::new()), Replay::Exact),
-        // The sharded work-stealing scheduler, run under its seeded
-        // deterministic interleaver so every oracle (and ddmin) can
-        // replay it. N=1 delegates to the exact kernel; N>1 uses the
-        // conservative-LMT relaxation, whose append-style start times
-        // are valid but may be later than the eager simulator's —
-        // replay class NoLater.
-        e(
-            "flb-par-1",
-            Box::new(FlbPar::deterministic(1, PAR_REGISTRY_SEED)),
-            Replay::Exact,
-        ),
-        e(
-            "flb-par-2",
-            Box::new(FlbPar::deterministic(2, PAR_REGISTRY_SEED)),
-            Replay::NoLater,
-        ),
-        e(
-            "flb-par-4",
-            Box::new(FlbPar::deterministic(4, PAR_REGISTRY_SEED)),
-            Replay::NoLater,
-        ),
-        e("etf", Box::new(Etf), Replay::Exact),
-        e("mcp", Box::new(Mcp::default()), Replay::Exact),
-        e("mcp-ins", Box::new(Mcp::original()), Replay::NoLater),
-        e("fcp", Box::new(Fcp), Replay::Exact),
-        e("dsc-llb", Box::new(DscLlb::default()), Replay::Exact),
-        e("dls", Box::new(Dls), Replay::Exact),
-        e("heft", Box::new(Heft), Replay::NoLater),
-        e("hlfet", Box::new(Hlfet), Replay::Exact),
-    ]
+        kernel,
+    ];
+    // The sharded work-stealing scheduler, run under its seeded
+    // deterministic interleaver so every oracle (and ddmin) can replay
+    // it. N=1 delegates to the exact kernel; N>1 uses the
+    // conservative-LMT relaxation, whose append-style start times are
+    // valid but may be later than the eager simulator's — replay class
+    // NoLater.
+    for (threads, replay) in [
+        (1, Replay::Exact),
+        (2, Replay::NoLater),
+        (4, Replay::NoLater),
+    ] {
+        let par = FlbPar::deterministic(threads, PAR_REGISTRY_SEED);
+        entries.push(e(par.name(), Box::new(par), replay));
+    }
+    entries.extend(baselines);
+    entries
 }
 
 /// Looks a registered scheduler up by its stable name.
@@ -111,8 +114,9 @@ mod tests {
         assert_eq!(names.len(), 14, "duplicate registry names");
     }
 
-    /// The kernel and the reference produce identical schedules (the fuzz
-    /// suite enforces this across many instances; this pins the wiring).
+    /// The kernel, registered and behind the wire id, and the reference
+    /// produce identical schedules (the fuzz suite enforces this across
+    /// many instances; this pins the wiring).
     #[test]
     fn kernel_is_registered_and_matches_flb() {
         let g = flb_graph::paper::fig1();
@@ -120,10 +124,10 @@ mod tests {
         let kernel = by_name("flb-kernel").expect("kernel registered");
         let reference = by_name("flb").expect("reference registered");
         assert_eq!(kernel.replay, Replay::Exact);
-        assert_eq!(
-            kernel.scheduler.schedule(&g, &m).placements(),
-            reference.scheduler.schedule(&g, &m).placements()
-        );
+        let expected = reference.scheduler.schedule(&g, &m);
+        for s in [kernel.scheduler, AlgorithmId::Flb.scheduler()] {
+            assert_eq!(s.schedule(&g, &m).placements(), expected.placements());
+        }
     }
 
     #[test]

@@ -49,14 +49,16 @@ pub mod repair;
 pub mod request;
 pub mod trace;
 
+pub use flb_sched::{RunStats, TieBreak};
 pub use repair::{clairvoyant_flb, naive_remap, repair_flb};
 pub use request::{schedule_request, AlgorithmId, ScheduleRequest};
-pub use run::{FlbRun, RunStats, Step, TieBreak};
+pub use run::{FlbRun, Step};
 
 use flb_graph::TaskGraph;
 use flb_sched::{Machine, Schedule, Scheduler};
 
-/// The FLB scheduling algorithm.
+/// The FLB scheduling algorithm on [`FlbRun`], the readable reference.
+/// [`AlgorithmId::Flb`] runs `flb-kernel` instead, held bit-exact to this.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Flb {
     /// How ties between equal-priority tasks are broken (ablation A2);
@@ -65,12 +67,6 @@ pub struct Flb {
 }
 
 impl Flb {
-    /// FLB with the paper's tie-breaking (static bottom level).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// FLB with a chosen tie-break rule.
     #[must_use]
     pub fn with_tie_break(tie_break: TieBreak) -> Self {

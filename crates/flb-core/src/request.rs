@@ -1,6 +1,8 @@
-//! Reusable schedule-request entry point: a named algorithm registry and a
-//! single dispatch function covering FLB and every `flb-baselines`
-//! algorithm.
+//! Reusable schedule-request entry point: the one named algorithm registry
+//! and a single dispatch function covering FLB and every `flb-baselines`
+//! algorithm. FLB runs on `flb-kernel`'s [`FlbKernel`], the same engine the
+//! daemon serves it with; the pointer-based [`crate::FlbRun`] stays the
+//! readable paper oracle that conformance checks the kernel against.
 //!
 //! This is the serving surface that `flb-service` (the scheduler daemon)
 //! and `flb-cli` both ride on: a request names an algorithm by a stable id,
@@ -9,9 +11,9 @@
 //! bit-for-bit schedule, which is what makes fingerprint-keyed caching of
 //! responses sound.
 
-use crate::Flb;
 use flb_baselines::{Dls, DscLlb, Etf, Fcp, Heft, Hlfet, Mcp};
 use flb_graph::TaskGraph;
+use flb_kernel::FlbKernel;
 use flb_sched::{Machine, Schedule, Scheduler};
 use std::fmt;
 use std::str::FromStr;
@@ -85,11 +87,11 @@ impl AlgorithmId {
         Self::ALL.get(code as usize).copied()
     }
 
-    /// Instantiates the algorithm behind this id.
+    /// Instantiates the algorithm behind this id; FLB is the kernel.
     #[must_use]
     pub fn scheduler(self) -> Box<dyn Scheduler> {
         match self {
-            AlgorithmId::Flb => Box::new(Flb::default()),
+            AlgorithmId::Flb => Box::new(FlbKernel::new()),
             AlgorithmId::Etf => Box::new(Etf),
             AlgorithmId::Mcp => Box::new(Mcp::default()),
             AlgorithmId::McpInsertion => Box::new(Mcp::original()),

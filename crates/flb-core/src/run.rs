@@ -18,19 +18,8 @@
 
 use flb_ds::IndexedMinHeap;
 use flb_graph::{levels::bottom_levels, TaskGraph, TaskId, Time};
-use flb_sched::{Machine, ProcId, Schedule, ScheduleBuilder};
+use flb_sched::{Machine, ProcId, RunStats, Schedule, ScheduleBuilder, TieBreak};
 use std::cmp::Reverse;
-
-/// Tie-break rule among tasks whose primary (time) keys are equal.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TieBreak {
-    /// Larger static bottom level first — the paper's rule ("the task with
-    /// the longest path to any exit tasks").
-    #[default]
-    BottomLevel,
-    /// Smaller task id first (effectively FIFO); ablation A2.
-    TaskId,
-}
 
 /// Composite heap key: `(time, Reverse(bottom level))`; the heap adds the
 /// task id as the final tie-break.
@@ -52,41 +41,10 @@ pub struct Step {
     pub from_ep_list: bool,
 }
 
-/// Counters accumulated over an FLB run, used by the empirical-complexity
-/// experiment (the `complexity` harness) and exposed for diagnostics.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Scheduling decisions that selected the EP-pair candidate.
-    pub ep_selections: usize,
-    /// Scheduling decisions that selected the non-EP-pair candidate.
-    pub non_ep_selections: usize,
-    /// Tasks that entered the ready set as EP-type.
-    pub ep_promotions: usize,
-    /// Tasks that entered the ready set as non-EP-type.
-    pub non_ep_promotions: usize,
-    /// EP-type tasks demoted to non-EP when their enabling processor's
-    /// ready time overtook their `LMT` (each costs two heap removals and
-    /// one insertion — the `UpdateTaskLists` work term).
-    pub demotions: usize,
-    /// Largest ready-set size observed (bounded by the graph width `W`;
-    /// FLB's per-step cost is `O(log max_ready + log P)`).
-    pub max_ready: usize,
-}
-
-impl RunStats {
-    /// Total ready-set insertions across all lists — the paper's
-    /// "task lists operations" term, `O(V log W)` overall.
-    #[must_use]
-    pub fn list_insertions(&self) -> usize {
-        self.ep_promotions + self.non_ep_promotions + self.demotions
-    }
-}
-
 /// A resumable FLB execution: one [`step`](FlbRun::step) call schedules one
 /// task, which lets tests and tracing observe every intermediate state.
 pub struct FlbRun<'g> {
     builder: ScheduleBuilder<'g>,
-    tie_break: TieBreak,
     /// Per processor: eligible to receive tasks. All true on a cold start;
     /// warm restarts (schedule repair) mask out failed processors.
     alive: Vec<bool>,
@@ -127,7 +85,6 @@ impl<'g> FlbRun<'g> {
         };
         let mut run = FlbRun {
             builder: ScheduleBuilder::new(graph, machine),
-            tie_break,
             alive: vec![true; p],
             bl,
             missing_preds: (0..v).map(|i| graph.in_degree(TaskId(i))).collect(),
@@ -192,7 +149,6 @@ impl<'g> FlbRun<'g> {
             .collect();
         let mut run = FlbRun {
             builder,
-            tie_break,
             alive,
             bl,
             missing_preds,
@@ -230,18 +186,6 @@ impl<'g> FlbRun<'g> {
     /// Current ready-set size (all lists).
     fn ready_len(&self) -> usize {
         self.non_ep.len() + self.emt_ep.iter().map(IndexedMinHeap::len).sum::<usize>()
-    }
-
-    /// The tie-break rule this run uses.
-    #[must_use]
-    pub fn tie_break(&self) -> TieBreak {
-        self.tie_break
-    }
-
-    /// Per-processor eligibility mask (all true for cold starts).
-    #[must_use]
-    pub fn alive(&self) -> &[bool] {
-        &self.alive
     }
 
     fn task_key(&self, time: Time, t: TaskId) -> TaskKey {

@@ -12,9 +12,9 @@
 //! task would get on its enabling processor at snapshot time, i.e.
 //! `max(EMT, PRT)` — this reproduces the printed values.)
 
-use crate::run::{FlbRun, Step, TieBreak};
+use crate::run::{FlbRun, Step};
 use flb_graph::{TaskGraph, TaskId, Time};
-use flb_sched::{Machine, Schedule};
+use flb_sched::{Machine, Schedule, TieBreak};
 use std::fmt::Write as _;
 
 /// Snapshot of one EP-list entry.

@@ -1,18 +1,30 @@
 //! Bit-identity: the kernel makes exactly the reference's decisions.
 //!
-//! `KernelRun` and `flb_core::FlbRun` are stepped in lockstep over random
-//! graphs (all generator families, random costs, relabeled ids), machine
-//! sizes (homogeneous and related), and both tie-break rules; every step
-//! must agree on `(task, proc, start, finish, from_ep_list)` and the final
-//! run counters must be equal.
+//! `flb_kernel::KernelRun` and `flb_core::FlbRun` are stepped in lockstep
+//! over random graphs (all generator families, random costs, relabeled
+//! ids), machine sizes (homogeneous and related), and both tie-break rules;
+//! every step must agree on `(task, proc, start, finish, from_ep_list)` and
+//! the final run counters must be equal.
 
-use flb_core::{FlbRun, TieBreak};
+use flb_core::{Flb, FlbRun, TieBreak};
 use flb_graph::costs::CostModel;
 use flb_graph::gen::{self, RandomLayeredSpec};
 use flb_graph::{TaskGraph, TaskId};
-use flb_kernel::{FlatGraph, KernelRun};
-use flb_sched::Machine;
+use flb_kernel::{FlatGraph, FlbKernel, KernelRun};
+use flb_sched::{validate::validate, Machine, Scheduler};
 use proptest::prelude::*;
+
+#[test]
+fn kernel_schedule_is_valid_and_matches_reference() {
+    let (g, m) = (flb_graph::paper::fig1(), Machine::new(2));
+    let ours = FlbKernel::new().schedule(&g, &m);
+    assert_eq!(validate(&g, &ours), Ok(()));
+    assert_eq!(
+        ours.placements(),
+        Flb::default().schedule(&g, &m).placements()
+    );
+    assert_eq!(ours.makespan(), 14);
+}
 
 fn arb_topology() -> impl Strategy<Value = TaskGraph> {
     prop_oneof![

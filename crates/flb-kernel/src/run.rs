@@ -23,8 +23,8 @@
 
 use crate::graph::{FlatGraph, NONE};
 use crate::list::{FlatHeap, PairingForest, SliceKeys};
-use flb_core::{RunStats, TieBreak};
 use flb_graph::Time;
+use flb_sched::{RunStats, TieBreak};
 use std::cmp::Reverse;
 
 /// Heap key of the non-EP list: `(LMT, Reverse(bottom level))`; the heap

@@ -45,8 +45,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_loop_never_allocates() {
-    use flb_core::TieBreak;
     use flb_kernel::{FlatGraph, KernelRun};
+    use flb_sched::TieBreak;
 
     // LU with m = 200 -> V = 20_100, E = 39_800: large enough to exercise
     // promotions, demotions, and deep heaps on several processors.

@@ -39,9 +39,8 @@ pub mod virt;
 pub use shared::StealCommit;
 pub use virt::RunReport;
 
-use flb_core::TieBreak;
 use flb_graph::{TaskGraph, Time};
-use flb_kernel::{FlatGraph, KernelRun, NONE};
+use flb_kernel::{FlatGraph, FlbKernel, NONE};
 use flb_sched::{Machine, Placement, ProcId, Schedule, Scheduler};
 use shard::Shard;
 use shared::Shared;
@@ -209,40 +208,31 @@ impl Scheduler for FlbPar {
 
     fn schedule(&self, graph: &TaskGraph, machine: &Machine) -> Schedule {
         let fg = FlatGraph::from_task_graph(graph);
+        if self.threads <= 1 {
+            // N=1 is the exact sequential kernel — same code, same bits.
+            return FlbKernel::new().schedule_flat(&fg, machine);
+        }
         let slow: Vec<Time> = (0..machine.num_procs())
             .map(|p| machine.slowdown(ProcId(p)))
             .collect();
-        let placements: Vec<Placement> = if self.threads <= 1 {
-            // N=1 is the exact sequential kernel — same code, same bits.
-            let mut run = KernelRun::new(&fg, &slow, TieBreak::BottomLevel);
-            run.run();
-            (0..graph.num_tasks())
-                .map(|i| Placement {
-                    proc: ProcId(run.procs()[i] as usize),
-                    start: run.starts()[i],
-                    finish: run.finishes()[i],
-                })
-                .collect()
-        } else {
-            let opts = ParOptions {
-                threads: self.threads,
-                seed: self.seed,
-                exec: self.exec,
-                commit: StealCommit::Cas,
-            };
-            let run = run_flat(&fg, &slow, &opts);
-            assert!(
-                run.report.exactly_once(),
-                "internal error: parallel FLB broke the exactly-once contract"
-            );
-            (0..graph.num_tasks())
-                .map(|i| Placement {
-                    proc: ProcId(run.proc_of[i] as usize),
-                    start: run.start[i],
-                    finish: run.finish[i],
-                })
-                .collect()
+        let opts = ParOptions {
+            threads: self.threads,
+            seed: self.seed,
+            exec: self.exec,
+            commit: StealCommit::Cas,
         };
+        let run = run_flat(&fg, &slow, &opts);
+        assert!(
+            run.report.exactly_once(),
+            "internal error: parallel FLB broke the exactly-once contract"
+        );
+        let placements = (0..graph.num_tasks())
+            .map(|i| Placement {
+                proc: ProcId(run.proc_of[i] as usize),
+                start: run.start[i],
+                finish: run.finish[i],
+            })
+            .collect();
         Schedule::from_raw_on(machine.clone(), placements)
     }
 }

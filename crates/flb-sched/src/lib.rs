@@ -15,7 +15,8 @@
 //! * [`bounds`] — machine-independent makespan lower bounds;
 //! * [`io`] — schedule serialisation (serde mirror + text format);
 //! * [`gantt`] — ASCII Gantt-chart rendering;
-//! * [`Scheduler`] — the trait implemented by FLB and every baseline.
+//! * [`Scheduler`] — the trait implemented by FLB and every baseline, with
+//!   [`TieBreak`] and [`RunStats`], shared by FLB's two engines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,4 +47,46 @@ pub trait Scheduler {
 
     /// Computes a complete schedule of `graph` on `machine`.
     fn schedule(&self, graph: &TaskGraph, machine: &Machine) -> Schedule;
+}
+
+/// Tie-break rule among tasks whose primary (time) keys are equal.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum TieBreak {
+    /// Larger static bottom level first — the paper's rule ("the task with
+    /// the longest path to any exit tasks").
+    #[default]
+    BottomLevel,
+    /// Smaller task id first (effectively FIFO); ablation A2.
+    TaskId,
+}
+
+/// Counters accumulated over an FLB run, used by the empirical-complexity
+/// experiment (the `complexity` harness) and exposed for diagnostics. Both
+/// FLB engines count the same events, so equal runs give equal stats.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunStats {
+    /// Scheduling decisions that selected the EP-pair candidate.
+    pub ep_selections: usize,
+    /// Scheduling decisions that selected the non-EP-pair candidate.
+    pub non_ep_selections: usize,
+    /// Tasks that entered the ready set as EP-type.
+    pub ep_promotions: usize,
+    /// Tasks that entered the ready set as non-EP-type.
+    pub non_ep_promotions: usize,
+    /// EP-type tasks demoted to non-EP when their enabling processor's
+    /// ready time overtook their `LMT` (each costs two heap removals and
+    /// one insertion — the `UpdateTaskLists` work term).
+    pub demotions: usize,
+    /// Largest ready-set size observed (bounded by the graph width `W`;
+    /// FLB's per-step cost is `O(log max_ready + log P)`).
+    pub max_ready: usize,
+}
+
+impl RunStats {
+    /// Total ready-set insertions across all lists — the paper's
+    /// "task lists operations" term, `O(V log W)` overall.
+    #[must_use]
+    pub fn list_insertions(&self) -> usize {
+        self.ep_promotions + self.non_ep_promotions + self.demotions
+    }
 }

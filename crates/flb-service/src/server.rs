@@ -20,8 +20,9 @@
 //! 3. a worker pops the job, drops it with an `expired` response if its
 //!    deadline passed while it queued, otherwise runs the scheduler,
 //!    populates the cache and hands the schedule back to the connection
-//!    thread. FLB always runs on `flb-kernel`'s [`FlbKernel`]; the
-//!    baselines run through [`schedule_request`].
+//!    thread. A flat job runs on `flb-kernel`'s [`FlbKernel`]; every
+//!    other job runs through [`schedule_request`], whose FLB engine is
+//!    the same kernel.
 //!
 //! Two concurrent misses on the same fingerprint may both run the
 //! scheduler; the algorithms are deterministic, so both compute the same
@@ -392,15 +393,11 @@ impl Work {
         }
     }
 
-    /// Runs the scheduler. FLB always runs on the kernel, which is
-    /// bit-identical to `flb_core`'s reference run.
+    /// Runs the scheduler. FLB always runs on the kernel: a flat job
+    /// directly, a graph job through [`schedule_request`].
     fn schedule(&self) -> Schedule {
         match self {
             Work::Flat { graph, machine } => FlbKernel::new().schedule_flat(graph, machine),
-            Work::Graph(request) if request.algorithm == AlgorithmId::Flb => {
-                let graph = FlatGraph::from_task_graph(&request.graph);
-                FlbKernel::new().schedule_flat(&graph, &request.machine)
-            }
             Work::Graph(request) => schedule_request(request),
         }
     }

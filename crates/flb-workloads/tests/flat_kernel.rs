@@ -3,31 +3,17 @@
 //! by the kernel must match the reference FLB run on the converted
 //! `TaskGraph` exactly — placements, start times and makespan.
 
-use flb_core::{FlbRun, TieBreak};
+use flb_core::Flb;
 use flb_graph::costs::{CostModel, Dist};
 use flb_graph::gen::RandomLayeredSpec;
-use flb_kernel::{FlatGraph, KernelRun};
-use flb_sched::{Machine, ProcId};
+use flb_kernel::{FlatGraph, FlbKernel};
+use flb_sched::{Machine, Scheduler};
 use flb_workloads::million::{cholesky_flat, lu_flat, random_layered_flat};
 
 fn assert_kernel_matches_reference(flat: &FlatGraph, machine: &Machine) {
-    let slow: Vec<_> = (0..machine.num_procs())
-        .map(|p| machine.slowdown(ProcId(p)))
-        .collect();
-    let mut kernel = KernelRun::new(flat, &slow, TieBreak::BottomLevel);
-    kernel.run();
-
-    let g = flat.to_task_graph();
-    let mut reference = FlbRun::new(&g, machine, TieBreak::BottomLevel);
-    while reference.step().is_some() {}
-    let schedule = reference.finish();
-
-    for t in 0..flat.num_tasks() {
-        let p = schedule.placement(flb_graph::TaskId(t));
-        assert_eq!(kernel.procs()[t] as usize, p.proc.0, "task {t} processor");
-        assert_eq!(kernel.starts()[t], p.start, "task {t} start");
-    }
-    assert_eq!(kernel.makespan(), schedule.makespan());
+    let kernel = FlbKernel::new().schedule_flat(flat, machine);
+    let reference = Flb::default().schedule(&flat.to_task_graph(), machine);
+    assert_eq!(kernel.placements(), reference.placements());
 }
 
 #[test]

@@ -15,13 +15,8 @@ fn main() {
         graph.ccr()
     );
 
-    let algorithms: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(Mcp::default()),
-        Box::new(Etf),
-        Box::new(DscLlb::default()),
-        Box::new(Fcp),
-        Box::new(Flb::default()),
-    ];
+    use AlgorithmId as A;
+    let algorithms = [A::Mcp, A::Etf, A::DscLlb, A::Fcp, A::Flb].map(A::scheduler);
 
     print!("{:<10}", "P");
     for a in &algorithms {

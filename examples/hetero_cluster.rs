@@ -30,13 +30,8 @@ fn main() {
         [1, 1, 4, 4, 4, 4]
     );
 
-    let algorithms: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(Flb::default()),
-        Box::new(Etf),
-        Box::new(Mcp::default()),
-        Box::new(flb::baselines::Dls),
-        Box::new(flb::baselines::Heft),
-    ];
+    use AlgorithmId as A;
+    let algorithms = [A::Flb, A::Etf, A::Mcp, A::Dls, A::Heft].map(A::scheduler);
 
     println!(
         "\n{:<8} {:>10} {:>12} {:>14}",

@@ -60,14 +60,8 @@ fn transforms_shorten_or_preserve_flb_schedules() {
 fn contention_is_monotone_for_every_scheduler() {
     let g = CostModel::paper_default(5.0).apply(&gen::stencil(8, 8), 3);
     let m = Machine::new(4);
-    let schedulers: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(Flb::default()),
-        Box::new(Etf),
-        Box::new(Mcp::default()),
-        Box::new(Fcp),
-        Box::new(DscLlb::default()),
-    ];
-    for s in schedulers {
+    use AlgorithmId as A;
+    for s in [A::Flb, A::Etf, A::Mcp, A::Fcp, A::DscLlb].map(A::scheduler) {
         let sched = s.schedule(&g, &m);
         let free = simulate_with(&g, &sched, &SimConfig::default()).expect("feasible");
         let port = simulate_with(

@@ -11,14 +11,9 @@ fn small_suite() -> Vec<TaskGraph> {
     spec.generate().into_iter().map(|w| w.graph).collect()
 }
 
-fn all_schedulers() -> Vec<Box<dyn Scheduler>> {
-    vec![
-        Box::new(Mcp::default()),
-        Box::new(Etf),
-        Box::new(DscLlb::default()),
-        Box::new(Fcp),
-        Box::new(Flb::default()),
-    ]
+fn all_schedulers() -> [Box<dyn Scheduler>; 5] {
+    use AlgorithmId as A;
+    [A::Mcp, A::Etf, A::DscLlb, A::Fcp, A::Flb].map(A::scheduler)
 }
 
 #[test]

@@ -74,3 +74,21 @@ fn facade_reexports_every_crate() {
         let _ = flb::service::serve;
     }
 }
+
+/// `flb-core` runs FLB through `flb-kernel`, so neither the kernel nor
+/// `flb-par` may depend on `flb-core`, not even for tests.
+#[test]
+fn kernel_and_par_do_not_depend_on_core() {
+    for krate in ["flb-kernel", "flb-par"] {
+        let path = format!("{}/crates/{krate}/Cargo.toml", env!("CARGO_MANIFEST_DIR"));
+        let manifest = std::fs::read_to_string(&path).expect("crate manifest");
+        let mut section = "";
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            }
+            let deps = matches!(section, "[dependencies]" | "[dev-dependencies]");
+            assert!(!(deps && line.starts_with("flb-core")), "{krate}: {line}");
+        }
+    }
+}
