@@ -3,11 +3,18 @@
 //! Two shapes cover all of them:
 //!
 //! * [`FlatHeap`] — an indexed binary min-heap over a fixed universe of
-//!   `u32` ids, every array sized once at construction. Semantically a
-//!   `u32` twin of [`flb_ds::IndexedMinHeap`](https://docs.rs) (ties on
-//!   equal keys go to the smaller id), but with the guarantee that no
-//!   operation ever allocates. Backs the global non-EP task list and both
-//!   processor lists.
+//!   `u32` ids, every array sized once at construction. Each slot holds
+//!   its `(key, id)` pair inline, so a sift reads only the slots it
+//!   moves; comparisons fold to flag arithmetic (no data-dependent
+//!   branch), and the minimum child is picked by index arithmetic. A
+//!   root replacement — a pop, or a key increase such as the `PRT` of the
+//!   processor just used — runs bottom-up: the hole walks the min-child
+//!   path to a leaf with one comparison per level, then the displaced
+//!   entry sifts up from there, which is short because it is usually
+//!   large. Semantically a `u32` twin of
+//!   `flb_ds::IndexedMinHeap` (ties on equal keys go to the smaller id),
+//!   but with the guarantee that no operation ever allocates. Backs the
+//!   global non-EP task list and both processor lists.
 //! * [`PairingForest`] — `P` pairing heaps sharing three per-task link
 //!   arrays (`child`/`sib`/`prev`). The per-processor `EMT_EP_task_l[p]`
 //!   and `LMT_EP_task_l[p]` lists cannot each own a `V`-capacity binary
@@ -16,7 +23,10 @@
 //!   links with a root slot per processor. Keys are *not* stored: every
 //!   operation takes the key array and the tie-break array as arguments
 //!   and compares `(time[v], Reverse(bl[v]), v)` — a strict total order,
-//!   so the minimum is unique and the forest is deterministic.
+//!   so the minimum is unique and the forest is deterministic. A caller
+//!   may drop a whole heap by forgetting its root: the dropped nodes keep
+//!   stale links, which is safe as long as none of them is inserted
+//!   again (the kernel's lazy EMT deletion relies on exactly this).
 //!
 //! Pairing heaps give O(1) insert/meld and amortised `O(log n)` delete-min
 //! and arbitrary delete — matching the `O(V (log W + log P) + E)` bound of
@@ -26,28 +36,31 @@ use crate::graph::NONE;
 use flb_graph::Time;
 use std::cmp::Reverse;
 
+/// One heap slot: the key stored next to its id.
+#[derive(Clone, Copy, Debug)]
+struct Entry<K> {
+    key: K,
+    id: u32,
+}
+
 /// An indexed binary min-heap over ids `0..universe`, ties to the smaller
 /// id. All storage is allocated in [`FlatHeap::new`]; no later operation
 /// allocates.
 #[derive(Clone, Debug)]
 pub struct FlatHeap<K> {
-    /// Heap slots -> id.
-    heap: Vec<u32>,
+    /// Heap slots, each holding its `(key, id)` inline.
+    heap: Vec<Entry<K>>,
     /// id -> heap slot, or `NONE` when absent.
     pos: Vec<u32>,
-    /// id -> key (valid only while the id is present).
-    key: Vec<K>,
 }
 
 impl<K: Copy + Ord> FlatHeap<K> {
-    /// An empty heap over ids `0..universe`. `fill` initialises the key
-    /// arena (any value; keys are written on insert).
+    /// An empty heap over ids `0..universe`.
     #[must_use]
-    pub fn new(universe: usize, fill: K) -> Self {
+    pub fn new(universe: usize) -> Self {
         FlatHeap {
             heap: Vec::with_capacity(universe),
             pos: vec![NONE; universe],
-            key: vec![fill; universe],
         }
     }
 
@@ -77,18 +90,14 @@ impl<K: Copy + Ord> FlatHeap<K> {
     /// The key of `id`, if present.
     #[must_use]
     pub fn key_of(&self, id: u32) -> Option<K> {
-        self.contains(id).then(|| self.key[id as usize])
+        let slot = self.pos[id as usize];
+        (slot != NONE).then(|| self.heap[slot as usize].key)
     }
 
     /// Minimum entry `(id, key)` without removing it.
     #[must_use]
     pub fn peek(&self) -> Option<(u32, K)> {
-        self.heap.first().map(|&id| (id, self.key[id as usize]))
-    }
-
-    #[inline]
-    fn less(&self, a: u32, b: u32) -> bool {
-        (self.key[a as usize], a) < (self.key[b as usize], b)
+        self.heap.first().map(|e| (e.id, e.key))
     }
 
     /// Inserts `id` with `key`.
@@ -98,12 +107,11 @@ impl<K: Copy + Ord> FlatHeap<K> {
     /// Panics (in debug builds) if `id` is already present.
     pub fn insert(&mut self, id: u32, key: K) {
         debug_assert!(!self.contains(id), "duplicate insert of {id}");
-        self.key[id as usize] = key;
+        let entry = Entry { key, id };
         let slot = self.heap.len();
         // flb-analyze: allow(no-alloc-in-hot-loop, reason="heap was built with Vec::with_capacity(universe) in new(), and the duplicate-insert debug_assert keeps len <= universe, so this push never reallocates")
-        self.heap.push(id);
-        self.pos[id as usize] = slot as u32;
-        self.sift_up(slot);
+        self.heap.push(entry);
+        self.sift_up(slot, entry);
     }
 
     /// Inserts `id` or replaces its key.
@@ -115,81 +123,117 @@ impl<K: Copy + Ord> FlatHeap<K> {
         }
     }
 
-    /// Replaces the key of a present `id` (any direction).
+    /// Replaces the key of a present `id` (any direction). A larger key
+    /// re-seats the entry bottom-up.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if `id` is absent.
     pub fn update(&mut self, id: u32, key: K) {
         debug_assert!(self.contains(id), "update of absent {id}");
-        self.key[id as usize] = key;
         let slot = self.pos[id as usize] as usize;
-        self.sift_up(slot);
-        let slot = self.pos[id as usize] as usize;
-        self.sift_down(slot);
+        let old = self.heap[slot].key;
+        if key == old {
+            return;
+        }
+        let entry = Entry { key, id };
+        if key < old {
+            self.sift_up(slot, entry);
+        } else {
+            self.sift_down(slot, entry);
+        }
     }
 
-    /// Removes and returns the minimum entry.
+    /// Removes and returns the minimum entry; the last slot refills the
+    /// root bottom-up.
     pub fn pop(&mut self) -> Option<(u32, K)> {
         let &min = self.heap.first()?;
-        self.remove(min);
-        Some((min, self.key[min as usize]))
+        let last = self.heap.pop()?;
+        if !self.heap.is_empty() {
+            self.sift_down(0, last);
+        }
+        self.pos[min.id as usize] = NONE;
+        Some((min.id, min.key))
     }
 
     /// Removes `id`, returning its key if it was present.
     pub fn remove(&mut self, id: u32) -> Option<K> {
-        if !self.contains(id) {
+        let slot = self.pos[id as usize];
+        if slot == NONE {
             return None;
         }
-        let slot = self.pos[id as usize] as usize;
-        let last = self.heap.len() - 1;
-        self.heap.swap(slot, last);
-        self.pos[self.heap[slot] as usize] = slot as u32;
-        self.heap.pop();
+        let slot = slot as usize;
+        let gone = self.heap[slot];
+        let last = self.heap.pop()?;
         self.pos[id as usize] = NONE;
         if slot < self.heap.len() {
-            // Re-seat the element swapped into `slot`: it may belong
-            // either above or below its new position.
-            let moved = self.heap[slot];
-            self.sift_up(slot);
-            self.sift_down(self.pos[moved as usize] as usize);
+            // Re-seat the last entry in the vacated slot: it may belong
+            // either above or below it.
+            if Self::less(&last, &gone) {
+                self.sift_up(slot, last);
+            } else {
+                self.sift_down(slot, last);
+            }
         }
-        Some(self.key[id as usize])
+        Some(gone.key)
     }
 
-    fn sift_up(&mut self, mut slot: usize) {
+    /// `(a.key, a.id) < (b.key, b.id)` without short-circuit branches:
+    /// the comparisons are evaluated as flags and combined with bit ops,
+    /// so the compiler can lower a sift step to conditional moves.
+    #[inline(always)]
+    fn less(a: &Entry<K>, b: &Entry<K>) -> bool {
+        (a.key < b.key) | ((a.key == b.key) & (a.id < b.id))
+    }
+
+    /// Writes `entry` into `slot` and records its position.
+    #[inline(always)]
+    fn set(&mut self, slot: usize, entry: Entry<K>) {
+        self.heap[slot] = entry;
+        self.pos[entry.id as usize] = slot as u32;
+    }
+
+    /// Seats `entry` at `slot` or above it, moving larger parents down.
+    fn sift_up(&mut self, mut slot: usize, entry: Entry<K>) {
         while slot > 0 {
             let parent = (slot - 1) / 2;
-            if self.less(self.heap[slot], self.heap[parent]) {
-                self.heap.swap(slot, parent);
-                self.pos[self.heap[slot] as usize] = slot as u32;
-                self.pos[self.heap[parent] as usize] = parent as u32;
-                slot = parent;
-            } else {
+            let above = self.heap[parent];
+            if !Self::less(&entry, &above) {
                 break;
             }
+            self.set(slot, above);
+            slot = parent;
         }
+        self.set(slot, entry);
     }
 
-    fn sift_down(&mut self, mut slot: usize) {
-        loop {
-            let l = 2 * slot + 1;
-            let r = 2 * slot + 2;
-            let mut best = slot;
-            if l < self.heap.len() && self.less(self.heap[l], self.heap[best]) {
-                best = l;
-            }
-            if r < self.heap.len() && self.less(self.heap[r], self.heap[best]) {
-                best = r;
-            }
-            if best == slot {
+    /// Seats `entry` at `slot` or below it, bottom-up: the hole first
+    /// descends the min-child path to a leaf (one branch-free comparison
+    /// per level), then `entry` sifts up from there, never above `slot`.
+    fn sift_down(&mut self, slot: usize, entry: Entry<K>) {
+        let n = self.heap.len();
+        let mut hole = slot;
+        let mut child = 2 * hole + 1;
+        while child + 1 < n {
+            child += usize::from(Self::less(&self.heap[child + 1], &self.heap[child]));
+            self.set(hole, self.heap[child]);
+            hole = child;
+            child = 2 * hole + 1;
+        }
+        if child + 1 == n {
+            self.set(hole, self.heap[child]);
+            hole = child;
+        }
+        while hole > slot {
+            let parent = (hole - 1) / 2;
+            let above = self.heap[parent];
+            if !Self::less(&entry, &above) {
                 break;
             }
-            self.heap.swap(slot, best);
-            self.pos[self.heap[slot] as usize] = slot as u32;
-            self.pos[self.heap[best] as usize] = best as u32;
-            slot = best;
+            self.set(hole, above);
+            hole = parent;
         }
+        self.set(hole, entry);
     }
 
     // flb-analyze: region-end(no-alloc)
@@ -403,7 +447,7 @@ mod tests {
 
     #[test]
     fn flat_heap_orders_and_breaks_ties_by_id() {
-        let mut h: FlatHeap<(Time, Reverse<Time>)> = FlatHeap::new(8, (0, Reverse(0)));
+        let mut h: FlatHeap<(Time, Reverse<Time>)> = FlatHeap::new(8);
         h.insert(3, (5, Reverse(0)));
         h.insert(1, (5, Reverse(0)));
         h.insert(7, (2, Reverse(0)));
@@ -417,7 +461,7 @@ mod tests {
 
     #[test]
     fn flat_heap_larger_bottom_level_wins_time_ties() {
-        let mut h: FlatHeap<(Time, Reverse<Time>)> = FlatHeap::new(4, (0, Reverse(0)));
+        let mut h: FlatHeap<(Time, Reverse<Time>)> = FlatHeap::new(4);
         h.insert(0, (5, Reverse(1)));
         h.insert(1, (5, Reverse(9)));
         assert_eq!(h.peek().map(|(i, _)| i), Some(1));
@@ -425,7 +469,7 @@ mod tests {
 
     #[test]
     fn flat_heap_update_and_remove() {
-        let mut h: FlatHeap<Time> = FlatHeap::new(5, 0);
+        let mut h: FlatHeap<Time> = FlatHeap::new(5);
         for id in 0..5u32 {
             h.insert(id, 10 + Time::from(id));
         }
@@ -441,6 +485,154 @@ mod tests {
         assert_eq!(h.key_of(4), Some(99));
     }
 
+    /// A tiny LCG driving the model tests' operation sequences.
+    fn lcg(seed: u64) -> impl FnMut() -> usize {
+        let mut x = seed;
+        move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        }
+    }
+
+    /// Drives a `FlatHeap` and a `BTreeSet<(key, id)>` model through the
+    /// same random insert / update (up, down, at the root) / remove / pop
+    /// sequence and checks they agree after every operation. Keys come
+    /// from a small range so equal keys are common and must go to the
+    /// smaller id.
+    fn flat_heap_matches_model<K: Copy + Ord + std::fmt::Debug>(
+        universe: usize,
+        seed: u64,
+        key: impl Fn(usize) -> K,
+    ) {
+        use std::collections::BTreeSet;
+        let mut h: FlatHeap<K> = FlatHeap::new(universe);
+        let mut model: BTreeSet<(K, u32)> = BTreeSet::new();
+        let mut keys: Vec<Option<K>> = vec![None; universe];
+        let mut rng = lcg(seed);
+        for _ in 0..20_000 {
+            let id = (rng() % universe) as u32;
+            let k = key(rng());
+            match rng() % 6 {
+                0 | 1 => {
+                    if let Some(old) = keys[id as usize] {
+                        assert_eq!(h.key_of(id), Some(old));
+                    } else {
+                        h.insert(id, k);
+                        model.insert((k, id));
+                        keys[id as usize] = Some(k);
+                    }
+                }
+                2 => {
+                    // Update any present id, or the root itself half the
+                    // time, in whichever direction the new key falls.
+                    let id = match model.first() {
+                        Some(&(_, root)) if rng().is_multiple_of(2) => root,
+                        _ => id,
+                    };
+                    if let Some(old) = keys[id as usize] {
+                        h.update(id, k);
+                        model.remove(&(old, id));
+                        model.insert((k, id));
+                        keys[id as usize] = Some(k);
+                    }
+                }
+                3 => {
+                    h.insert_or_update(id, k);
+                    if let Some(old) = keys[id as usize] {
+                        model.remove(&(old, id));
+                    }
+                    model.insert((k, id));
+                    keys[id as usize] = Some(k);
+                }
+                4 => {
+                    let got = h.remove(id);
+                    assert_eq!(got, keys[id as usize]);
+                    if let Some(old) = keys[id as usize].take() {
+                        model.remove(&(old, id));
+                    }
+                    assert!(!h.contains(id));
+                }
+                _ => {
+                    let want = model.pop_first().map(|(k, id)| (id, k));
+                    assert_eq!(h.pop(), want);
+                    if let Some((id, _)) = want {
+                        keys[id as usize] = None;
+                    }
+                }
+            }
+            assert_eq!(h.len(), model.len());
+            assert_eq!(h.peek(), model.first().map(|&(k, id)| (id, k)));
+        }
+        let drained: Vec<_> = std::iter::from_fn(|| h.pop()).collect();
+        let expect: Vec<_> = model.iter().map(|&(k, id)| (id, k)).collect();
+        assert_eq!(drained, expect);
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn flat_heap_matches_model_on_time_keys() {
+        for (universe, seed) in [(3, 1), (64, 2), (300, 3)] {
+            flat_heap_matches_model(universe, seed, |r| (r % 17) as Time);
+        }
+    }
+
+    #[test]
+    fn flat_heap_matches_model_on_task_keys() {
+        for (universe, seed) in [(3, 4), (64, 5), (300, 6)] {
+            flat_heap_matches_model(universe, seed, |r| {
+                ((r % 5) as Time, Reverse((r / 5 % 3) as Time))
+            });
+        }
+    }
+
+    /// A heap dropped by forgetting its root leaves stale links on its
+    /// nodes; the root slot must still take fresh nodes, and the stale
+    /// nodes must not disturb the other heap of the forest.
+    #[test]
+    fn pairing_forest_reuses_a_root_slot_after_a_wholesale_drop() {
+        let n = 64usize;
+        let time: Vec<Time> = (0..n).map(|i| ((i * 29) % 13) as Time).collect();
+        let bl: Vec<Time> = (0..n).map(|i| (i % 3) as Time).collect();
+        let keys = SliceKeys {
+            time: &time,
+            bl: &bl,
+        };
+        let key = |v: u32| (time[v as usize], Reverse(bl[v as usize]), v);
+        let mut f = PairingForest::new(n);
+        let (mut dropped, mut other) = (NONE, NONE);
+        // Build two heaps, pop a few to leave real structure behind.
+        for v in 0..32u32 {
+            dropped = f.insert(&keys, dropped, v);
+        }
+        for v in 32..48u32 {
+            other = f.insert(&keys, other, v);
+        }
+        for _ in 0..5 {
+            dropped = f.pop_min(&keys, dropped);
+        }
+        // Drop the first heap wholesale, then reuse its slot.
+        let mut slot = NONE;
+        let mut model: std::collections::BTreeSet<_> = (48..n as u32).map(key).collect();
+        for v in 48..n as u32 {
+            slot = f.insert(&keys, slot, v);
+        }
+        let mut other_model: std::collections::BTreeSet<_> = (32..48u32).map(key).collect();
+        other = f.remove(&keys, other, 40);
+        other_model.remove(&key(40));
+        slot = f.remove(&keys, slot, 57);
+        model.remove(&key(57));
+        for (mut root, m) in [(slot, model), (other, other_model)] {
+            let mut drained = Vec::new();
+            while root != NONE {
+                drained.push(key(root));
+                root = f.pop_min(&keys, root);
+            }
+            assert_eq!(drained, m.into_iter().collect::<Vec<_>>());
+        }
+    }
+
     /// Differential test: the forest agrees with a sorted-set model under
     /// a long random-ish operation sequence, across two interleaved heaps.
     #[test]
@@ -453,13 +645,7 @@ mod tests {
         let mut f = PairingForest::new(n);
         let mut roots = [NONE, NONE];
         let mut model: [std::collections::BTreeSet<_>; 2] = Default::default();
-        let mut x = 12345u64; // tiny LCG driving the op sequence
-        let mut rng = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 33) as usize
-        };
+        let mut rng = lcg(12345);
         let mut present = vec![false; n];
         for _ in 0..5000 {
             let h = rng() % 2;

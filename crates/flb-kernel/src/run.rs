@@ -12,10 +12,23 @@
 //! * the per-processor `EMT_EP_task_l` / `LMT_EP_task_l` lists are two
 //!   [`PairingForest`]s sharing flat link arrays (a task is enabled by at
 //!   most one processor, so all `P` heaps fit one universe);
+//! * a demoted task leaves only the LMT heap. Its EMT-heap node is
+//!   deleted lazily: a live EP task of `p` has `LMT >= PRT(p)`, so dead
+//!   nodes are recognised when they reach the root and popped there, and
+//!   when `p` has no live EP task left its whole EMT heap is dropped;
 //! * the non-EP list and both processor lists are [`FlatHeap`]s with
-//!   capacity fixed at init;
+//!   capacity fixed at init; the processor just used is re-seated
+//!   bottom-up after its `PRT` grows;
 //! * there is no `ScheduleBuilder`: placements are three flat arrays, and
 //!   every quantity (`LMT`, `EP`, `EMT`) is computed by a direct CSR scan.
+//!
+//! Each task still enters and leaves each list at most once — a lazily
+//! deleted node leaves the EMT heap by one pop or with its whole heap —
+//! so the count of list operations behind the `O(V (log W + log P) + E)`
+//! bound is unchanged. One caveat on the log factor: a dead node can
+//! stay in its EMT heap after its task has been scheduled, so that
+//! heap's size is bounded by the tasks `p` enabled since the heap was
+//! last empty, not by the ready-set width `W`.
 //!
 //! Everything is sized once from `V`, `E` and `P` in [`KernelRun::new`];
 //! the steady-state loop performs **zero heap allocations** (verified by a
@@ -69,7 +82,9 @@ pub struct KernelRun<'g> {
     /// Processor ready times `PRT(p)`.
     prt: Vec<Time>,
     n_placed: usize,
-    /// Per-processor EP lists keyed by `EMT(t, EP(t))` / by `LMT(t)`.
+    /// Per-processor EP lists keyed by `EMT(t, EP(t))` / by `LMT(t)`. The
+    /// LMT heap holds exactly the live EP tasks; the EMT heap may also
+    /// hold demoted ones below a live root (lazy deletion).
     emt_forest: PairingForest,
     lmt_forest: PairingForest,
     emt_root: Vec<u32>,
@@ -121,9 +136,9 @@ impl<'g> KernelRun<'g> {
             emt_root: vec![NONE; p],
             lmt_root: vec![NONE; p],
             ep_in_lists: 0,
-            non_ep: FlatHeap::new(v, (0, Reverse(0))),
-            active: FlatHeap::new(p, 0),
-            all_procs: FlatHeap::new(p, 0),
+            non_ep: FlatHeap::new(v),
+            active: FlatHeap::new(p),
+            all_procs: FlatHeap::new(p),
             stats: RunStats::default(),
         };
         for t in 0..v as u32 {
@@ -233,15 +248,15 @@ impl<'g> KernelRun<'g> {
             (None, None) => unreachable!("unscheduled tasks but no ready task"),
         };
 
-        // Remove the winner from its lists.
+        // Remove the winner from its lists. An EP winner is the root of
+        // its processor's EMT heap; a non-EP winner is the non-EP root.
         if from_ep_list {
             let keys = SliceKeys {
                 time: &self.emt_on_ep,
                 bl: &self.bl,
             };
-            self.emt_root[proc as usize] =
-                self.emt_forest
-                    .remove(&keys, self.emt_root[proc as usize], task);
+            debug_assert_eq!(self.emt_root[proc as usize], task);
+            self.emt_root[proc as usize] = self.emt_forest.pop_min(&keys, task);
             let keys = SliceKeys {
                 time: &self.lmt,
                 bl: &self.bl,
@@ -252,8 +267,8 @@ impl<'g> KernelRun<'g> {
             self.ep_in_lists -= 1;
             self.stats.ep_selections += 1;
         } else {
-            let removed = self.non_ep.remove(task);
-            debug_assert!(removed.is_some());
+            let popped = self.non_ep.pop();
+            debug_assert_eq!(popped.map(|(t, _)| t), Some(task));
             self.stats.non_ep_selections += 1;
         }
 
@@ -282,6 +297,13 @@ impl<'g> KernelRun<'g> {
 
     /// Paper's `UpdateTaskLists`: demote EP tasks whose `LMT` fell below
     /// the grown `PRT(p)` to the non-EP list, in LMT order.
+    ///
+    /// A demoted task leaves only the LMT heap. Its EMT-heap node is
+    /// deleted lazily: live tasks of `p` are exactly those with
+    /// `LMT >= PRT(p)`, so dead heads are popped until the EMT root is
+    /// live, and once the LMT heap is empty the whole EMT heap is dead
+    /// and is dropped by forgetting its root. Safe because a task never
+    /// re-enters the EP lists, so no stale link is ever read again.
     fn update_task_lists(&mut self, p: u32) {
         let prt = self.prt[p as usize];
         loop {
@@ -298,17 +320,25 @@ impl<'g> KernelRun<'g> {
                 bl: &self.bl,
             };
             self.lmt_root[p as usize] = self.lmt_forest.pop_min(&keys, head);
-            let keys = SliceKeys {
-                time: &self.emt_on_ep,
-                bl: &self.bl,
-            };
-            self.emt_root[p as usize] =
-                self.emt_forest
-                    .remove(&keys, self.emt_root[p as usize], head);
             self.ep_in_lists -= 1;
             self.non_ep
                 .insert(head, (lmt, Reverse(self.bl[head as usize])));
             self.stats.demotions += 1;
+        }
+        if self.lmt_root[p as usize] == NONE {
+            self.emt_root[p as usize] = NONE;
+            return;
+        }
+        let keys = SliceKeys {
+            time: &self.emt_on_ep,
+            bl: &self.bl,
+        };
+        loop {
+            let head = self.emt_root[p as usize];
+            if self.lmt[head as usize] >= prt {
+                break;
+            }
+            self.emt_root[p as usize] = self.emt_forest.pop_min(&keys, head);
         }
     }
 
@@ -384,8 +414,8 @@ impl<'g> KernelRun<'g> {
                         time: &self.emt_on_ep,
                         bl: &self.bl,
                     };
-                    self.emt_root[ep as usize] =
-                        self.emt_forest.insert(&keys, self.emt_root[ep as usize], s);
+                    let head = self.emt_root[ep as usize];
+                    self.emt_root[ep as usize] = self.emt_forest.insert(&keys, head, s);
                     let keys = SliceKeys {
                         time: &self.lmt,
                         bl: &self.bl,
@@ -393,7 +423,11 @@ impl<'g> KernelRun<'g> {
                     self.lmt_root[ep as usize] =
                         self.lmt_forest.insert(&keys, self.lmt_root[ep as usize], s);
                     self.ep_in_lists += 1;
-                    self.update_proc_lists(ep);
+                    // `PRT(ep)` is unchanged, so the processor's key moves
+                    // only if `s` became the new EMT head.
+                    if self.emt_root[ep as usize] != head {
+                        self.update_proc_lists(ep);
+                    }
                     self.stats.ep_promotions += 1;
                 }
             }

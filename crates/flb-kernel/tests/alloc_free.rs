@@ -74,6 +74,15 @@ fn steady_state_loop_never_allocates() {
     let after = ALLOC_CALLS.load(Ordering::SeqCst);
     assert_eq!(after - before, 0, "related-machine loop allocated");
 
+    // And on 64 processors, where EP lists empty mid-run and their
+    // lazily deleted EMT heaps are dropped wholesale.
+    let mut run3 = KernelRun::new(&g, &[1; 64], TieBreak::BottomLevel);
+    let before = ALLOC_CALLS.load(Ordering::SeqCst);
+    run3.run();
+    let after = ALLOC_CALLS.load(Ordering::SeqCst);
+    assert!(run3.is_complete());
+    assert_eq!(after - before, 0, "64-processor loop allocated");
+
     // The static fences cover exactly what this test just measured.
     // `run.run()` drives `step`, the three update procedures and
     // `enqueue_ready` through the FlatHeap/PairingForest operations;
@@ -100,6 +109,12 @@ fn steady_state_loop_never_allocates() {
     );
     for op in [
         "len",
+        "is_empty",
+        "contains",
+        "key_of",
+        "peek",
+        "less",
+        "set",
         "insert",
         "insert_or_update",
         "update",

@@ -149,7 +149,7 @@ impl Shard {
         let (lo, hi) = shared.proc_range[id];
         let v = shared.g.num_tasks();
         let p = shared.slow.len();
-        let mut prt_heap = FlatHeap::new(p, 0);
+        let mut prt_heap = FlatHeap::new(p);
         for q in lo..hi {
             prt_heap.insert(q, 0);
         }
@@ -161,7 +161,7 @@ impl Shard {
             lmt_root: vec![NONE; p],
             forest: PairingForest::new(v),
             prt_heap,
-            active: FlatHeap::new(p, 0),
+            active: FlatHeap::new(p),
             drain_buf: Vec::with_capacity(64),
             pending: None,
             last_inc: 0,

@@ -74,8 +74,9 @@ pub struct RunStats {
     /// Tasks that entered the ready set as non-EP-type.
     pub non_ep_promotions: usize,
     /// EP-type tasks demoted to non-EP when their enabling processor's
-    /// ready time overtook their `LMT` (each costs two heap removals and
-    /// one insertion — the `UpdateTaskLists` work term).
+    /// ready time overtook their `LMT` (in the paper's pseudocode each
+    /// costs two heap removals and one insertion — the `UpdateTaskLists`
+    /// work term; `flb-kernel` defers the EMT-list removal).
     pub demotions: usize,
     /// Largest ready-set size observed (bounded by the graph width `W`;
     /// FLB's per-step cost is `O(log max_ready + log P)`).

@@ -8,6 +8,7 @@
 
 use crate::{Machine, ProcId};
 use flb_graph::{TaskGraph, TaskId, Time};
+use std::sync::OnceLock;
 
 /// Where and when one task executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,13 +23,32 @@ pub struct Placement {
 }
 
 /// A complete schedule: a placement for every task of a graph on a machine.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Two schedules are equal when their machines, placements and
+/// per-processor task rows are equal.
+#[derive(Clone, Debug)]
 pub struct Schedule {
     machine: Machine,
     placements: Vec<Placement>,
-    /// Tasks per processor, ordered by start time.
-    proc_tasks: Vec<Vec<TaskId>>,
+    /// Tasks per processor, ordered by start time. The builder fills it
+    /// with its placement order; a raw schedule derives it from the
+    /// placements on the first [`tasks_on`](Self::tasks_on) call, so
+    /// callers that never read rows never pay for the sort.
+    proc_tasks: OnceLock<Vec<Vec<TaskId>>>,
 }
+
+impl PartialEq for Schedule {
+    fn eq(&self, other: &Self) -> bool {
+        self.machine == other.machine
+            && self.placements == other.placements
+            // Rows derived from equal placements are equal; only rows a
+            // builder supplied can differ, so compare when one exists.
+            && ((self.proc_tasks.get().is_none() && other.proc_tasks.get().is_none())
+                || self.rows() == other.rows())
+    }
+}
+
+impl Eq for Schedule {}
 
 impl Schedule {
     /// Builds a schedule directly from raw placements (no validation; use
@@ -43,29 +63,37 @@ impl Schedule {
     /// heterogeneous) machine.
     #[must_use]
     pub fn from_raw_on(machine: Machine, placements: Vec<Placement>) -> Self {
-        // Tolerate out-of-range processor ids so the validator can report
-        // them instead of this constructor panicking.
-        let rows = placements
-            .iter()
-            .map(|p| p.proc.0 + 1)
-            .max()
-            .unwrap_or(0)
-            .max(machine.num_procs());
-        let mut proc_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); rows];
-        let mut by_start: Vec<(Time, TaskId)> = placements
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.start, TaskId(i)))
-            .collect();
-        by_start.sort_unstable();
-        for (_, t) in by_start {
-            proc_tasks[placements[t.0].proc.0].push(t);
-        }
         Schedule {
             machine,
             placements,
-            proc_tasks,
+            proc_tasks: OnceLock::new(),
         }
+    }
+
+    /// The per-processor rows, derived from the placements on first use:
+    /// each row sorted by `(start, id)`. Out-of-range processor ids get
+    /// rows too, so the validator can report them instead of this
+    /// panicking.
+    fn rows(&self) -> &[Vec<TaskId>] {
+        self.proc_tasks.get_or_init(|| {
+            let rows = self
+                .placements
+                .iter()
+                .map(|p| p.proc.0 + 1)
+                .max()
+                .unwrap_or(0)
+                .max(self.machine.num_procs());
+            let mut proc_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); rows];
+            for (i, p) in self.placements.iter().enumerate() {
+                proc_tasks[p.proc.0].push(TaskId(i));
+            }
+            // Ids were pushed in ascending order and the sort is stable,
+            // so equal starts stay ordered by id.
+            for row in &mut proc_tasks {
+                row.sort_by_key(|t| self.placements[t.0].start);
+            }
+            proc_tasks
+        })
     }
 
     /// The machine this schedule targets.
@@ -113,7 +141,7 @@ impl Schedule {
     /// Tasks assigned to processor `p`, in start-time order.
     #[must_use]
     pub fn tasks_on(&self, p: ProcId) -> &[TaskId] {
-        &self.proc_tasks[p.0]
+        &self.rows()[p.0]
     }
 
     /// The parallel completion time `T_par = max_p PRT(p)`.
@@ -440,7 +468,7 @@ impl<'g> ScheduleBuilder<'g> {
                 .into_iter()
                 .map(|p| p.expect("placed"))
                 .collect(),
-            proc_tasks: self.proc_tasks,
+            proc_tasks: OnceLock::from(self.proc_tasks),
         }
     }
 }
@@ -472,6 +500,151 @@ mod tests {
         assert_eq!(s.makespan(), 1);
         // The zero-width task sorts before the unit-width one.
         assert_eq!(s.tasks_on(ProcId(0)), &[a, b]);
+    }
+
+    fn pl(proc: usize, start: Time, finish: Time) -> Placement {
+        Placement {
+            proc: ProcId(proc),
+            start,
+            finish,
+        }
+    }
+
+    #[test]
+    fn raw_rows_are_sorted_by_start_then_id() {
+        // Equal starts on p1 (tasks 1, 3, 4) and a zero-length task.
+        let s = Schedule::from_raw(
+            2,
+            vec![
+                pl(1, 5, 7),
+                pl(1, 2, 2),
+                pl(0, 4, 6),
+                pl(1, 2, 5),
+                pl(1, 2, 3),
+                pl(0, 0, 4),
+            ],
+        );
+        let by_start_then_id = |p: usize| {
+            let mut row: Vec<TaskId> = (0..s.num_tasks())
+                .map(TaskId)
+                .filter(|&t| s.proc(t) == ProcId(p))
+                .collect();
+            row.sort_by_key(|&t| (s.start(t), t));
+            row
+        };
+        assert_eq!(s.tasks_on(ProcId(0)), &[TaskId(5), TaskId(2)]);
+        assert_eq!(
+            s.tasks_on(ProcId(1)),
+            &[TaskId(1), TaskId(3), TaskId(4), TaskId(0)]
+        );
+        for p in 0..2 {
+            assert_eq!(s.tasks_on(ProcId(p)), by_start_then_id(p).as_slice());
+        }
+    }
+
+    #[test]
+    fn out_of_range_processors_get_rows_and_the_validator_reports_them() {
+        let mut gb = TaskGraphBuilder::new();
+        gb.add_task(2);
+        gb.add_task(2);
+        let g = gb.build().unwrap();
+        let s = Schedule::from_raw(2, vec![pl(0, 0, 2), pl(5, 0, 2)]);
+        assert_eq!(s.tasks_on(ProcId(5)), &[TaskId(1)]);
+        assert!(s.tasks_on(ProcId(3)).is_empty());
+        // A fresh copy, rows never read: validation must not panic either.
+        let s = Schedule::from_raw(2, vec![pl(0, 0, 2), pl(5, 0, 2)]);
+        assert_eq!(
+            crate::validate::validate(&g, &s),
+            Err(crate::validate::ScheduleError::BadProcessor(
+                TaskId(1),
+                ProcId(5)
+            ))
+        );
+    }
+
+    #[test]
+    fn builder_and_raw_schedules_compare_as_before() {
+        let g = fig1();
+        let m = Machine::new(2);
+        let mut b = ScheduleBuilder::new(&g, &m);
+        for (t, p, st) in [
+            (0, 0, 0),
+            (3, 0, 2),
+            (1, 1, 3),
+            (2, 0, 5),
+            (4, 1, 5),
+            (5, 0, 7),
+            (6, 1, 8),
+            (7, 0, 12),
+        ] {
+            b.place(TaskId(t), ProcId(p), st);
+        }
+        let built = b.build();
+        let raw = || Schedule::from_raw_on(m.clone(), built.placements().to_vec());
+        // Either side may have read its rows or not.
+        assert_eq!(built, raw());
+        assert_eq!(raw(), built);
+        assert_eq!(raw(), raw());
+        let read = raw();
+        let _ = read.tasks_on(ProcId(0));
+        assert_eq!(read, raw());
+        assert_eq!(raw(), read);
+        assert_eq!(read.clone(), built);
+        // A different machine or placement still breaks equality.
+        assert_ne!(Schedule::from_raw(3, built.placements().to_vec()), built);
+        let mut moved = built.placements().to_vec();
+        moved[7].start += 1;
+        moved[7].finish += 1;
+        assert_ne!(Schedule::from_raw(2, moved), built);
+
+        // Rows are part of equality: a builder row whose order differs
+        // from the `(start, id)` order is not equal to the raw schedule.
+        let mut gb = TaskGraphBuilder::new();
+        let z = gb.add_task(0);
+        let a = gb.add_task(0);
+        let g = gb.build().unwrap();
+        let m = Machine::new(1);
+        let mut b = ScheduleBuilder::new(&g, &m);
+        b.place(a, ProcId(0), 0);
+        b.place(z, ProcId(0), 0);
+        let built = b.build();
+        assert_eq!(built.tasks_on(ProcId(0)), &[a, z]);
+        let raw = Schedule::from_raw_on(m, built.placements().to_vec());
+        assert_eq!(raw.tasks_on(ProcId(0)), &[z, a]);
+        assert_ne!(built, raw);
+    }
+
+    #[test]
+    fn first_row_reads_from_two_threads_agree() {
+        use std::sync::{Arc, Barrier};
+        let placements: Vec<Placement> = (0..2000)
+            .map(|i| {
+                let start = ((i * 37) % 101) as Time;
+                pl(i % 7, start, start + 1)
+            })
+            .collect();
+        for _ in 0..8 {
+            let s = Arc::new(Schedule::from_raw(7, placements.clone()));
+            // Both threads pass the barrier before either reads a row, so
+            // the two first `tasks_on` calls race on the empty cell.
+            let start = Arc::new(Barrier::new(2));
+            let rows = |s: Arc<Schedule>, start: Arc<Barrier>| {
+                move || {
+                    start.wait();
+                    (0..7)
+                        .map(|p| s.tasks_on(ProcId(p)).to_vec())
+                        .collect::<Vec<_>>()
+                }
+            };
+            let a = std::thread::spawn(rows(s.clone(), start.clone()));
+            let b = std::thread::spawn(rows(s.clone(), start));
+            let (a, b) = (a.join().unwrap(), b.join().unwrap());
+            assert_eq!(a, b);
+            assert_eq!(a.iter().map(Vec::len).sum::<usize>(), 2000);
+            for (p, row) in a.iter().enumerate() {
+                assert_eq!(s.tasks_on(ProcId(p)), row.as_slice());
+            }
+        }
     }
 
     #[test]

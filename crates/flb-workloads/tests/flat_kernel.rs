@@ -6,8 +6,8 @@
 use flb_core::Flb;
 use flb_graph::costs::{CostModel, Dist};
 use flb_graph::gen::RandomLayeredSpec;
-use flb_kernel::{FlatGraph, FlbKernel};
-use flb_sched::{Machine, Scheduler};
+use flb_kernel::{FlatGraph, FlbKernel, KernelRun};
+use flb_sched::{Machine, RunStats, Scheduler, TieBreak};
 use flb_workloads::million::{cholesky_flat, lu_flat, random_layered_flat};
 
 fn assert_kernel_matches_reference(flat: &FlatGraph, machine: &Machine) {
@@ -50,4 +50,49 @@ fn random_layered_flat_schedules_match_reference() {
     };
     let flat = random_layered_flat(&spec, &model, 3);
     assert_kernel_matches_reference(&flat, &Machine::new(4));
+}
+
+/// FNV-1a over every task's `(proc, start, finish)`, little-endian.
+fn placement_digest(run: &KernelRun<'_>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for t in 0..run.procs().len() {
+        for x in [
+            u64::from(run.procs()[t]),
+            run.starts()[t],
+            run.finishes()[t],
+        ] {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+/// Pins the kernel's decisions and counters on a ~20k-task LU: the run
+/// counters, the makespan and a digest of every placement. A change to
+/// the kernel's list structures must leave all three exactly as they are.
+#[test]
+fn lu_flat_20k_counters_and_placements_are_pinned() {
+    let model = CostModel {
+        comp: Dist::UniformMean(100),
+        ccr: 1.0,
+    };
+    let g = lu_flat(200, &model, 1999);
+    assert_eq!(g.num_tasks(), 20_100);
+    let mut run = KernelRun::new(&g, &[1; 64], TieBreak::BottomLevel);
+    run.run();
+    assert_eq!(
+        run.stats(),
+        RunStats {
+            ep_selections: 3437,
+            non_ep_selections: 16_663,
+            ep_promotions: 19_999,
+            non_ep_promotions: 101,
+            demotions: 16_562,
+            max_ready: 199,
+        }
+    );
+    assert_eq!(run.makespan(), 60_850);
+    assert_eq!(placement_digest(&run), 0x70db_d516_37fa_a214);
 }
