@@ -2,11 +2,11 @@
 //!
 //! The workspace deliberately carries no JSON dependency, and the vendored
 //! `serde` stub has no serializer — but the perf-trajectory files
-//! (`BENCH_*.json`) must be readable by the regression gate and by external
-//! tooling. This module implements just enough of RFC 8259 for that:
-//! objects, arrays, strings with the standard escapes, `f64` numbers and
-//! the three literals. Emission helpers live with the schema code; parsing
-//! is a plain recursive descent over bytes.
+//! (`BENCH_*.json`) must be readable by `par --check`, by the CLI's
+//! JSON-schema tests and by external tooling. This module implements just
+//! enough of RFC 8259 for that: objects, arrays, strings with the standard
+//! escapes, `f64` numbers and the three literals. Emission helpers live
+//! with the schema code; parsing is a plain recursive descent over bytes.
 
 use std::fmt::Write as _;
 

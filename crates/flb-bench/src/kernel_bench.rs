@@ -1,38 +1,25 @@
-//! Experiment X15: the million-task kernel benchmark and its tracked
-//! performance trajectory.
+//! The `flb-bench-trajectory/v1` artifact and the streaming graphs of the
+//! `par` bin (experiment X17).
 //!
-//! The flat kernel (`flb-kernel`) exists to make FLB's
-//! `O(V (log W + log P) + E)` bound *felt*: a million-task LU graph
-//! scheduled in seconds on one core with zero steady-state allocations.
-//! This module measures that —
-//! streaming graph construction time, scheduling time, throughput in
-//! tasks/second, peak RSS — and fixes the result in a stable JSON
-//! artifact, `BENCH_07.json` with schema [`SCHEMA`], that CI re-measures
-//! and gates against: a committed datapoint is a floor future changes
-//! must respect.
+//! `par` writes its thread-scaling sweep in this schema (`BENCH_09.json`)
+//! and checks a committed artifact with [`parse_report`]. Its `t1` point
+//! is the flat kernel (`flb-kernel`) itself, so `par --threads 1` times the
+//! kernel on every [`FlatFamily`]. The end-to-end kernel benchmark is
+//! perfbench's `kernel-lu1m` workload.
 //!
-//! Every datapoint optionally carries the makespan ratio against the
-//! reference `flb_core::FlbRun` on the identical graph; the kernel is
-//! bit-exact, so the recorded ratio is `1.0` — a corruption canary, not a
-//! quality score.
+//! Every datapoint carries the makespan ratio against the sequential
+//! kernel on the identical graph: `1.0` at one thread by bit-exactness,
+//! a schedule-quality figure for the relaxed parallel runs.
 
 use crate::json::{self, quote, Value};
-use crate::mem::peak_rss_kb;
-use flb_core::{Flb, TieBreak};
 use flb_graph::costs::{CostModel, Dist};
 use flb_graph::gen::RandomLayeredSpec;
-use flb_kernel::{FlatGraph, KernelRun};
-use flb_sched::{Machine, Scheduler};
+use flb_kernel::FlatGraph;
 use flb_workloads::million;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Schema identifier of the benchmark artifact files.
 pub const SCHEMA: &str = "flb-bench-trajectory/v1";
-
-/// Default regression tolerance of the CI gate: a measured throughput more
-/// than this fraction below the committed baseline fails the job.
-pub const DEFAULT_MAX_REGRESSION: f64 = 0.25;
 
 /// Workload families with a streaming flat generator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,52 +52,6 @@ impl std::str::FromStr for FlatFamily {
             "cholesky" => Ok(FlatFamily::Cholesky),
             "layered" => Ok(FlatFamily::Layered),
             other => Err(format!("unknown family {other:?} (lu|cholesky|layered)")),
-        }
-    }
-}
-
-/// One benchmark configuration.
-#[derive(Clone, Debug)]
-pub struct KernelBenchSpec {
-    /// Workload family.
-    pub family: FlatFamily,
-    /// Target task count (the generator reaches at least this many).
-    pub tasks: usize,
-    /// Processor count (homogeneous machine).
-    pub procs: usize,
-    /// Target communication-to-computation ratio.
-    pub ccr: f64,
-    /// RNG seed for costs (and topology, where the family is random).
-    pub seed: u64,
-    /// Whether to replay the graph through the reference scheduler and
-    /// record the makespan ratio (exactness canary; costs a slower run).
-    pub reference: bool,
-}
-
-impl KernelBenchSpec {
-    /// Datapoint name: family plus humanised task count, e.g. `lu-1m`.
-    #[must_use]
-    pub fn name(&self) -> String {
-        format!("{}-{}", self.family.name(), human_count(self.tasks))
-    }
-
-    /// The committed trajectory: the CI-gated 100k point and the headline
-    /// million-task point, both LU at CCR 1.0 on 64 processors.
-    #[must_use]
-    pub fn trajectory() -> Vec<Self> {
-        vec![Self::at_scale(100_000), Self::at_scale(1_000_000)]
-    }
-
-    /// The trajectory configuration at a given task count.
-    #[must_use]
-    pub fn at_scale(tasks: usize) -> Self {
-        KernelBenchSpec {
-            family: FlatFamily::Lu,
-            tasks,
-            procs: 64,
-            ccr: 1.0,
-            seed: 1999,
-            reference: true,
         }
     }
 }
@@ -159,9 +100,8 @@ pub struct KernelDatapoint {
     pub peak_rss_kb: Option<u64>,
 }
 
-/// Streams a flat benchmark graph of the given family and scale (shared
-/// by the kernel and `par` bench bins, so their oracles see the same
-/// bits).
+/// Streams a flat benchmark graph of the given family and scale; every
+/// thread count of a `par` sweep schedules the one graph this returns.
 #[must_use]
 pub fn build_flat(family: FlatFamily, tasks: usize, ccr: f64, seed: u64) -> FlatGraph {
     let model = CostModel {
@@ -187,66 +127,8 @@ pub fn build_flat(family: FlatFamily, tasks: usize, ccr: f64, seed: u64) -> Flat
     }
 }
 
-fn build_graph(spec: &KernelBenchSpec) -> FlatGraph {
-    build_flat(spec.family, spec.tasks, spec.ccr, spec.seed)
-}
-
-/// Runs one benchmark configuration to a measured datapoint.
-///
-/// The schedule phase is measured best-of-three (full arena setup plus the
-/// scheduling loop each time): the CI regression gate compares throughputs
-/// across machines and runs, and a single-shot wall time is noisy enough
-/// to trip a 25% tolerance on scheduler-noise alone.
-#[must_use]
-pub fn run(spec: &KernelBenchSpec) -> KernelDatapoint {
-    let t0 = Instant::now();
-    let graph = build_graph(spec);
-    let build_seconds = t0.elapsed().as_secs_f64();
-
-    let slow = vec![1u64; spec.procs];
-    let mut schedule_seconds = f64::INFINITY;
-    let mut kernel = KernelRun::new(&graph, &slow, TieBreak::BottomLevel);
-    for _ in 0..3 {
-        let t1 = Instant::now();
-        kernel = KernelRun::new(&graph, &slow, TieBreak::BottomLevel);
-        kernel.run();
-        schedule_seconds = schedule_seconds.min(t1.elapsed().as_secs_f64());
-    }
-    assert!(kernel.is_complete(), "kernel scheduled every task");
-
-    let makespan = kernel.makespan();
-    let makespan_ratio_vs_reference = spec.reference.then(|| {
-        let g = graph.to_task_graph();
-        let machine = Machine::new(spec.procs);
-        makespan as f64 / Flb::default().schedule(&g, &machine).makespan() as f64
-    });
-
-    KernelDatapoint {
-        name: spec.name(),
-        family: spec.family.name().to_string(),
-        tasks: graph.num_tasks(),
-        edges: graph.num_edges(),
-        procs: spec.procs,
-        ccr: spec.ccr,
-        seed: spec.seed,
-        build_seconds,
-        schedule_seconds,
-        tasks_per_second: graph.num_tasks() as f64 / schedule_seconds,
-        makespan,
-        makespan_ratio_vs_reference,
-        peak_rss_kb: peak_rss_kb(),
-    }
-}
-
-/// Renders datapoints as the `BENCH_*.json` artifact document for the
-/// `kernel` bench.
-#[must_use]
-pub fn to_json(points: &[KernelDatapoint]) -> String {
-    to_json_named("kernel", points)
-}
-
 /// Renders datapoints as a `BENCH_*.json` artifact document under the
-/// given bench name (the schema is shared across bench bins).
+/// given bench name.
 #[must_use]
 pub fn to_json_named(bench: &str, points: &[KernelDatapoint]) -> String {
     let mut out = String::new();
@@ -357,52 +239,12 @@ pub fn parse_report(text: &str) -> Result<Vec<KernelDatapoint>, String> {
         .collect()
 }
 
-/// Compares measured datapoints against a committed baseline: every
-/// current point whose name exists in the baseline must reach at least
-/// `(1 - max_regression)` of the baseline throughput.
-///
-/// Returns one human-readable comparison line per matched point.
-///
-/// # Errors
-///
-/// Returns the first regression as an error message.
-pub fn regression_gate(
-    current: &[KernelDatapoint],
-    baseline: &[KernelDatapoint],
-    max_regression: f64,
-) -> Result<Vec<String>, String> {
-    let mut lines = Vec::new();
-    for cur in current {
-        let Some(base) = baseline.iter().find(|b| b.name == cur.name) else {
-            lines.push(format!("{}: no baseline datapoint, skipped", cur.name));
-            continue;
-        };
-        let floor = base.tasks_per_second * (1.0 - max_regression);
-        let delta = cur.tasks_per_second / base.tasks_per_second - 1.0;
-        if cur.tasks_per_second < floor {
-            return Err(format!(
-                "{}: {:.0} tasks/s is {:.1}% below the baseline {:.0} (tolerance {:.0}%)",
-                cur.name,
-                cur.tasks_per_second,
-                -delta * 100.0,
-                base.tasks_per_second,
-                max_regression * 100.0
-            ));
-        }
-        lines.push(format!(
-            "{}: {:.0} tasks/s vs baseline {:.0} ({:+.1}%) — ok",
-            cur.name,
-            cur.tasks_per_second,
-            base.tasks_per_second,
-            delta * 100.0
-        ));
-    }
-    Ok(lines)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flb_core::{Flb, TieBreak};
+    use flb_kernel::KernelRun;
+    use flb_sched::{Machine, Scheduler};
 
     fn point(name: &str, tps: f64) -> KernelDatapoint {
         KernelDatapoint {
@@ -430,7 +272,7 @@ mod tests {
             p.makespan_ratio_vs_reference = None;
             p
         }];
-        let text = to_json(&points);
+        let text = to_json_named("par", &points);
         let parsed = parse_report(&text).expect("round trip");
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].name, "lu-100k");
@@ -453,39 +295,20 @@ mod tests {
     }
 
     #[test]
-    fn regression_gate_passes_within_tolerance_and_fails_outside() {
-        let base = vec![point("lu-100k", 100_000.0)];
-        let ok = regression_gate(&[point("lu-100k", 80_000.0)], &base, 0.25).unwrap();
-        assert_eq!(ok.len(), 1);
-        assert!(ok[0].contains("ok"));
-        let err = regression_gate(&[point("lu-100k", 70_000.0)], &base, 0.25).unwrap_err();
-        assert!(err.contains("below the baseline"), "got: {err}");
-        // Unmatched names are reported but never fail the gate.
-        let skipped = regression_gate(&[point("new", 1.0)], &base, 0.25).unwrap();
-        assert!(skipped[0].contains("skipped"));
-    }
-
-    #[test]
     fn quick_benchmark_is_exact_vs_reference() {
-        let spec = KernelBenchSpec {
-            family: FlatFamily::Cholesky,
-            tasks: 3000,
-            procs: 16,
-            ccr: 0.2,
-            seed: 7,
-            reference: true,
-        };
-        let dp = run(&spec);
-        assert_eq!(dp.name, "cholesky-3k");
-        assert!(dp.tasks >= 3000);
-        assert_eq!(dp.makespan_ratio_vs_reference, Some(1.0));
-        assert!(dp.tasks_per_second > 0.0);
+        let graph = build_flat(FlatFamily::Cholesky, 3000, 0.2, 7);
+        assert!(graph.num_tasks() >= 3000);
+        let mut kernel = KernelRun::new(&graph, &[1; 16], TieBreak::BottomLevel);
+        kernel.run();
+        assert!(kernel.is_complete());
+        let reference = Flb::default().schedule(&graph.to_task_graph(), &Machine::new(16));
+        assert_eq!(kernel.makespan(), reference.makespan());
     }
 
     #[test]
     fn names_humanise_counts() {
-        assert_eq!(KernelBenchSpec::at_scale(1_000_000).name(), "lu-1m");
-        assert_eq!(KernelBenchSpec::at_scale(100_000).name(), "lu-100k");
-        assert_eq!(KernelBenchSpec::at_scale(1234).name(), "lu-1234");
+        assert_eq!(human_count(1_000_000), "1m");
+        assert_eq!(human_count(100_000), "100k");
+        assert_eq!(human_count(1234), "1234");
     }
 }

@@ -23,7 +23,6 @@ pub mod kernel_bench;
 pub mod mem;
 pub mod par_bench;
 pub mod registry;
-pub mod replay_bench;
 pub mod report;
 pub mod runner;
 

@@ -33,11 +33,6 @@
 //!   floods, deadline storms and (with `--inject-panics`, against a
 //!   `--chaos-markers` server) scheduler panics and worker kills, while
 //!   verifying the daemon keeps serving well-formed clients;
-//! * `kernel-bench` — measure the flat scheduling kernel
-//!   (`flb-kernel`) on a streaming workload: build/schedule time,
-//!   tasks/second, peak RSS and the bit-exactness canary against the
-//!   reference scheduler; `--format json` emits one datapoint in the
-//!   `BENCH_*.json` trajectory schema;
 //! * `lint` — run the project-invariant static analyzer (`flb-analyze`)
 //!   over the workspace: allocation fences, panic-free request paths,
 //!   simulator determinism, lock ordering, bounded decode allocations;
@@ -120,11 +115,6 @@ USAGE:
                 [--tenant-chaos] [--flood-threads N] [--flood-ms T]
                 [--probe-requests N] [--trace PATH]
                 [--expect-journal-drops] [--format text|json]
-  flb kernel-bench [--tasks N] [--family lu|cholesky|layered] [--procs P]
-                [--ccr X] [--seed S] [--no-reference] [--format text|json]
-  flb par-bench [--tasks N] [--family lu|cholesky|layered] [--procs P]
-                [--ccr X] [--seed S] [--threads 1,2,4] [--reps N]
-                [--min-speedup F [--speedup-at T]] [--format text|json]
   flb lint      [--root DIR] [--format text|json] [--deny-unwaived]
 
 SERVICE OPTIONS: --listen takes `HOST:PORT` (default 127.0.0.1:7171) or
@@ -293,8 +283,6 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
         "record" => cmd_record(&a),
         "replay" => cmd_replay(&a),
         "chaos" => cmd_chaos(&a),
-        "kernel-bench" => cmd_kernel_bench(&a),
-        "par-bench" => cmd_par_bench(&a),
         "lint" => cmd_lint(&a),
         "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
         other => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
@@ -1213,138 +1201,6 @@ fn cmd_compare(a: &Args<'_>) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn cmd_kernel_bench(a: &Args<'_>) -> Result<String, CliError> {
-    use flb_bench::kernel_bench::{self, KernelBenchSpec};
-    use flb_bench::mem::fmt_peak_rss;
-    use flb_bench::report::fmt_seconds;
-
-    let tasks: usize = a.parsed("--tasks", 100_000)?;
-    if tasks == 0 {
-        return Err(err("--tasks must be at least 1"));
-    }
-    let mut spec = KernelBenchSpec::at_scale(tasks);
-    if let Some(f) = a.value("--family") {
-        spec.family = f.parse().map_err(err)?;
-    }
-    spec.procs = a.parsed("--procs", spec.procs)?;
-    if spec.procs == 0 {
-        return Err(err("--procs must be at least 1"));
-    }
-    spec.ccr = a.parsed("--ccr", spec.ccr)?;
-    spec.seed = a.parsed("--seed", spec.seed)?;
-    if a.flag("--no-reference") {
-        spec.reference = false;
-    }
-    let dp = kernel_bench::run(&spec);
-    if let Some(r) = dp.makespan_ratio_vs_reference {
-        if r != 1.0 {
-            return Err(err(format!(
-                "kernel disagrees with the reference scheduler: makespan ratio {r}"
-            )));
-        }
-    }
-    match a.value("--format").unwrap_or("text") {
-        "json" => Ok(kernel_bench::to_json(std::slice::from_ref(&dp))),
-        "text" => {
-            let mut out = String::new();
-            let _ = writeln!(out, "datapoint       {}", dp.name);
-            let _ = writeln!(out, "tasks (V)       {}", dp.tasks);
-            let _ = writeln!(out, "edges (E)       {}", dp.edges);
-            let _ = writeln!(out, "procs (P)       {}", dp.procs);
-            let _ = writeln!(out, "CCR             {}", dp.ccr);
-            let _ = writeln!(out, "seed            {}", dp.seed);
-            let _ = writeln!(out, "build           {}", fmt_seconds(dp.build_seconds));
-            let _ = writeln!(out, "schedule        {}", fmt_seconds(dp.schedule_seconds));
-            let _ = writeln!(out, "tasks/s         {:.0}", dp.tasks_per_second);
-            let _ = writeln!(out, "makespan        {}", dp.makespan);
-            let _ = writeln!(
-                out,
-                "vs reference    {}",
-                dp.makespan_ratio_vs_reference
-                    .map_or("skipped".to_string(), |r| format!("{r:.4}"))
-            );
-            let _ = writeln!(out, "peak RSS        {}", fmt_peak_rss(dp.peak_rss_kb));
-            Ok(out)
-        }
-        other => Err(err(format!("unknown --format {other:?} (text|json)"))),
-    }
-}
-
-/// `flb par-bench`: thread-scaling of the work-stealing parallel FLB
-/// (the CLI face of experiment X17; the `par` bench bin measures the
-/// committed million-task trajectory).
-fn cmd_par_bench(a: &Args<'_>) -> Result<String, CliError> {
-    use flb_bench::kernel_bench;
-    use flb_bench::mem::fmt_peak_rss;
-    use flb_bench::par_bench::{self, ParBenchSpec};
-    use flb_bench::report::{fmt_seconds, table};
-
-    let tasks: usize = a.parsed("--tasks", 100_000)?;
-    if tasks == 0 {
-        return Err(err("--tasks must be at least 1"));
-    }
-    let mut spec = ParBenchSpec::at_scale(tasks);
-    if let Some(f) = a.value("--family") {
-        spec.family = f.parse().map_err(err)?;
-    }
-    spec.procs = a.parsed("--procs", spec.procs)?;
-    if spec.procs == 0 {
-        return Err(err("--procs must be at least 1"));
-    }
-    spec.ccr = a.parsed("--ccr", spec.ccr)?;
-    spec.seed = a.parsed("--seed", spec.seed)?;
-    if let Some(list) = a.value("--threads") {
-        spec.threads = list
-            .split(',')
-            .map(|t| t.trim().parse().map_err(|e| err(format!("--threads: {e}"))))
-            .collect::<Result<_, _>>()?;
-        if spec.threads.is_empty() {
-            return Err(err("--threads needs at least one thread count"));
-        }
-    }
-    let reps: usize = a.parsed("--reps", 2)?;
-    let points = par_bench::run(&spec, reps.max(1));
-
-    let mut out = match a.value("--format").unwrap_or("text") {
-        "json" => kernel_bench::to_json_named("par", &points),
-        "text" => {
-            let header: Vec<String> =
-                ["point", "V", "schedule", "tasks/s", "vs oracle", "peak RSS"]
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect();
-            let rows: Vec<Vec<String>> = points
-                .iter()
-                .map(|p| {
-                    vec![
-                        p.name.clone(),
-                        p.tasks.to_string(),
-                        fmt_seconds(p.schedule_seconds),
-                        format!("{:.0}", p.tasks_per_second),
-                        p.makespan_ratio_vs_reference
-                            .map_or("—".into(), |r| format!("{r:.4}")),
-                        fmt_peak_rss(p.peak_rss_kb),
-                    ]
-                })
-                .collect();
-            table(&header, &rows)
-        }
-        other => return Err(err(format!("unknown --format {other:?} (text|json)"))),
-    };
-    if let Some(min) = a.value("--min-speedup") {
-        let min: f64 = min
-            .parse()
-            .map_err(|e| err(format!("--min-speedup: {e}")))?;
-        let at: usize = a.parsed("--speedup-at", 4)?;
-        let line = par_bench::speedup_gate(&points, &spec.name(1), &spec.name(at), min)
-            .map_err(|e| err(format!("thread-scaling gate failed: {e}")))?;
-        out.push('\n');
-        out.push_str(&line);
-        out.push('\n');
-    }
-    Ok(out)
-}
-
 /// `flb lint`: run the flb-analyze rules over the workspace sources.
 fn cmd_lint(a: &Args<'_>) -> Result<String, CliError> {
     let root = match a.value("--root") {
@@ -1519,6 +1375,11 @@ mod tests {
             .unwrap_err()
             .to_string()
             .contains("--trace"));
+        // A missing trace is reported, not panicked on.
+        assert!(run_str(&["replay", "--trace", "/nonexistent/trace"])
+            .unwrap_err()
+            .to_string()
+            .contains("/nonexistent/trace"));
         let _ = std::fs::remove_dir_all(&base);
     }
 
@@ -2289,56 +2150,5 @@ mod tests {
         assert!(run_str(&["info"]).is_err());
         assert!(run_str(&["info", "--input", "/definitely/missing.tg"]).is_err());
         assert!(run_str(&["schedule", "--fig1", "--alg", "nope"]).is_err());
-    }
-
-    #[test]
-    fn kernel_bench_text() {
-        let out = run_str(&[
-            "kernel-bench",
-            "--tasks",
-            "2000",
-            "--procs",
-            "8",
-            "--seed",
-            "7",
-        ])
-        .unwrap();
-        assert!(out.contains("datapoint       lu-2k"), "{out}");
-        assert!(out.contains("tasks/s"), "{out}");
-        // The reference replay ran and the kernel is bit-exact.
-        assert!(out.contains("vs reference    1.0000"), "{out}");
-    }
-
-    #[test]
-    fn kernel_bench_json_round_trips() {
-        let out = run_str(&[
-            "kernel-bench",
-            "--tasks",
-            "1500",
-            "--family",
-            "cholesky",
-            "--procs",
-            "4",
-            "--ccr",
-            "0.2",
-            "--no-reference",
-            "--format",
-            "json",
-        ])
-        .unwrap();
-        let points = flb_bench::kernel_bench::parse_report(&out).unwrap();
-        assert_eq!(points.len(), 1);
-        assert_eq!(points[0].family, "cholesky");
-        assert!(points[0].tasks >= 1500);
-        assert_eq!(points[0].procs, 4);
-        assert_eq!(points[0].makespan_ratio_vs_reference, None);
-    }
-
-    #[test]
-    fn kernel_bench_flag_validation() {
-        assert!(run_str(&["kernel-bench", "--tasks", "0"]).is_err());
-        assert!(run_str(&["kernel-bench", "--family", "nope"]).is_err());
-        assert!(run_str(&["kernel-bench", "--tasks", "100", "--procs", "0"]).is_err());
-        assert!(run_str(&["kernel-bench", "--tasks", "100", "--format", "xml"]).is_err());
     }
 }

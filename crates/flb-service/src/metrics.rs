@@ -28,38 +28,45 @@ impl Default for LatencyHistogram {
     }
 }
 
-impl LatencyHistogram {
-    fn bucket(micros: u64) -> usize {
-        (64 - micros.leading_zeros() as usize).min(63)
-    }
+/// The power-of-two bucket holding `micros`: bucket `i > 0` holds
+/// `[2^(i-1), 2^i)`, bucket 0 holds 0. Shared with the queue-wait
+/// histograms of `overload`.
+pub(crate) fn bucket(micros: u64) -> usize {
+    (64 - micros.leading_zeros() as usize).min(63)
+}
 
+/// The `q`-quantile of power-of-two bucket counts, as the upper bound of
+/// the bucket holding that sample; 0 when no samples were recorded.
+pub(crate) fn quantile(counts: &[u64; 64], q: f64) -> u64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
+    let mut seen = 0;
+    for (i, &c) in counts.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            return if i == 0 { 0 } else { 1u64 << i };
+        }
+    }
+    u64::MAX
+}
+
+impl LatencyHistogram {
     /// Records one sample.
     pub fn record(&self, micros: u64) {
-        self.buckets[Self::bucket(micros)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket(micros)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// The `q`-quantile (`0.0..=1.0`) in microseconds, as the upper bound
     /// of the bucket holding that sample; 0 when no samples were recorded.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-        let mut seen = 0;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        u64::MAX
+        quantile(
+            &std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            q,
+        )
     }
 }
 

@@ -38,6 +38,7 @@
 //! which is what makes the fairness and bucket invariants property-
 //! testable without a running daemon.
 
+use crate::metrics;
 use std::collections::{HashMap, VecDeque};
 
 /// Display name under which all anonymous (per-connection) tenants are
@@ -492,8 +493,7 @@ impl Default for WaitHisto {
 
 impl WaitHisto {
     fn record(&mut self, us: u64) {
-        let b = (64 - us.leading_zeros() as usize).min(63);
-        self.buckets[b] += 1;
+        self.buckets[metrics::bucket(us)] += 1;
     }
 
     fn merge(&mut self, other: &WaitHisto) {
@@ -503,19 +503,7 @@ impl WaitHisto {
     }
 
     fn quantile(&self, q: f64) -> u64 {
-        let total: u64 = self.buckets.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        u64::MAX
+        metrics::quantile(&self.buckets, q)
     }
 }
 

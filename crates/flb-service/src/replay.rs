@@ -323,37 +323,6 @@ pub fn replay_trace(
     Ok(replay_records(endpoint, &records, cfg))
 }
 
-/// Sum of schedule makespans across a trace's recorded requests when
-/// scheduled locally — a cheap determinism canary used by the replay
-/// bench (any drift in the scheduler moves this number).
-#[must_use]
-pub fn trace_local_makespan(records: &[JournalRecord]) -> u64 {
-    let mut total = 0u64;
-    for rec in records {
-        if let Ok(crate::proto::Request::Schedule { request, .. }) =
-            crate::proto::decode_request(&rec.request)
-        {
-            let schedule = flb_core::schedule_request(&request);
-            total = total.saturating_add(schedule.makespan());
-        }
-    }
-    total
-}
-
-/// Total task count across a trace's recorded requests (bench sizing).
-#[must_use]
-pub fn trace_task_count(records: &[JournalRecord]) -> u64 {
-    let mut total = 0u64;
-    for rec in records {
-        if let Ok(crate::proto::Request::Schedule { request, .. }) =
-            crate::proto::decode_request(&rec.request)
-        {
-            total = total.saturating_add(request.graph.num_tasks() as u64);
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,12 +406,5 @@ mod tests {
         assert!(report.ok());
         handle.shutdown();
         handle.join();
-    }
-
-    #[test]
-    fn trace_helpers_summarize_schedule_records() {
-        let records: Vec<JournalRecord> = (0..3u64).map(|i| record_for(2, i * 100)).collect();
-        assert_eq!(trace_task_count(&records), 3 * fig1().num_tasks() as u64);
-        assert!(trace_local_makespan(&records) > 0);
     }
 }
