@@ -21,16 +21,14 @@
 
 use crate::client::{Client, Submission};
 use crate::journal;
-use crate::proto::{encode_request, read_response, Request, MAGIC, MAX_FRAME};
-use crate::server::{Endpoint, HARD_PANIC_MARKER, PANIC_MARKER};
+use crate::proto::{encode_request, read_response, write_frame, Request, MAGIC, MAX_FRAME};
+use crate::server::{Endpoint, Stream, HARD_PANIC_MARKER, PANIC_MARKER};
 use flb_core::{AlgorithmId, ScheduleRequest};
 use flb_graph::{gen, TaskGraph, TaskGraphBuilder};
 use flb_sched::Machine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -258,65 +256,13 @@ impl ChaosReport {
 /// Stable identifier of the chaos JSON schema.
 pub const CHAOS_SCHEMA: &str = "flb-chaos/v1";
 
-/// A raw (frame-level) connection for hostile traffic.
-enum Raw {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Raw {
-    fn connect(endpoint: &Endpoint) -> io::Result<Raw> {
-        let raw = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let s = TcpStream::connect(addr)?;
-                s.set_nodelay(true)?;
-                s.set_read_timeout(Some(Duration::from_secs(2)))?;
-                s.set_write_timeout(Some(Duration::from_secs(2)))?;
-                Raw::Tcp(s)
-            }
-            Endpoint::Unix(path) => {
-                let s = UnixStream::connect(path)?;
-                s.set_read_timeout(Some(Duration::from_secs(2)))?;
-                s.set_write_timeout(Some(Duration::from_secs(2)))?;
-                Raw::Unix(s)
-            }
-        };
-        Ok(raw)
-    }
-}
-
-impl Read for Raw {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Raw::Tcp(s) => s.read(buf),
-            Raw::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Raw {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Raw::Tcp(s) => s.write(buf),
-            Raw::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Raw::Tcp(s) => s.flush(),
-            Raw::Unix(s) => s.flush(),
-        }
-    }
-}
+/// Per-call read and write timeout of the rig's raw connections.
+const RAW_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A full protocol frame (header + payload) for `req`.
 fn frame_bytes(req: &Request) -> Vec<u8> {
-    let payload = encode_request(req);
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    write_frame(&mut out, &encode_request(req)).expect("a chaos request fits one frame");
     out
 }
 
@@ -394,7 +340,7 @@ fn scenario_torn_frame(
 ) -> io::Result<()> {
     let bytes = corpus_frame(rng, corpus);
     let cut = rng.random_range(1..bytes.len());
-    let mut conn = Raw::connect(endpoint)?;
+    let mut conn = Stream::connect(endpoint, Some(RAW_TIMEOUT))?;
     conn.write_all(&bytes[..cut])?;
     Ok(()) // dropped mid-frame
 }
@@ -406,7 +352,7 @@ fn scenario_partial_write(
 ) -> io::Result<()> {
     let bytes = corpus_frame(rng, corpus);
     let cut = rng.random_range(1..bytes.len());
-    let mut conn = Raw::connect(endpoint)?;
+    let mut conn = Stream::connect(endpoint, Some(RAW_TIMEOUT))?;
     let mut sent = 0;
     while sent < cut {
         let chunk = rng.random_range(1..=4usize).min(cut - sent);
@@ -425,7 +371,7 @@ fn scenario_disconnect(
     corpus: &[Vec<u8>],
 ) -> io::Result<()> {
     let bytes = corpus_frame(rng, corpus);
-    let mut conn = Raw::connect(endpoint)?;
+    let mut conn = Stream::connect(endpoint, Some(RAW_TIMEOUT))?;
     conn.write_all(&bytes)?;
     // Hang up without reading the reply: the server's write hits a
     // closed socket and must shrug, not die.
@@ -442,7 +388,7 @@ fn scenario_corruption(
         let i = rng.random_range(0..bytes.len());
         bytes[i] ^= 1 << rng.random_range(0..8u32);
     }
-    let mut conn = Raw::connect(endpoint)?;
+    let mut conn = Stream::connect(endpoint, Some(RAW_TIMEOUT))?;
     conn.write_all(&bytes)?;
     let _ = read_response(&mut conn); // error response or disconnect; both fine
     Ok(())
@@ -451,7 +397,7 @@ fn scenario_corruption(
 fn scenario_flood(rng: &mut StdRng, endpoint: &Endpoint, connections: usize) -> io::Result<()> {
     let mut conns = Vec::with_capacity(connections);
     for _ in 0..connections {
-        conns.push(Raw::connect(endpoint)?);
+        conns.push(Stream::connect(endpoint, Some(RAW_TIMEOUT))?);
     }
     let ping = frame_bytes(&Request::Ping);
     for conn in &mut conns {
@@ -466,7 +412,7 @@ fn scenario_flood(rng: &mut StdRng, endpoint: &Endpoint, connections: usize) -> 
 }
 
 fn scenario_deadline_storm(rng: &mut StdRng, endpoint: &Endpoint) -> io::Result<()> {
-    let mut conn = Raw::connect(endpoint)?;
+    let mut conn = Stream::connect(endpoint, Some(RAW_TIMEOUT))?;
     for _ in 0..8 {
         conn.write_all(&frame_bytes(&ordinary_request(rng, 1)))?;
     }
@@ -477,7 +423,7 @@ fn scenario_deadline_storm(rng: &mut StdRng, endpoint: &Endpoint) -> io::Result<
 }
 
 fn scenario_oversize(rng: &mut StdRng, endpoint: &Endpoint) -> io::Result<()> {
-    let mut conn = Raw::connect(endpoint)?;
+    let mut conn = Stream::connect(endpoint, Some(RAW_TIMEOUT))?;
     let mut header = Vec::new();
     header.extend_from_slice(&MAGIC.to_le_bytes());
     header.extend_from_slice(&(MAX_FRAME + rng.random_range(1..=1024u32)).to_le_bytes());
@@ -643,7 +589,7 @@ fn scenario_priority_inversion(
 ) -> io::Result<()> {
     let mut parked = Vec::new();
     for _ in 0..10 {
-        let mut conn = Raw::connect(endpoint)?;
+        let mut conn = Stream::connect(endpoint, Some(RAW_TIMEOUT))?;
         let req = Request::Schedule {
             request: Box::new(ScheduleRequest::new(
                 AlgorithmId::Etf,

@@ -2,46 +2,14 @@
 
 use crate::metrics::StatsSnapshot;
 use crate::proto::{read_response, write_request, Request, Response};
-use crate::server::Endpoint;
+use crate::server::{Endpoint, Stream};
 use flb_core::{AlgorithmId, ScheduleRequest};
 use flb_graph::TaskGraph;
 use flb_sched::{Machine, Schedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::io;
 use std::time::Duration;
-
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
 
 /// Outcome of one `schedule` submission.
 #[derive(Clone, Debug)]
@@ -76,7 +44,7 @@ pub struct ScheduleReply {
 
 /// A blocking protocol client over one connection.
 pub struct Client {
-    conn: Conn,
+    conn: Stream,
     /// Tenant name attached to schedule requests; empty = anonymous
     /// (the server buckets the connection under a private identity).
     tenant: String,
@@ -92,16 +60,8 @@ fn unexpected(what: &str, resp: &Response) -> io::Error {
 impl Client {
     /// Connects to a daemon.
     pub fn connect(endpoint: &Endpoint) -> io::Result<Client> {
-        let conn = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let stream = TcpStream::connect(addr)?;
-                stream.set_nodelay(true)?;
-                Conn::Tcp(stream)
-            }
-            Endpoint::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
-        };
         Ok(Client {
-            conn,
+            conn: Stream::connect(endpoint, None)?,
             tenant: String::new(),
         })
     }

@@ -10,7 +10,8 @@
 //! 2. the machine, as `wire::put_machine` writes it (processor count,
 //!    slowdowns);
 //! 3. the graph as `wire::put_graph` writes it *after* the name: task
-//!    count, costs, edge count, edges.
+//!    count, costs, edge count, edges in ascending (source, target)
+//!    order.
 //!
 //! The graph name, the deadline and the tenant are left out: two
 //! identically shaped workloads with different labels are the same
@@ -20,10 +21,11 @@
 //! [`decode_request`](crate::proto::decode_request) accepts:
 //!
 //! * [`request_fingerprint`] feeds a decoded request's fields into the
-//!   hasher;
-//! * [`peek_request_key`] hashes the same bytes in place, reading only the
-//!   length fields. It declines (returns `None`) on anything it cannot
-//!   vouch for, and the daemon then decodes as usual.
+//!   hasher; it is the reference the tests hold the peek to;
+//! * [`peek_request_key`] hashes the same sections off the payload,
+//!   reading only the length fields and sorting edge records that arrive
+//!   out of order. It accepts every schedule payload decoding accepts,
+//!   and declines (returns `None`) some that decoding rejects.
 //!
 //! [`Fnv64`] is the byte-wise checksum of the snapshot and journal
 //! formats; it is not the cache key.
@@ -34,6 +36,7 @@ use flb_core::AlgorithmId;
 use flb_graph::TaskGraph;
 use flb_sched::io::wire::Reader;
 use flb_sched::Machine;
+use std::borrow::Cow;
 
 /// 64-bit FNV-1a, the classic offset/prime pair.
 #[derive(Clone, Copy, Debug)]
@@ -217,11 +220,12 @@ pub struct PeekedKey {
 /// them in place. Two invariants let the daemon answer a cache hit from
 /// this alone:
 ///
-/// * **One key.** The edges must be in the canonical order `put_graph`
-///   writes (strictly ascending source, then target), so the bytes are
-///   exactly those decoding and re-encoding would produce, and the key
-///   equals `request_fingerprint` of the decoded request. Any other order
-///   is declined and keyed after decoding.
+/// * **One key.** Edge records are hashed in the canonical order
+///   `put_graph` writes (strictly ascending source, then target), sorted
+///   into it when the payload has them in another order, so the key
+///   equals `request_fingerprint` of the decoded request. Two records
+///   for the same (source, target) pair, which decoding rejects, are
+///   declined.
 /// * **A hit is never a request decoding would reject.** The fields
 ///   outside the hashed sections are checked as
 ///   [`decode_request`](crate::proto::decode_request) checks them: the
@@ -235,27 +239,16 @@ pub struct PeekedKey {
 #[must_use]
 pub fn peek_request_key(payload: &[u8]) -> Option<PeekedKey> {
     let f = ScheduleFields::split(payload)?;
-    let mut h = KeyHasher::new();
-    h.section(1, |h| h.write_u8(f.algorithm.code()));
-    h.section(4 + f.slowdowns.len(), |h| {
-        h.write_u32((f.slowdowns.len() / 8) as u32);
-        h.write(f.slowdowns);
-    });
-    h.section(8 + f.costs.len() + f.edges.len(), |h| {
-        h.write_u32((f.costs.len() / 8) as u32);
-        h.write(f.costs);
-        h.write_u32((f.edges.len() / 16) as u32);
-        h.write(f.edges);
-    });
     Some(PeekedKey {
         algorithm: f.algorithm,
-        key: h.finish(),
+        key: f.key(),
     })
 }
 
 /// A schedule-request payload split into its fields without decoding
-/// the machine or the graph: the layout both [`peek_request_key`] and
-/// [`decode_flat_request`](crate::proto::decode_flat_request) read.
+/// the machine or the graph: what the daemon keys, looks up and, on an
+/// FLB miss, builds the kernel's graph from
+/// ([`flat_request`](crate::proto::flat_request)).
 pub(crate) struct ScheduleFields<'a> {
     pub(crate) algorithm: AlgorithmId,
     pub(crate) deadline_ms: u64,
@@ -265,8 +258,9 @@ pub(crate) struct ScheduleFields<'a> {
     /// Little-endian `u64` costs, one per task.
     pub(crate) costs: &'a [u8],
     /// 16-byte edge records (source u32, target u32, cost u64), in
-    /// canonical order.
-    pub(crate) edges: &'a [u8],
+    /// canonical order: the payload's own bytes when it sent them that
+    /// way, a sorted copy otherwise.
+    pub(crate) edges: Cow<'a, [u8]>,
     pub(crate) tenant: &'a str,
 }
 
@@ -275,8 +269,9 @@ impl<'a> ScheduleFields<'a> {
     /// [`decode_request`](crate::proto::decode_request) checks outside the
     /// machine and graph contents: the kind byte, the algorithm code, the
     /// length fields, the graph name (UTF-8), the tenant (UTF-8, at most
-    /// [`MAX_TENANT_NAME`] bytes) and no trailing bytes. The edges must
-    /// also be in canonical order. `None` for anything else.
+    /// [`MAX_TENANT_NAME`] bytes) and no trailing bytes. Edge records are
+    /// put in canonical order; a repeated (source, target) pair is
+    /// declined. `None` for anything else.
     pub(crate) fn split(payload: &'a [u8]) -> Option<Self> {
         let mut r = Reader::new(payload);
         if r.u8().ok()? != REQ_SCHEDULE {
@@ -290,10 +285,7 @@ impl<'a> ScheduleFields<'a> {
         let tasks = r.len("task", 8).ok()?;
         let costs = r.bytes(8 * tasks).ok()?;
         let edge_count = r.len("edge", 16).ok()?;
-        let edges = r.bytes(16 * edge_count).ok()?;
-        if !edges_canonical(edges) {
-            return None;
-        }
+        let edges = canonical_edges(r.bytes(16 * edge_count).ok()?)?;
         let tenant = if r.remaining() == 0 {
             ""
         } else {
@@ -312,25 +304,61 @@ impl<'a> ScheduleFields<'a> {
             tenant,
         })
     }
+
+    /// The cache key: [`request_fingerprint`] of the request these fields
+    /// decode to.
+    pub(crate) fn key(&self) -> u64 {
+        let mut h = KeyHasher::new();
+        h.section(1, |h| h.write_u8(self.algorithm.code()));
+        h.section(4 + self.slowdowns.len(), |h| {
+            h.write_u32((self.slowdowns.len() / 8) as u32);
+            h.write(self.slowdowns);
+        });
+        h.section(8 + self.costs.len() + self.edges.len(), |h| {
+            h.write_u32((self.costs.len() / 8) as u32);
+            h.write(self.costs);
+            h.write_u32((self.edges.len() / 16) as u32);
+            h.write(&self.edges);
+        });
+        h.finish()
+    }
 }
 
-/// Whether 16-byte edge records (source u32, target u32, cost u64) run in
-/// strictly ascending (source, target) order.
-fn edges_canonical(edges: &[u8]) -> bool {
+/// 16-byte edge records (source u32, target u32, cost u64), each read
+/// as one little-endian `u128`.
+pub(crate) fn edge_records(edges: &[u8]) -> impl Iterator<Item = u128> + '_ {
+    edges
+        .chunks_exact(16)
+        .map_while(|rec| Some(u128::from_le_bytes(rec.try_into().ok()?)))
+}
+
+/// The (source, target) pair of an edge record, with the source in the
+/// high half so integer order is (source, target) order.
+fn edge_ends(rec: u128) -> u64 {
+    (rec as u64).rotate_left(32)
+}
+
+/// Edge records in strictly ascending (source, target) order: `edges`
+/// itself when it already is, a sorted copy otherwise. `None` when two
+/// records share a pair.
+fn canonical_edges(edges: &[u8]) -> Option<Cow<'_, [u8]>> {
     let mut prev = None;
-    for rec in edges.chunks_exact(16) {
-        let Some((ends, _)) = rec.split_first_chunk::<8>() else {
-            return false;
-        };
-        // Little-endian source then target; swapping the halves makes
-        // the source the high word, so integer order is (source, target).
-        let pair = u64::from_le_bytes(*ends).rotate_left(32);
-        if prev.is_some_and(|p| pair <= p) {
-            return false;
-        }
-        prev = Some(pair);
+    if edge_records(edges).map(edge_ends).all(|ends| {
+        let ascending = prev < Some(ends);
+        prev = Some(ends);
+        ascending
+    }) {
+        return Some(Cow::Borrowed(edges));
     }
-    true
+    let mut sorted: Vec<u128> = edge_records(edges).collect();
+    sorted.sort_unstable_by_key(|&rec| edge_ends(rec));
+    let ends = sorted.iter().map(|&rec| edge_ends(rec));
+    if ends.clone().zip(ends.skip(1)).any(|(a, b)| a == b) {
+        return None;
+    }
+    Some(Cow::Owned(
+        sorted.iter().flat_map(|rec| rec.to_le_bytes()).collect(),
+    ))
 }
 
 #[cfg(test)]
@@ -425,10 +453,8 @@ mod tests {
         assert_eq!(peek_request_key(&long), None);
     }
 
-    #[test]
-    fn non_canonical_edge_order_is_declined() {
-        // Two tasks, edges 0→2 then 0→1: the decoded graph re-encodes
-        // them the other way round, so the raw bytes are not its key.
+    /// A three-task FLB payload with unit-cost edges in the given order.
+    fn with_edges(edges: &[(u32, u32)]) -> Vec<u8> {
         let mut w = flb_sched::io::wire::Writer::new();
         w.put_u8(REQ_SCHEDULE);
         w.put_u8(AlgorithmId::Flb.code());
@@ -439,16 +465,36 @@ mod tests {
         for c in [1u64, 2, 3] {
             w.put_u64(c);
         }
-        w.put_u32(2);
-        for (s, d) in [(0u32, 2u32), (0, 1)] {
+        w.put_u32(edges.len() as u32);
+        for &(s, d) in edges {
             w.put_u32(s);
             w.put_u32(d);
             w.put_u64(1);
         }
-        let p = w.into_bytes();
-        assert!(crate::proto::decode_request(&p).is_ok());
-        assert_eq!(peek_request_key(&p), None);
-        assert!(edges_canonical(&[]));
+        w.into_bytes()
+    }
+
+    #[test]
+    fn non_canonical_edge_order_is_keyed_as_decoded() {
+        // Edges 1→2, 0→2, 0→1: the decoded graph re-encodes them as
+        // 0→1, 0→2, 1→2, and the peek sorts them into that order.
+        let shuffled = with_edges(&[(1, 2), (0, 2), (0, 1)]);
+        let Ok(Request::Schedule { request: r, .. }) = crate::proto::decode_request(&shuffled)
+        else {
+            panic!("the shuffled payload decodes");
+        };
+        let key = request_fingerprint(r.algorithm, &r.graph, &r.machine);
+        assert_eq!(peek_request_key(&shuffled).map(|p| p.key), Some(key));
+        let canonical = with_edges(&[(0, 1), (0, 2), (1, 2)]);
+        assert_eq!(peek_request_key(&canonical).map(|p| p.key), Some(key));
+        // A repeated (source, target) pair does not decode; the peek
+        // declines it in any order.
+        for dup in [[(0, 1), (0, 1), (1, 2)], [(1, 2), (0, 1), (0, 1)]] {
+            let p = with_edges(&dup);
+            assert!(crate::proto::decode_request(&p).is_err());
+            assert_eq!(peek_request_key(&p), None);
+        }
+        assert!(matches!(canonical_edges(&[]), Some(Cow::Borrowed(_))));
     }
 
     #[test]

@@ -79,12 +79,9 @@ const REC_REQUEST: u8 = 1;
 /// The segment header bytes (magic then version, both LE).
 #[must_use]
 fn header_bytes() -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    // flb-analyze: allow(no-panic-in-request-path, reason="fixed [..4] and [4..] of a [u8; 8] array are always in bounds")
-    h[..4].copy_from_slice(&JOURNAL_MAGIC.to_le_bytes());
-    // flb-analyze: allow(no-panic-in-request-path, reason="fixed [..4] and [4..] of a [u8; 8] array are always in bounds")
-    h[4..].copy_from_slice(&JOURNAL_VERSION.to_le_bytes());
-    h
+    let [m0, m1, m2, m3] = JOURNAL_MAGIC.to_le_bytes();
+    let [v0, v1, v2, v3] = JOURNAL_VERSION.to_le_bytes();
+    [m0, m1, m2, m3, v0, v1, v2, v3]
 }
 
 /// When the journal writer calls `fsync`.
@@ -215,31 +212,6 @@ pub fn schedule_digest(schedule: &Schedule) -> u64 {
     h.finish()
 }
 
-fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize, what: &str) -> Result<&'a [u8], String> {
-    let end = pos
-        .checked_add(n)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| format!("truncated while reading {what}"))?;
-    // flb-analyze: allow(no-panic-in-request-path, reason="end = pos + n checked against buf.len() with overflow-safe checked_add above")
-    let slice = &buf[*pos..end];
-    *pos = end;
-    Ok(slice)
-}
-
-fn take_u32(buf: &[u8], pos: &mut usize, what: &str) -> Result<u32, String> {
-    let raw = take(buf, pos, 4, what)?;
-    let mut b = [0u8; 4];
-    b.copy_from_slice(raw);
-    Ok(u32::from_le_bytes(b))
-}
-
-fn take_u64(buf: &[u8], pos: &mut usize, what: &str) -> Result<u64, String> {
-    let raw = take(buf, pos, 8, what)?;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(raw);
-    Ok(u64::from_le_bytes(b))
-}
-
 /// Encodes one record as its on-disk frame (length, checksum, payload).
 #[must_use]
 pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
@@ -265,21 +237,17 @@ pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
 ///
 /// Returns a message naming the first structural problem.
 pub fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
-    let mut pos = 0usize;
-    let kind = *take(payload, &mut pos, 1, "record kind")?
-        .first()
-        .ok_or("empty record")?;
+    let mut r = wire::Reader::new(payload);
+    let truncated = |e: wire::WireError| format!("record prefix: {e}");
+    let kind = r.u8().map_err(truncated)?;
     if kind != REC_REQUEST {
         return Err(format!("unknown record kind {kind}"));
     }
-    let ts_us = take_u64(payload, &mut pos, "timestamp")?;
-    let conn_id = take_u64(payload, &mut pos, "connection id")?;
-    let reply_kind = *take(payload, &mut pos, 1, "reply kind")?
-        .first()
-        .ok_or("missing reply kind")?;
-    let reply_digest = take_u64(payload, &mut pos, "reply digest")?;
-    let rest = payload.len().saturating_sub(pos);
-    let request = take(payload, &mut pos, rest, "request bytes")?.to_vec();
+    let ts_us = r.u64().map_err(truncated)?;
+    let conn_id = r.u64().map_err(truncated)?;
+    let reply_kind = r.u8().map_err(truncated)?;
+    let reply_digest = r.u64().map_err(truncated)?;
+    let request = r.bytes(r.remaining()).map_err(truncated)?.to_vec();
     if request.is_empty() {
         return Err("record carries no request bytes".to_string());
     }
@@ -320,100 +288,66 @@ pub struct Scan {
 /// Scans segment bytes into the longest valid record prefix.
 #[must_use]
 pub fn scan_segment(bytes: &[u8]) -> Scan {
-    let header = header_bytes();
-    if bytes.len() < HEADER_LEN {
+    let mut r = wire::Reader::new(bytes);
+    let header_fault = match (r.u32(), r.u32()) {
+        (Ok(JOURNAL_MAGIC), Ok(JOURNAL_VERSION)) => None,
         // A partial header is a crash during segment creation (torn);
         // anything else in those first bytes is foreign data.
-        let end = if header.starts_with(bytes) {
+        _ if bytes.len() < HEADER_LEN => Some(if header_bytes().starts_with(bytes) {
             ScanEnd::Torn
         } else {
             ScanEnd::Corrupt("not a journal segment (bad header)".to_string())
-        };
+        }),
+        (Ok(JOURNAL_MAGIC), Ok(version)) => {
+            Some(ScanEnd::Corrupt(format!("unsupported version {version}")))
+        }
+        (magic, _) => Some(ScanEnd::Corrupt(format!(
+            "bad magic {:#010x}",
+            magic.unwrap_or(0)
+        ))),
+    };
+    if let Some(end) = header_fault {
         return Scan {
             records: Vec::new(),
             valid_len: 0,
             end,
         };
     }
-    let mut pos = 0usize;
-    // Both reads are infallible here (len >= HEADER_LEN was checked).
-    let magic = take_u32(bytes, &mut pos, "magic").unwrap_or(0);
-    let version = take_u32(bytes, &mut pos, "version").unwrap_or(0);
-    if magic != JOURNAL_MAGIC {
-        return Scan {
-            records: Vec::new(),
-            valid_len: 0,
-            end: ScanEnd::Corrupt(format!("bad magic {magic:#010x}")),
-        };
-    }
-    if version != JOURNAL_VERSION {
-        return Scan {
-            records: Vec::new(),
-            valid_len: 0,
-            end: ScanEnd::Corrupt(format!("unsupported version {version}")),
-        };
-    }
     let mut records = Vec::new();
-    let mut valid_len = pos;
-    loop {
-        if pos == bytes.len() {
-            return Scan {
-                records,
-                valid_len,
-                end: ScanEnd::Clean,
-            };
+    let mut valid_len = HEADER_LEN;
+    let end = loop {
+        if r.remaining() == 0 {
+            break ScanEnd::Clean;
         }
         // A record needs its 12-byte framing; fewer remaining bytes is a
         // torn tail — including the pinned case where the crash split
         // the length header itself.
-        let Ok(len) = take_u32(bytes, &mut pos, "record length") else {
-            return Scan {
-                records,
-                valid_len,
-                end: ScanEnd::Torn,
-            };
+        let Ok(len) = r.u32() else {
+            break ScanEnd::Torn;
         };
         if len > MAX_RECORD {
-            return Scan {
-                records,
-                valid_len,
-                end: ScanEnd::Corrupt(format!("record of {len} bytes exceeds MAX_RECORD")),
-            };
+            break ScanEnd::Corrupt(format!("record of {len} bytes exceeds MAX_RECORD"));
         }
-        let Ok(stored) = take_u64(bytes, &mut pos, "record checksum") else {
-            return Scan {
-                records,
-                valid_len,
-                end: ScanEnd::Torn,
-            };
-        };
-        let Ok(payload) = take(bytes, &mut pos, len as usize, "record payload") else {
-            return Scan {
-                records,
-                valid_len,
-                end: ScanEnd::Torn,
-            };
+        let (Ok(stored), Ok(payload)) = (r.u64(), r.bytes(len as usize)) else {
+            break ScanEnd::Torn;
         };
         let mut h = Fnv64::new();
         h.write(payload);
         if h.finish() != stored {
-            return Scan {
-                records,
-                valid_len,
-                end: ScanEnd::Corrupt("record checksum mismatch".to_string()),
-            };
+            break ScanEnd::Corrupt("record checksum mismatch".to_string());
         }
         match decode_record(payload) {
             Ok(rec) => records.push(rec),
             Err(msg) => {
-                return Scan {
-                    records,
-                    valid_len,
-                    end: ScanEnd::Corrupt(format!("checksum-clean record does not decode: {msg}")),
-                }
+                break ScanEnd::Corrupt(format!("checksum-clean record does not decode: {msg}"))
             }
         }
-        valid_len = pos;
+        valid_len = bytes.len() - r.remaining();
+    };
+    Scan {
+        records,
+        valid_len,
+        end,
     }
 }
 
@@ -843,10 +777,10 @@ mod tests {
         for i in 0..4 {
             let rec = sample_record(i);
             let frame = encode_record(&rec);
-            let mut pos = 0usize;
-            let len = take_u32(&frame, &mut pos, "len").unwrap() as usize;
-            let _sum = take_u64(&frame, &mut pos, "sum").unwrap();
-            let payload = take(&frame, &mut pos, len, "payload").unwrap();
+            let mut r = wire::Reader::new(&frame);
+            let len = r.u32().unwrap() as usize;
+            let _sum = r.u64().unwrap();
+            let payload = r.bytes(len).unwrap();
             assert_eq!(decode_record(payload).unwrap(), rec);
         }
     }

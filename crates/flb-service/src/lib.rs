@@ -15,7 +15,7 @@
 //! Ingress is governed by an overload-resilience layer ([`overload`]):
 //! requests carry a tenant identity (explicit, or anonymous per
 //! connection), each tenant is admission-controlled by a token bucket
-//! and served from a weighted-fair queue, a graduated governor
+//! and served from a round-robin fair queue, a graduated governor
 //! (Healthy → Shedding → Emergency) sheds over-quota work first with a
 //! structured `overloaded` reply, and a per-tenant circuit breaker
 //! quarantines tenants whose requests repeatedly panic or blow

@@ -1,4 +1,4 @@
-//! Overload resilience: per-tenant admission control, weighted-fair
+//! Overload resilience: per-tenant admission control, fair
 //! queueing, graduated load shedding, and per-tenant circuit breaking.
 //!
 //! The daemon's original ingress was a single bounded FIFO: under
@@ -16,11 +16,11 @@
 //! * **Token buckets** ([`TokenBucket`]) — each tenant refills at a
 //!   configured rate up to a burst; a request over quota is *sheddable*,
 //!   one within quota is *protected*.
-//! * **Weighted-fair queue** — deficit round robin over per-tenant
-//!   backlogs: each round a tenant may dequeue up to `weight` jobs, so a
-//!   tenant with a thousand queued jobs cannot delay another's single
-//!   job by more than one round. The queue is work-conserving: `pop`
-//!   always serves *someone* while any backlog is non-empty.
+//! * **Fair queue** — round robin over per-tenant backlogs: each round a
+//!   tenant dequeues one job, so a tenant with a thousand queued jobs
+//!   cannot delay another's single job by more than one round. The queue
+//!   is work-conserving: `pop` always serves *someone* while any backlog
+//!   is non-empty.
 //! * **Graduated shedding** — an overload governor walks
 //!   `Healthy → Shedding → Emergency` on queue depth and the EWMA of
 //!   observed queue wait, with hysteresis and a minimum dwell so the
@@ -532,10 +532,6 @@ struct Tenant<T> {
     bucket: TokenBucket,
     breaker: Breaker,
     backlog: VecDeque<(T, u64)>,
-    /// DRR deficit: jobs this tenant may still dequeue this round.
-    credit: u64,
-    /// DRR quantum: jobs per round (1 = plain round robin).
-    weight: u64,
     in_active: bool,
     admitted: u64,
     shed: u64,
@@ -552,8 +548,6 @@ impl<T> Tenant<T> {
             bucket,
             breaker: Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms * 1_000),
             backlog: VecDeque::new(),
-            credit: 0,
-            weight: 1,
             in_active: false,
             admitted: 0,
             shed: 0,
@@ -587,7 +581,7 @@ impl Accum {
 pub struct OverloadCtl<T> {
     cfg: OverloadConfig,
     tenants: HashMap<TenantId, Tenant<T>>,
-    /// DRR rotation of tenants with non-empty backlogs.
+    /// Round-robin rotation of tenants with non-empty backlogs.
     active: VecDeque<TenantId>,
     depth: usize,
     state: OverloadState,
@@ -649,18 +643,6 @@ impl<T> OverloadCtl<T> {
     #[must_use]
     pub fn ewma_wait_us(&self) -> u64 {
         self.ewma_wait_us
-    }
-
-    /// Sets a tenant's DRR weight (jobs per fair-queue round). Exists
-    /// for tests and future wire support; the CLI currently leaves every
-    /// tenant at weight 1.
-    pub fn set_weight(&mut self, id: &TenantId, weight: u64, now_us: u64) {
-        let cfg = self.cfg.clone();
-        let t = self
-            .tenants
-            .entry(id.clone())
-            .or_insert_with(|| Tenant::new(&cfg, now_us));
-        t.weight = weight.max(1);
     }
 
     /// Advances the governor: depth- and wait-driven transitions with
@@ -817,7 +799,7 @@ impl<T> OverloadCtl<T> {
         Decision::Admitted
     }
 
-    /// Dequeues the next job tenant-fairly (deficit round robin), or
+    /// Dequeues the next job tenant-fairly (round robin), or
     /// `None` when every backlog is empty. Work-conserving: returns
     /// `Some` whenever [`depth`](Self::depth) is non-zero.
     pub fn pop(&mut self, now_us: u64) -> Option<Popped<T>> {
@@ -828,20 +810,12 @@ impl<T> OverloadCtl<T> {
             };
             let Some((item, enq_us)) = t.backlog.pop_front() else {
                 t.in_active = false;
-                t.credit = 0;
                 continue;
             };
-            if t.credit == 0 {
-                t.credit = t.weight.max(1);
-            }
-            t.credit -= 1;
             let wait_us = now_us.saturating_sub(enq_us);
             t.waits.record(wait_us);
             if t.backlog.is_empty() {
                 t.in_active = false;
-                t.credit = 0;
-            } else if t.credit > 0 {
-                self.active.push_front(id.clone());
             } else {
                 self.active.push_back(id.clone());
             }
@@ -1157,21 +1131,6 @@ mod tests {
         let order: Vec<String> =
             std::iter::from_fn(|| ctl.pop(1).map(|p| p.tenant.to_string())).collect();
         assert_eq!(order, ["a", "b", "a", "a"]);
-    }
-
-    #[test]
-    fn drr_weight_grants_a_larger_share() {
-        let mut ctl: OverloadCtl<u32> = OverloadCtl::new(cfg(64));
-        let (a, b) = (named("a"), named("b"));
-        ctl.set_weight(&a, 2, 0);
-        for i in 0..4 {
-            ctl.offer(&a, i, 0);
-            ctl.offer(&b, 100 + i, 0);
-        }
-        let order: Vec<String> =
-            std::iter::from_fn(|| ctl.pop(1).map(|p| p.tenant.to_string())).collect();
-        // Weight 2 serves two of a's jobs per round to b's one.
-        assert_eq!(order, ["a", "a", "b", "a", "a", "b", "b", "b"]);
     }
 
     #[test]

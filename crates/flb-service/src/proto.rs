@@ -21,7 +21,7 @@
 //! table), so a decoder reading an older peer's frame sees them absent
 //! and fills in defaults — old field order is never disturbed.
 
-use crate::fingerprint::ScheduleFields;
+use crate::fingerprint::{edge_records, ScheduleFields};
 use crate::metrics::{StatsSnapshot, TenantStat};
 use crate::overload::{OverloadState, MAX_TENANT_NAME};
 use flb_core::{AlgorithmId, ScheduleRequest};
@@ -225,19 +225,24 @@ pub struct FlatScheduleRequest {
 }
 
 /// Decodes an FLB schedule request into [`FlatGraph`] form, with no
-/// `TaskGraph` in between.
+/// `TaskGraph` in between: `flat_request` of the payload's split.
 ///
-/// Accepts only payloads [`decode_request`] accepts too. The fields
-/// around the machine and graph are checked as the cache-key peek checks
-/// them (`ScheduleFields::split`), the machine as `wire::get_machine` checks
+/// Accepts exactly the FLB payloads [`decode_request`] accepts, in any
+/// edge order, and builds the same request. The fields around the
+/// machine and graph are checked as the cache-key peek checks them
+/// (`ScheduleFields::split`), the machine as `wire::get_machine` checks
 /// it, and the graph by [`FlatGraph::from_sorted_edges`], which rejects
-/// everything the graph builder rejects. Edges out of the canonical wire
-/// order (strictly ascending source, then target) and requests for other
-/// algorithms are declined too. The caller then decodes with
-/// [`decode_request`], so every error reply is its.
+/// everything the graph builder rejects. Requests for other algorithms
+/// are declined.
 #[must_use]
 pub fn decode_flat_request(payload: &[u8]) -> Option<FlatScheduleRequest> {
-    let f = ScheduleFields::split(payload)?;
+    flat_request(&ScheduleFields::split(payload)?)
+}
+
+/// Builds the FLB request a split payload holds, or `None` when it asks
+/// for another algorithm or does not decode. The daemon then answers
+/// with [`decode_request`]'s error, so every error reply is its.
+pub(crate) fn flat_request(f: &ScheduleFields<'_>) -> Option<FlatScheduleRequest> {
     if f.algorithm != AlgorithmId::Flb {
         return None;
     }
@@ -247,11 +252,7 @@ pub fn decode_flat_request(payload: &[u8]) -> Option<FlatScheduleRequest> {
         return None;
     }
     let comp = f.costs.chunks_exact(8).map_while(le_u64).collect();
-    let edges = f
-        .edges
-        .chunks_exact(16)
-        .map_while(|rec| Some(u128::from_le_bytes(rec.try_into().ok()?)))
-        .map(|x| (x as u32, (x >> 32) as u32, (x >> 64) as u64));
+    let edges = edge_records(&f.edges).map(|x| (x as u32, (x >> 32) as u32, (x >> 64) as u64));
     let graph = FlatGraph::from_sorted_edges(f.name, comp, f.edges.len() / 16, edges).ok()?;
     Some(FlatScheduleRequest {
         graph,

@@ -15,20 +15,21 @@
 //! `no-panic-in-request-path`): it must stay free of panics so a
 //! hostile or stale trace can never crash the replay rig.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::io::{self, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use crate::journal::{self, JournalRecord};
 use crate::metrics::LatencyHistogram;
 use crate::proto::{read_frame, write_frame, Response};
-use crate::server::Endpoint;
+use crate::server::{Endpoint, Stream};
 
 /// How many times a busy/overloaded/breaker answer is retried before
 /// the record is counted as an error.
 const MAX_RETRIES: u32 = 50;
+
+/// Per-call read and write timeout of the replay connection.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Per-attempt backoff ceiling, so a hostile `retry_after_ms` hint in
 /// a reply cannot stall the replay.
@@ -115,61 +116,8 @@ impl ReplayReport {
     }
 }
 
-/// A raw frame-level connection (the replay sends recorded payloads
-/// verbatim, so the typed [`crate::Client`] is the wrong tool).
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn connect(endpoint: &Endpoint) -> io::Result<Conn> {
-        let conn = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let s = TcpStream::connect(addr)?;
-                s.set_nodelay(true)?;
-                s.set_read_timeout(Some(Duration::from_secs(10)))?;
-                s.set_write_timeout(Some(Duration::from_secs(10)))?;
-                Conn::Tcp(s)
-            }
-            Endpoint::Unix(path) => {
-                let s = UnixStream::connect(path)?;
-                s.set_read_timeout(Some(Duration::from_secs(10)))?;
-                s.set_write_timeout(Some(Duration::from_secs(10)))?;
-                Conn::Unix(s)
-            }
-        };
-        Ok(conn)
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// One request/response exchange; decodes the response payload.
-fn exchange(conn: &mut Conn, payload: &[u8]) -> io::Result<Response> {
+fn exchange(conn: &mut Stream, payload: &[u8]) -> io::Result<Response> {
     write_frame(conn, payload)?;
     conn.flush()?;
     match read_frame(conn)? {
@@ -193,7 +141,7 @@ enum One {
 }
 
 /// Replays one record, absorbing bounded busy/shed backpressure.
-fn replay_one(conn: &mut Conn, rec: &JournalRecord) -> One {
+fn replay_one(conn: &mut Stream, rec: &JournalRecord) -> One {
     for _ in 0..=MAX_RETRIES {
         let started = Instant::now();
         let resp = match exchange(conn, &rec.request) {
@@ -241,7 +189,7 @@ pub fn replay_records(
     let latency = LatencyHistogram::default();
     let started = Instant::now();
     let base_ts = records.first().map_or(0, |r| r.ts_us);
-    let mut conn = match Conn::connect(endpoint) {
+    let mut conn = match Stream::connect(endpoint, Some(IO_TIMEOUT)) {
         Ok(c) => Some(c),
         Err(e) => {
             report.errors = records.len() as u64;
@@ -266,7 +214,7 @@ pub fn replay_records(
             None => One::Io(io::Error::new(io::ErrorKind::NotConnected, "no connection")),
         };
         if let One::Io(_) = outcome {
-            conn = Conn::connect(endpoint).ok();
+            conn = Stream::connect(endpoint, Some(IO_TIMEOUT)).ok();
             if let Some(c) = conn.as_mut() {
                 outcome = replay_one(c, rec);
             }

@@ -3,20 +3,21 @@
 //!
 //! Request flow for `schedule`:
 //!
-//! 1. the connection thread reads the cache key straight off the payload
-//!    bytes ([`peek_request_key`]) and probes the cache. A hit is
+//! 1. the connection thread splits the payload once, reads the cache key
+//!    straight off its bytes (as
+//!    [`peek_request_key`](crate::peek_request_key) does) and probes the
+//!    cache. A hit is
 //!    answered immediately: no decode, no graph, no queue. The reply is
 //!    encoded from the cached schedule into one frame and sent with one
 //!    write (this is the "repeated workloads skip scheduling entirely"
 //!    path, and it keeps working even while the queue is saturated);
-//! 2. otherwise the payload is decoded, and the miss is pushed onto the
-//!    bounded queue; when the queue is full the client gets a `busy`
-//!    response with a retry hint instead of blocking the daemon
-//!    (backpressure, never a hang). An FLB request is decoded straight
-//!    into the kernel's CSR form ([`decode_flat_request`]); everything
-//!    else, and any payload that decoder declines, goes through
-//!    [`decode_request`] into a `TaskGraph` (a payload the peek declined
-//!    is keyed by [`request_fingerprint`] now, and may still hit);
+//! 2. otherwise the miss is pushed onto the bounded queue; when the
+//!    queue is full the client gets a `busy` response with a retry hint
+//!    instead of blocking the daemon (backpressure, never a hang). An FLB
+//!    request is built straight into the kernel's CSR form from the same
+//!    split the key was read from (`proto::flat_request`); every other
+//!    algorithm goes through [`decode_request`] into a `TaskGraph`. A
+//!    payload that does not build gets `decode_request`'s error reply;
 //! 3. a worker pops the job, drops it with an `expired` response if its
 //!    deadline passed while it queued, otherwise runs the scheduler,
 //!    populates the cache and hands the schedule back to the connection
@@ -50,17 +51,18 @@
 //!   boot; a corrupt snapshot is quarantined, never fatal.
 
 use crate::cache::ShardedLru;
-use crate::fingerprint::{peek_request_key, request_fingerprint};
+use crate::fingerprint::ScheduleFields;
 use crate::journal::{self, SyncPolicy};
 use crate::metrics::{Gauges, Metrics};
 use crate::overload::{Decision, OverloadConfig, OverloadCtl, ShedPolicy, TenantId};
 use crate::proto::{
-    decode_flat_request, decode_request, read_frame, write_response, write_schedule_reply, Request,
+    decode_request, flat_request, read_frame, write_response, write_schedule_reply, Request,
     Response, RESP_SCHEDULE,
 };
 use crate::snapshot::{self, SnapshotError};
 use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
 use flb_kernel::{FlatGraph, FlbKernel};
+use flb_sched::io::wire::WireError;
 use flb_sched::{Machine, Schedule};
 use parking_lot::{Condvar, Mutex};
 use std::io;
@@ -211,29 +213,69 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// The two stream flavours the daemon serves, with timeout control.
-pub(crate) trait Transport: io::Read + io::Write + Send + 'static {
+/// A connected stream of either flavour: what the daemon serves, and
+/// what the client, the replay and the chaos rig connect with.
+pub(crate) enum Stream {
+    Tcp(TcpStream),
+    Unix(UnixStream),
+}
+
+impl Stream {
+    /// Connects to `endpoint` (TCP with Nagle off), with `timeout` as the
+    /// per-call read and write timeout (`None` blocks indefinitely).
+    pub(crate) fn connect(endpoint: &Endpoint, timeout: Option<Duration>) -> io::Result<Stream> {
+        let stream = match endpoint {
+            Endpoint::Tcp(addr) => {
+                let s = TcpStream::connect(addr)?;
+                s.set_nodelay(true)?;
+                Stream::Tcp(s)
+            }
+            Endpoint::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+        };
+        stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)?;
+        Ok(stream)
+    }
+
     /// Sets the per-call read timeout (`None` blocks indefinitely).
-    fn set_read_deadline(&self, t: Option<Duration>) -> io::Result<()>;
+    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(t),
+            Stream::Unix(s) => s.set_read_timeout(t),
+        }
+    }
+
     /// Sets the per-call write timeout (`None` blocks indefinitely).
-    fn set_write_deadline(&self, t: Option<Duration>) -> io::Result<()>;
-}
-
-impl Transport for TcpStream {
-    fn set_read_deadline(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(t)
-    }
-    fn set_write_deadline(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_write_timeout(t)
+    fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(t),
+            Stream::Unix(s) => s.set_write_timeout(t),
+        }
     }
 }
 
-impl Transport for UnixStream {
-    fn set_read_deadline(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_read_timeout(t)
+impl io::Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.read(buf),
+            Stream::Unix(s) => s.read(buf),
+        }
     }
-    fn set_write_deadline(&self, t: Option<Duration>) -> io::Result<()> {
-        self.set_write_timeout(t)
+}
+
+impl io::Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.flush(),
+            Stream::Unix(s) => s.flush(),
+        }
     }
 }
 
@@ -255,15 +297,15 @@ fn ms(v: u64) -> Option<Duration> {
     (v > 0).then(|| Duration::from_millis(v))
 }
 
-/// A transport wrapper enforcing deadline-aware I/O.
+/// A stream wrapper enforcing deadline-aware I/O.
 ///
 /// Per-call socket timeouts bound each `read(2)`/`write(2)`, but a client
 /// trickling one byte per window resets them forever. The wrapper
 /// additionally tracks when the current frame started (first byte read,
 /// or `begin_write`) and shrinks the per-call timeout to the remaining
 /// frame budget, so the *total* time per frame is bounded.
-struct DeadlineConn<S: Transport> {
-    inner: S,
+struct DeadlineConn {
+    inner: Stream,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     frame_deadline: Option<Duration>,
@@ -274,8 +316,8 @@ struct DeadlineConn<S: Transport> {
     write_start: Option<Instant>,
 }
 
-impl<S: Transport> DeadlineConn<S> {
-    fn new(inner: S, cfg: &ServiceConfig) -> Self {
+impl DeadlineConn {
+    fn new(inner: Stream, cfg: &ServiceConfig) -> Self {
         DeadlineConn {
             inner,
             read_timeout: ms(cfg.read_timeout_ms),
@@ -318,13 +360,13 @@ impl<S: Transport> DeadlineConn<S> {
     }
 }
 
-impl<S: Transport> io::Read for DeadlineConn<S> {
+impl io::Read for DeadlineConn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self.read_start {
             None => {
                 // Waiting for a frame to start: only the idle timeout
                 // applies, and a well-behaved client may sit here forever.
-                self.inner.set_read_deadline(self.idle_timeout)?;
+                self.inner.set_read_timeout(self.idle_timeout)?;
                 let n = self.inner.read(buf)?;
                 if n > 0 {
                     self.read_start = Some(Instant::now());
@@ -333,20 +375,20 @@ impl<S: Transport> io::Read for DeadlineConn<S> {
             }
             Some(t0) => {
                 let budget = self.call_budget(t0, self.read_timeout, "read frame")?;
-                self.inner.set_read_deadline(budget)?;
+                self.inner.set_read_timeout(budget)?;
                 self.inner.read(buf)
             }
         }
     }
 }
 
-impl<S: Transport> io::Write for DeadlineConn<S> {
+impl io::Write for DeadlineConn {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         let budget = match self.write_start {
             Some(t0) => self.call_budget(t0, self.write_timeout, "write frame")?,
             None => self.write_timeout,
         };
-        self.inner.set_write_deadline(budget)?;
+        self.inner.set_write_timeout(budget)?;
         self.inner.write(buf)
     }
 
@@ -368,13 +410,13 @@ enum WorkerReply {
 
 /// What a job schedules.
 enum Work {
-    /// An FLB request decoded straight into the kernel's CSR form.
+    /// An FLB request built straight into the kernel's CSR form.
     Flat {
         graph: Box<FlatGraph>,
         machine: Machine,
     },
-    /// A request decoded into a `TaskGraph`: the baselines, and FLB
-    /// requests whose edges were not in canonical wire order.
+    /// A request [`decode_request`] decoded into a `TaskGraph`: every
+    /// algorithm but FLB.
     Graph(Box<ScheduleRequest>),
 }
 
@@ -424,7 +466,7 @@ struct Shared {
     endpoint: Endpoint,
     cache: ShardedLru<Arc<Schedule>>,
     metrics: Metrics,
-    /// Admission control + weighted-fair queue (replaces the old FIFO).
+    /// Admission control + tenant-fair queue (replaces the old FIFO).
     /// Named lock class: acquisition order is checked by `lockcheck`
     /// builds and the flb-analyze `lock-order` rule.
     queue: Mutex<OverloadCtl<Job>>,
@@ -676,36 +718,63 @@ fn cache_hit(shared: &Shared, schedule: Arc<Schedule>, t0: Instant) -> Reply {
 
 /// The tenant a request is accounted to: its name, or else the
 /// connection it came in on.
-fn tenant_id(tenant: String, conn_id: u64) -> TenantId {
+fn tenant_id(tenant: &str, conn_id: u64) -> TenantId {
     if tenant.is_empty() {
         TenantId::Anon(conn_id)
     } else {
-        TenantId::Named(tenant)
+        TenantId::Named(tenant.to_owned())
     }
 }
 
-/// Serves one decoded schedule request end-to-end under cache key
-/// `key`. The peek has already probed the cache under that key and
-/// missed, unless `probe` is set: the peek declined the payload, and the
-/// key was computed from the decoded request.
+/// Answers a split schedule request whose service started at `t0`: from
+/// the cache on a hit, otherwise by building its work and queueing it.
+/// An FLB request is built from the split itself, every other algorithm
+/// by [`decode_request`]. `Err` is `decode_request`'s verdict on a payload
+/// that splits but does not build; nothing is counted then.
+fn schedule_reply(
+    shared: &Shared,
+    f: &ScheduleFields<'_>,
+    payload: &[u8],
+    conn_id: u64,
+    t0: Instant,
+) -> Result<Reply, WireError> {
+    let key = f.key();
+    if let Some(schedule) = shared.cache.get(key) {
+        Metrics::bump(&shared.metrics.requests);
+        count_schedule_request(shared, f.algorithm);
+        return Ok(cache_hit(shared, schedule, t0));
+    }
+    let work = match flat_request(f) {
+        Some(req) => Work::Flat {
+            graph: Box::new(req.graph),
+            machine: req.machine,
+        },
+        // A payload that splits is a schedule request, so decoding it
+        // either fails or yields one.
+        None => match decode_request(payload)? {
+            Request::Schedule { request, .. } => Work::Graph(request),
+            _ => return Err(WireError::Malformed("not a schedule request".into())),
+        },
+    };
+    Metrics::bump(&shared.metrics.requests);
+    let tenant = tenant_id(f.tenant, conn_id);
+    Ok(serve_schedule(shared, work, key, f.deadline_ms, &tenant))
+}
+
+/// Serves one cache miss end-to-end under cache key `key`.
 ///
-/// Cache hits bypass admission entirely — answering from memory costs
-/// the daemon almost nothing, so quotas only govern the expensive path.
+/// Cache hits never get here: they bypass admission entirely — answering
+/// from memory costs the daemon almost nothing, so quotas only govern
+/// the expensive path.
 fn serve_schedule(
     shared: &Shared,
     work: Work,
     key: u64,
-    probe: bool,
     deadline_ms: u64,
     tenant: &TenantId,
 ) -> Reply {
     let t0 = Instant::now();
     count_schedule_request(shared, work.algorithm());
-    if probe {
-        if let Some(schedule) = shared.cache.get(key) {
-            return cache_hit(shared, schedule, t0);
-        }
-    }
     Metrics::bump(&shared.metrics.cache_misses);
 
     let busy = Reply::Other(Response::Busy {
@@ -755,9 +824,17 @@ fn serve_schedule(
     }
 }
 
+/// Counts an erroneous request and answers it with `msg`; the caller
+/// then closes the connection.
+fn reject(shared: &Shared, conn: &mut DeadlineConn, msg: impl ToString) {
+    Metrics::bump(&shared.metrics.errors);
+    conn.begin_write();
+    let _ = write_response(conn, &Response::Error(msg.to_string()));
+}
+
 /// Protocol loop for one accepted connection. `conn_id` seeds the
 /// anonymous tenant identity for requests that carry no tenant name.
-fn connection_loop<S: Transport>(shared: &Arc<Shared>, conn: &mut DeadlineConn<S>, conn_id: u64) {
+fn connection_loop(shared: &Arc<Shared>, conn: &mut DeadlineConn, conn_id: u64) {
     loop {
         conn.begin_read();
         // The frame is read raw and decoded separately so the payload
@@ -774,87 +851,46 @@ fn connection_loop<S: Transport>(shared: &Arc<Shared>, conn: &mut DeadlineConn<S
                 let _ = write_response(conn, &Response::Error("i/o deadline exceeded".into()));
                 return;
             }
-            Err(e) => {
-                Metrics::bump(&shared.metrics.errors);
-                conn.begin_write();
-                let _ = write_response(conn, &Response::Error(e.to_string()));
-                return;
-            }
+            Err(e) => return reject(shared, conn, e),
         };
-        // The hit path: key the payload bytes and answer from the cache
-        // before anything is decoded.
         let t0 = Instant::now();
-        let peeked = peek_request_key(&payload);
-        let hit = peeked.and_then(|p| Some((p.algorithm, shared.cache.get(p.key)?)));
-        // An FLB miss the peek keyed decodes straight into CSR.
-        let flat = match peeked {
-            Some(p) if hit.is_none() && p.algorithm == AlgorithmId::Flb => {
-                decode_flat_request(&payload).map(|req| (p.key, req))
-            }
-            _ => None,
-        };
-        let (reply, ts_us, journal_this) = if let Some((alg, schedule)) = hit {
-            Metrics::bump(&shared.metrics.requests);
-            let ts_us = shared.now_us();
-            count_schedule_request(shared, alg);
-            (cache_hit(shared, schedule, t0), ts_us, true)
-        } else if let Some((key, req)) = flat {
-            Metrics::bump(&shared.metrics.requests);
-            let ts_us = shared.now_us();
-            let work = Work::Flat {
-                graph: Box::new(req.graph),
-                machine: req.machine,
-            };
-            let id = tenant_id(req.tenant, conn_id);
-            let reply = serve_schedule(shared, work, key, false, req.deadline_ms, &id);
-            (reply, ts_us, true)
-        } else {
-            let request = match decode_request(&payload) {
-                Ok(req) => req,
-                Err(e) => {
-                    Metrics::bump(&shared.metrics.errors);
-                    conn.begin_write();
-                    let _ = write_response(conn, &Response::Error(e.to_string()));
-                    return;
-                }
-            };
-            Metrics::bump(&shared.metrics.requests);
-            let ts_us = shared.now_us();
-            match request {
-                Request::Ping => (Reply::Other(Response::Pong), ts_us, false),
-                Request::Stats => {
-                    let (gauges, per_tenant) = shared.stats_view();
-                    let stats = shared.metrics.snapshot(gauges, per_tenant);
-                    (Reply::Other(Response::Stats(Box::new(stats))), ts_us, false)
-                }
-                Request::Shutdown => {
-                    // Answer the client *before* tearing the daemon down:
-                    // once the flag is set, the accept loop and workers
-                    // exit and the process may finish before a late write
-                    // reaches the wire.
-                    conn.begin_write();
-                    let _ = write_response(conn, &Response::ShuttingDown);
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    shared.job_ready.notify_all();
-                    nudge_accept_loop(&shared.endpoint);
-                    return;
-                }
-                Request::Schedule {
-                    request,
-                    deadline_ms,
-                    tenant,
-                } => {
-                    let id = tenant_id(tenant, conn_id);
-                    let (key, probe) = match peeked {
-                        Some(p) => (p.key, false),
-                        None => {
-                            let r = &request;
-                            (request_fingerprint(r.algorithm, &r.graph, &r.machine), true)
-                        }
-                    };
-                    let work = Work::Graph(request);
-                    let reply = serve_schedule(shared, work, key, probe, deadline_ms, &id);
-                    (reply, ts_us, true)
+        let ts_us = shared.now_us();
+        // A schedule request is split once: its key, the cache lookup
+        // and an FLB miss's CSR graph all come from that split.
+        let (reply, journal_this) = match ScheduleFields::split(&payload) {
+            Some(f) => match schedule_reply(shared, &f, &payload, conn_id, t0) {
+                Ok(reply) => (reply, true),
+                Err(e) => return reject(shared, conn, e),
+            },
+            None => {
+                let request = match decode_request(&payload) {
+                    Ok(req) => req,
+                    Err(e) => return reject(shared, conn, e),
+                };
+                Metrics::bump(&shared.metrics.requests);
+                match request {
+                    Request::Ping => (Reply::Other(Response::Pong), false),
+                    Request::Stats => {
+                        let (gauges, per_tenant) = shared.stats_view();
+                        let stats = shared.metrics.snapshot(gauges, per_tenant);
+                        (Reply::Other(Response::Stats(Box::new(stats))), false)
+                    }
+                    Request::Shutdown => {
+                        // Answer the client *before* tearing the daemon
+                        // down: once the flag is set, the accept loop and
+                        // workers exit and the process may finish before a
+                        // late write reaches the wire.
+                        conn.begin_write();
+                        let _ = write_response(conn, &Response::ShuttingDown);
+                        shared.shutdown.store(true, Ordering::SeqCst);
+                        shared.job_ready.notify_all();
+                        nudge_accept_loop(&shared.endpoint);
+                        return;
+                    }
+                    // Every schedule payload that decodes also splits.
+                    Request::Schedule { .. } => {
+                        return reject(shared, conn, "schedule request does not split")
+                    }
                 }
             }
         };
@@ -888,6 +924,20 @@ fn connection_loop<S: Transport>(shared: &Arc<Shared>, conn: &mut DeadlineConn<S
 enum Listener {
     Tcp(TcpListener),
     Unix(UnixListener, PathBuf),
+}
+
+impl Listener {
+    /// Waits for the next connection; a TCP one gets Nagle off.
+    fn accept(&self) -> io::Result<Stream> {
+        match self {
+            Listener::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                let _ = s.set_nodelay(true);
+                Ok(Stream::Tcp(s))
+            }
+            Listener::Unix(l, _) => Ok(Stream::Unix(l.accept()?.0)),
+        }
+    }
 }
 
 /// A running service instance.
@@ -962,12 +1012,6 @@ impl ServiceHandle {
         }
     }
 
-    /// Whether shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Connections currently open (a gauge, for diagnostics).
     #[must_use]
     pub fn open_connections(&self) -> u64 {
@@ -984,17 +1028,10 @@ impl ServiceHandle {
 
 /// Pokes the (blocking) accept loop so it observes the shutdown flag.
 fn nudge_accept_loop(endpoint: &Endpoint) {
-    match endpoint {
-        Endpoint::Tcp(addr) => {
-            let _ = TcpStream::connect(addr);
-        }
-        Endpoint::Unix(path) => {
-            let _ = UnixStream::connect(path);
-        }
-    }
+    let _ = Stream::connect(endpoint, None);
 }
 
-fn spawn_connection<S: Transport>(shared: &Arc<Shared>, stream: S) {
+fn spawn_connection(shared: &Arc<Shared>, stream: Stream) {
     let shared = Arc::clone(shared);
     shared.open_connections.fetch_add(1, Ordering::SeqCst);
     let conn_id = shared.next_anon.fetch_add(1, Ordering::SeqCst);
@@ -1193,33 +1230,17 @@ pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> io::Result<ServiceHandl
     let accept = {
         let shared = Arc::clone(&shared);
         thread::spawn(move || {
-            match listener {
-                Listener::Tcp(listener) => {
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match stream {
-                            Ok(s) => {
-                                let _ = s.set_nodelay(true);
-                                spawn_connection(&shared, s);
-                            }
-                            Err(_) => continue,
-                        }
-                    }
+            loop {
+                let stream = listener.accept();
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    break;
                 }
-                Listener::Unix(listener, path) => {
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        match stream {
-                            Ok(s) => spawn_connection(&shared, s),
-                            Err(_) => continue,
-                        }
-                    }
-                    let _ = std::fs::remove_file(path);
+                if let Ok(s) = stream {
+                    spawn_connection(&shared, s);
                 }
+            }
+            if let Listener::Unix(_, path) = &listener {
+                let _ = std::fs::remove_file(path);
             }
             // Wake every worker so they observe the flag and exit.
             shared.shutdown.store(true, Ordering::SeqCst);

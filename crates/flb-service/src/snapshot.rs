@@ -78,87 +78,54 @@ pub fn encode(entries: &[(u64, Arc<Schedule>)]) -> Vec<u8> {
     out
 }
 
-fn take<'a>(
-    buf: &'a [u8],
-    pos: &mut usize,
-    n: usize,
-    what: &str,
-) -> Result<&'a [u8], SnapshotError> {
-    let end = pos
-        .checked_add(n)
-        .filter(|&e| e <= buf.len())
-        .ok_or_else(|| corrupt(format!("truncated while reading {what}")))?;
-    // flb-analyze: allow(no-panic-in-request-path, reason="end = pos + n checked against buf.len() with overflow-safe checked_add above")
-    let slice = &buf[*pos..end];
-    *pos = end;
-    Ok(slice)
-}
-
-fn take_u32(buf: &[u8], pos: &mut usize, what: &str) -> Result<u32, SnapshotError> {
-    Ok(u32::from_le_bytes(
-        // flb-analyze: allow(no-panic-in-request-path, reason="take() returned exactly 4 bytes; try_into to [u8; 4] is infallible")
-        take(buf, pos, 4, what)?.try_into().expect("4 bytes"),
-    ))
-}
-
-fn take_u64(buf: &[u8], pos: &mut usize, what: &str) -> Result<u64, SnapshotError> {
-    Ok(u64::from_le_bytes(
-        // flb-analyze: allow(no-panic-in-request-path, reason="take() returned exactly 8 bytes; try_into to [u8; 8] is infallible")
-        take(buf, pos, 8, what)?.try_into().expect("8 bytes"),
-    ))
-}
-
 /// Parses and validates snapshot bytes.
 pub fn decode(bytes: &[u8]) -> Result<Vec<(u64, Schedule)>, SnapshotError> {
-    if bytes.len() < 20 {
+    let Some((body, stored)) = bytes.split_last_chunk::<8>() else {
         return Err(corrupt(format!("{} bytes is too short", bytes.len())));
-    }
+    };
     // Checksum first: it covers everything else, so all later parse
     // errors on a checksum-clean file indicate a version/logic mismatch
     // rather than bit rot.
-    // flb-analyze: allow(no-panic-in-request-path, reason="bytes.len() >= 20 was rejected above, so len - 8 is in bounds")
-    let body = &bytes[..bytes.len() - 8];
-    // flb-analyze: allow(no-panic-in-request-path, reason="same >= 20 length guard; the final 8-byte slice converts infallibly")
-    let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
     let mut h = Fnv64::new();
     h.write(body);
-    if h.finish() != stored {
+    if h.finish() != u64::from_le_bytes(*stored) {
         return Err(corrupt("checksum mismatch"));
     }
 
-    let mut pos = 0usize;
-    let magic = take_u32(body, &mut pos, "magic")?;
+    let mut r = wire::Reader::new(body);
+    let truncated = |e: wire::WireError| corrupt(e.to_string());
+    let magic = r.u32().map_err(truncated)?;
     if magic != SNAPSHOT_MAGIC {
         return Err(corrupt(format!("bad magic {magic:#010x}")));
     }
-    let version = take_u32(body, &mut pos, "version")?;
+    let version = r.u32().map_err(truncated)?;
     if version != SNAPSHOT_VERSION {
         return Err(corrupt(format!("unsupported version {version}")));
     }
-    let count = take_u32(body, &mut pos, "entry count")? as usize;
+    let count = r.u32().map_err(truncated)? as usize;
     // Each entry needs at least its 12-byte header: bounds the loop
     // before any allocation on a hostile count.
-    if count > (body.len() - pos) / 12 {
+    if count > r.remaining() / 12 {
         return Err(corrupt(format!("entry count {count} exceeds file size")));
     }
     let mut entries = Vec::with_capacity(count);
     for i in 0..count {
-        let fp = take_u64(body, &mut pos, "fingerprint")?;
-        let len = take_u32(body, &mut pos, "entry length")? as usize;
+        let fp = r.u64().map_err(truncated)?;
+        let len = r.u32().map_err(truncated)? as usize;
         if len > MAX_FRAME as usize {
             return Err(corrupt(format!(
                 "entry {i} of {len} bytes exceeds MAX_FRAME"
             )));
         }
-        let raw = take(body, &mut pos, len, "schedule bytes")?;
+        let raw = r.bytes(len).map_err(truncated)?;
         let schedule = wire::decode_schedule(raw)
             .map_err(|e| corrupt(format!("entry {i} does not decode: {e}")))?;
         entries.push((fp, schedule));
     }
-    if pos != body.len() {
+    if r.remaining() != 0 {
         return Err(corrupt(format!(
             "{} trailing bytes after the last entry",
-            body.len() - pos
+            r.remaining()
         )));
     }
     Ok(entries)

@@ -1,12 +1,12 @@
-//! The flat decoder (`proto::decode_flat_request`) is never more
-//! permissive than `proto::decode_request`, and what it decodes schedules
-//! exactly as the `flb_core` oracle does:
+//! The flat decoder (`proto::decode_flat_request`) accepts exactly the
+//! FLB payloads `proto::decode_request` accepts, and what it decodes
+//! schedules exactly as the `flb_core` oracle does:
 //!
 //! * (a) over generated graphs (ids in any order), machines and tenants,
-//!   with edges in canonical and shuffled order: whenever the flat decode
-//!   accepts a payload, `decode_request` accepts it too, the peeked key is
-//!   `request_fingerprint` of the decoded request, and the daemon's
-//!   schedule equals `schedule_request` of it;
+//!   with edges in canonical and shuffled order: an FLB payload decodes
+//!   flat to the request `decode_request` makes of it, the peeked key is
+//!   `request_fingerprint` of that request, and the daemon's schedule
+//!   equals `schedule_request` of it;
 //! * (b) bit flips, truncations and extensions of valid payloads: whenever
 //!   the flat decode accepts one, `decode_request` accepts the same bytes
 //!   with the same costs, edges, machine, deadline and tenant;
@@ -14,107 +14,29 @@
 //!   duplicate edge, an unknown task, an empty graph, zero processors, a
 //!   zero slowdown, an over-long tenant) get the error reply bytes of
 //!   `decode_request`'s error;
-//! * (d) an FLB graph named with the panic marker, sent through the flat
+//! * (d) end to end, a problem sent with its edges shuffled is the same
+//!   cache entry as the problem sent in canonical order;
+//! * (e) an FLB graph named with the panic marker, sent through the flat
 //!   path, answers `scheduler panicked`, and the pool respawns a worker
 //!   the hard marker kills.
 
+mod common;
+
+use common::{duplicated_edge, mutate, payload_of, random_request, shuffled_edges};
 use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
-use flb_graph::{TaskGraphBuilder, TaskId};
+use flb_graph::TaskGraphBuilder;
 use flb_kernel::FlbKernel;
 use flb_sched::io::wire::Writer;
 use flb_sched::{Machine, Schedule};
 use flb_service::fingerprint::{peek_request_key, request_fingerprint};
 use flb_service::proto::{
-    decode_flat_request, decode_request, decode_response, encode_request, encode_response,
-    read_frame, write_frame, FlatScheduleRequest, Request, Response,
+    decode_flat_request, decode_request, decode_response, encode_response, read_frame, write_frame,
+    FlatScheduleRequest, Request, Response,
 };
 use flb_service::{serve, Client, Endpoint, ServiceConfig, HARD_PANIC_MARKER, PANIC_MARKER};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-
-/// A random request: a DAG of 1–24 tasks whose ids are a random
-/// permutation of a topological order, a related machine of 1–5
-/// processors, FLB three times in four (any other algorithm otherwise),
-/// a tenant of 0–64 bytes.
-fn random_request(seed: u64) -> (ScheduleRequest, String) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n = rng.random_range(1..25usize);
-    let mut id_of: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        id_of.swap(i, rng.random_range(0..i + 1));
-    }
-    let mut b = TaskGraphBuilder::named(format!("g{}", rng.random_range(0..1000u32)));
-    for _ in 0..n {
-        b.add_task(rng.random_range(1..50u64));
-    }
-    for i in 0..n {
-        for j in i + 1..n {
-            if rng.random_range(0..100u32) < 20 {
-                let (s, d) = (TaskId(id_of[i]), TaskId(id_of[j]));
-                b.add_edge(s, d, rng.random_range(0..40u64)).unwrap();
-            }
-        }
-    }
-    let graph = b.build().unwrap();
-    let procs = rng.random_range(1..6usize);
-    let machine = Machine::related((0..procs).map(|_| rng.random_range(1..4u64)).collect());
-    let alg = if rng.random_range(0..4u32) == 0 {
-        AlgorithmId::ALL[rng.random_range(1..AlgorithmId::ALL.len())]
-    } else {
-        AlgorithmId::Flb
-    };
-    let tenant = "t".repeat(rng.random_range(0..65usize));
-    (ScheduleRequest::new(alg, graph, machine), tenant)
-}
-
-fn payload_of(req: &ScheduleRequest, tenant: &str, deadline_ms: u64) -> Vec<u8> {
-    encode_request(&Request::Schedule {
-        request: Box::new(req.clone()),
-        deadline_ms,
-        tenant: tenant.into(),
-    })
-}
-
-/// The same request with its edge records reordered by `perm_seed`. The
-/// edges sit right before the tenant field: 16 bytes each, then the
-/// 4-byte tenant length and its bytes.
-fn shuffled_edges(payload: &[u8], edges: usize, tenant: &str, perm_seed: u64) -> Vec<u8> {
-    let end = payload.len() - 4 - tenant.len();
-    let start = end - 16 * edges;
-    let mut recs: Vec<&[u8]> = payload[start..end].chunks_exact(16).collect();
-    let mut rng = StdRng::seed_from_u64(perm_seed);
-    for i in (1..recs.len()).rev() {
-        recs.swap(i, rng.random_range(0..i + 1));
-    }
-    let mut out = payload[..start].to_vec();
-    for r in recs {
-        out.extend_from_slice(r);
-    }
-    out.extend_from_slice(&payload[end..]);
-    out
-}
-
-/// One mutation of a valid payload, chosen by `pick`.
-fn mutate(payload: &[u8], pick: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(pick);
-    let mut out = payload.to_vec();
-    match rng.random_range(0..3u32) {
-        0 => {
-            let pos = rng.random_range(0..out.len());
-            out[pos] ^= 1 << rng.random_range(0..8u32);
-        }
-        1 => out.truncate(rng.random_range(0..out.len())),
-        _ => {
-            for _ in 0..rng.random_range(1..9usize) {
-                out.push(rng.random_range(0..256u32) as u8);
-            }
-        }
-    }
-    out
-}
 
 /// The decoded schedule request behind `payload`, if `decode_request`
 /// accepts it as one.
@@ -168,13 +90,13 @@ proptest! {
         let (req, tenant) = random_request(seed);
         let canonical = payload_of(&req, &tenant, seed % 1000);
         let shuffled = shuffled_edges(&canonical, req.graph.num_edges(), &tenant, perm);
-        for (payload, is_canonical) in [(&canonical, true), (&shuffled, shuffled == canonical)] {
+        for payload in [&canonical, &shuffled] {
             let flat = decode_flat_request(payload);
-            if req.algorithm != AlgorithmId::Flb || !is_canonical {
-                prop_assert!(flat.is_none(), "only canonical FLB payloads decode flat");
+            if req.algorithm != AlgorithmId::Flb {
+                prop_assert!(flat.is_none(), "only FLB payloads decode flat");
                 continue;
             }
-            prop_assert!(flat.is_some(), "a canonical FLB payload must decode flat");
+            prop_assert!(flat.is_some(), "an FLB payload decodes flat in any edge order");
             let flat = flat.unwrap();
             let request = assert_same_request(&flat, payload);
             let peeked = peek_request_key(payload).expect("a flat payload is peeked");
@@ -364,17 +286,18 @@ fn the_daemon_serves_generated_requests_as_the_oracle_schedules_them() {
         panic!("loopback server is TCP");
     };
     let mut s = TcpStream::connect(addr).unwrap();
-    let (mut flat, mut graph) = (0, 0);
+    let (mut flat, mut shuffled_flat, mut graph) = (0, 0, 0);
     for seed in 0..48u64 {
         let (req, tenant) = random_request(seed);
         let canonical = payload_of(&req, &tenant, 0);
         let payload = if seed % 3 == 0 {
             shuffled_edges(&canonical, req.graph.num_edges(), &tenant, seed)
         } else {
-            canonical
+            canonical.clone()
         };
         if decode_flat_request(&payload).is_some() {
             flat += 1;
+            shuffled_flat += usize::from(payload != canonical);
         } else {
             graph += 1;
         }
@@ -387,9 +310,74 @@ fn the_daemon_serves_generated_requests_as_the_oracle_schedules_them() {
             other => panic!("seed {seed}: expected a schedule, got {other:?}"),
         }
     }
-    assert!(flat > 10 && graph > 10, "{flat} flat, {graph} graph");
+    assert!(
+        flat > 10 && shuffled_flat > 5 && graph > 5,
+        "{flat} flat ({shuffled_flat} shuffled), {graph} graph"
+    );
     drop(s);
     let mut client = Client::connect(&endpoint).unwrap();
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// The schedule reply to `payload` on a fresh connection: whether it was
+/// cached, and its schedule bytes (everything after the kind, cached and
+/// micros fields).
+fn schedule_reply(endpoint: &Endpoint, payload: &[u8]) -> (bool, Vec<u8>) {
+    let reply = round_trip(endpoint, payload);
+    match decode_response(&reply) {
+        Ok(Response::Schedule { cached, .. }) => (cached, reply[10..].to_vec()),
+        other => panic!("expected a schedule, got {other:?}"),
+    }
+}
+
+#[test]
+fn shuffled_edges_are_the_canonical_problem_on_the_daemon() {
+    let handle = local_server(ServiceConfig::default());
+    let endpoint = handle.endpoint();
+    // A problem with at least three edges, canonical and shuffled.
+    let problem = |alg: AlgorithmId, first_seed: u64| {
+        let (mut req, tenant) = (first_seed..)
+            .map(random_request)
+            .find(|(r, _)| r.graph.num_edges() >= 3)
+            .unwrap();
+        req.algorithm = alg;
+        let edges = req.graph.num_edges();
+        let canonical = payload_of(&req, &tenant, 0);
+        let shuffled = (0..)
+            .map(|perm| shuffled_edges(&canonical, edges, &tenant, perm))
+            .find(|p| *p != canonical)
+            .unwrap();
+        let duplicate = duplicated_edge(&shuffled, edges, &tenant);
+        (canonical, shuffled, duplicate)
+    };
+    let (flb, shuffled_flb, duplicate) = problem(AlgorithmId::Flb, 100);
+    let (etf, shuffled_etf, _) = problem(AlgorithmId::Etf, 200);
+    let (third, shuffled_third, _) = problem(AlgorithmId::Flb, 300);
+    let mut client = Client::connect(&endpoint).unwrap();
+    for (first, second) in [
+        (&flb, &shuffled_flb),
+        (&etf, &shuffled_etf),
+        (&shuffled_third, &third),
+    ] {
+        let before = client.stats().unwrap().scheduler_invocations;
+        let (cached, schedule) = schedule_reply(&endpoint, first);
+        assert!(!cached, "the first sending is a miss");
+        assert_eq!(schedule_reply(&endpoint, second), (true, schedule));
+        assert_eq!(client.stats().unwrap().scheduler_invocations, before + 1);
+    }
+    let message = decode_request(&duplicate).unwrap_err().to_string();
+    assert!(message.contains("duplicate edge"), "{message}");
+    assert_eq!(
+        round_trip(&endpoint, &duplicate),
+        encode_response(&Response::Error(message))
+    );
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.cache_hits, 3);
+    assert_eq!(
+        stats.cache_hits + stats.cache_misses,
+        stats.schedule_requests
+    );
     client.shutdown().unwrap();
     handle.join();
 }
