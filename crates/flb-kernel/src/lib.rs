@@ -11,9 +11,11 @@
 //!   streaming constructor so generators build straight into it;
 //! * [`KernelRun`] — SoA arenas for per-task state and the five FLB lists
 //!   as preallocated flat structures ([`list::FlatHeap`], a binary heap
-//!   with inline keys and branch-free bottom-up sifts, and
-//!   [`list::PairingForest`], with demoted tasks deleted lazily from the
-//!   EMT lists); zero heap allocations after init;
+//!   with inline keys and branch-free bottom-up sifts;
+//!   [`list::PairingForest`] for the EMT lists, with demoted tasks
+//!   deleted lazily; and [`list::RadixLists`], radix buckets for the LMT
+//!   lists, where a demotion costs no heap operation); zero heap
+//!   allocations after init;
 //! * [`FlbKernel`] — a [`flb_sched::Scheduler`] adapter. It is the engine
 //!   behind `flb_core::AlgorithmId::Flb`, so `schedule_request`, the CLI,
 //!   the benches and the scheduler daemon all run FLB through it. Its

@@ -1,6 +1,6 @@
 //! The five FLB lists as flat, preallocated, index-linked structures.
 //!
-//! Two shapes cover all of them:
+//! Three shapes cover all of them:
 //!
 //! * [`FlatHeap`] — an indexed binary min-heap over a fixed universe of
 //!   `u32` ids, every array sized once at construction. Each slot holds
@@ -17,20 +17,38 @@
 //!   global non-EP task list and both processor lists.
 //! * [`PairingForest`] — `P` pairing heaps sharing three per-task link
 //!   arrays (`child`/`sib`/`prev`). The per-processor `EMT_EP_task_l[p]`
-//!   and `LMT_EP_task_l[p]` lists cannot each own a `V`-capacity binary
-//!   heap (that would be `O(V·P)` memory), but a task is in at most one
-//!   processor's list at a time, so all `P` heaps fit in one shared set of
-//!   links with a root slot per processor. Keys are *not* stored: every
-//!   operation takes the key array and the tie-break array as arguments
-//!   and compares `(time[v], Reverse(bl[v]), v)` — a strict total order,
-//!   so the minimum is unique and the forest is deterministic. A caller
-//!   may drop a whole heap by forgetting its root: the dropped nodes keep
-//!   stale links, which is safe as long as none of them is inserted
-//!   again (the kernel's lazy EMT deletion relies on exactly this).
+//!   lists cannot each own a `V`-capacity binary heap (that would be
+//!   `O(V·P)` memory), but a task is in at most one processor's list at a
+//!   time, so all `P` heaps fit in one shared set of links with a root
+//!   slot per processor. Keys are *not* stored: every operation takes the
+//!   key array and the tie-break array as arguments and compares
+//!   `(time[v], Reverse(bl[v]), v)` — a strict total order, so the
+//!   minimum is unique and the forest is deterministic. A caller may drop
+//!   a whole heap by forgetting its root: the dropped nodes keep stale
+//!   links, which is safe as long as none of them is inserted again (the
+//!   kernel's lazy EMT deletion relies on exactly this). Pairing heaps
+//!   give O(1) insert/meld and amortised `O(log n)` delete-min and
+//!   arbitrary delete. `flb-par`'s shards use the forest for their LMT
+//!   lists too.
+//! * [`RadixLists`] — the per-processor `LMT_EP_task_l[p]` lists as radix
+//!   buckets (Ahuja, Mehlhorn, Orlin & Tarjan, J. ACM 1990), sharing two
+//!   per-task link arrays (`next`/`prev`). FLB asks those lists only
+//!   which tasks fell below a threshold `PRT(p)` that never decreases,
+//!   and inserts only at keys at or above it. A task sits on the doubly
+//!   linked list of bucket `msb((LMT ^ floor[p]) | 1)`, a 64-bit mask per
+//!   processor marks the non-empty buckets, and a lower bound on the
+//!   queued keys settles most queries with one comparison. Insert and
+//!   remove are O(1). A query that demotes empties every bucket below the
+//!   threshold's bucket `k`, splits bucket `k` against the new floor
+//!   (its remaining tasks fall to lower buckets) and leaves the buckets
+//!   above `k` alone, since their index against the new floor is the
+//!   same. A task only ever moves to a lower bucket, so it moves at most
+//!   64 times: `O(V)` for all the lists over a whole run. Demoted tasks
+//!   come out in bucket order, not key order; the caller's non-EP heap
+//!   orders them.
 //!
-//! Pairing heaps give O(1) insert/meld and amortised `O(log n)` delete-min
-//! and arbitrary delete — matching the `O(V (log W + log P) + E)` bound of
-//! the paper with a constant factor small enough for million-task graphs.
+//! Together they meet the `O(V (log W + log P) + E)` bound of the paper
+//! with a constant factor small enough for million-task graphs.
 
 use crate::graph::NONE;
 use flb_graph::Time;
@@ -441,6 +459,248 @@ impl PairingForest {
     // flb-analyze: region-end(no-alloc)
 }
 
+/// Bucket of a key whose bits differ from its processor's floor in
+/// `diff = key ^ floor`: the index of the highest differing bit, with bit 0
+/// folded into bucket 0 so that 64 buckets cover every `u64` key.
+#[inline(always)]
+fn bucket_of(diff: Time) -> usize {
+    // `& 63` is a no-op that lets the compiler drop the bounds checks.
+    (63 - (diff | 1).leading_zeros() as usize) & 63
+}
+
+/// The smallest key at or above `floor` that bucket `b` can hold.
+#[inline(always)]
+fn bucket_floor(floor: Time, b: usize) -> Time {
+    ((floor >> b) | Time::from(b != 0)) << b
+}
+
+/// `P` monotone priority queues over a shared universe of `V` nodes, as
+/// radix buckets (see the module docs).
+///
+/// Each processor has a floor and 64 buckets: bucket `b ≥ 1` holds the
+/// keys that agree with the floor above bit `b` and have bit `b` set,
+/// bucket 0 the floor and its bit-0 neighbour, so every key of a bucket
+/// is below every key of a higher one. A mask marks the non-empty
+/// buckets, and a lower bound on the queued keys answers most queries
+/// with one comparison. Keys are
+/// not stored: [`insert`](Self::insert) and [`remove`](Self::remove) take
+/// the task's key, which must not change while it is queued, and
+/// [`demote_below`](Self::demote_below) takes the key array.
+#[derive(Clone, Debug)]
+pub struct RadixLists {
+    /// Next task on the same bucket list, or `NONE`.
+    next: Vec<u32>,
+    /// Previous task on the same bucket list, or `NONE` at the head.
+    prev: Vec<u32>,
+    /// One set of buckets per processor.
+    procs: Vec<Buckets>,
+}
+
+/// One processor's buckets, with the floor, bound and mask next to the
+/// low buckets' heads.
+#[derive(Clone, Debug)]
+#[repr(align(64))]
+struct Buckets {
+    /// The key every bucket index is relative to.
+    floor: Time,
+    /// No queued key is below it; meaningless when nothing is queued.
+    lo: Time,
+    /// Bit `b` set when bucket `b` is non-empty.
+    mask: u64,
+    /// First task of each bucket, or `NONE`.
+    head: [u32; 64],
+}
+
+impl Buckets {
+    // flb-analyze: region(no-alloc)
+
+    /// Links task `v` in at the head of bucket `b`.
+    #[inline(always)]
+    fn link(&mut self, next: &mut [u32], prev: &mut [u32], b: usize, v: u32) {
+        let h = self.head[b];
+        self.head[b] = v;
+        self.mask |= 1 << b;
+        next[v as usize] = h;
+        prev[v as usize] = NONE;
+        if h != NONE {
+            prev[h as usize] = v;
+        }
+    }
+
+    // flb-analyze: region-end(no-alloc)
+}
+
+impl RadixLists {
+    /// Empty lists for `procs` processors over nodes `0..universe`.
+    #[must_use]
+    pub fn new(universe: usize, procs: usize) -> Self {
+        let empty = Buckets {
+            floor: 0,
+            lo: 0,
+            mask: 0,
+            head: [NONE; 64],
+        };
+        RadixLists {
+            next: vec![NONE; universe],
+            prev: vec![NONE; universe],
+            procs: vec![empty; procs],
+        }
+    }
+
+    // flb-analyze: region(no-alloc)
+    // Bucket links live in the arrays sized at new(); insert, remove,
+    // demote_below and split_below only rewrite indices, bounds and masks.
+
+    /// Whether processor `p` has no queued task.
+    #[must_use]
+    #[inline]
+    pub fn is_empty_at(&self, p: u32) -> bool {
+        self.procs[p as usize].mask == 0
+    }
+
+    /// Queues task `v` on processor `p` with `key`, which must be no smaller
+    /// than the last threshold passed to [`demote_below`](Self::demote_below)
+    /// for `p`. `v` must not be queued anywhere.
+    pub fn insert(&mut self, p: u32, v: u32, key: Time) {
+        let buckets = &mut self.procs[p as usize];
+        debug_assert!(key >= buckets.floor, "insert of {v} below the floor");
+        buckets.lo = if buckets.mask == 0 {
+            key
+        } else {
+            buckets.lo.min(key)
+        };
+        let b = bucket_of(key ^ buckets.floor);
+        buckets.link(&mut self.next, &mut self.prev, b, v);
+    }
+
+    /// Unlinks task `v`, queued on processor `p` with `key`.
+    pub fn remove(&mut self, p: u32, v: u32, key: Time) {
+        let (prev, next) = (self.prev[v as usize], self.next[v as usize]);
+        if next != NONE {
+            self.prev[next as usize] = prev;
+        }
+        if prev != NONE {
+            self.next[prev as usize] = next;
+            return;
+        }
+        let buckets = &mut self.procs[p as usize];
+        let b = bucket_of(key ^ buckets.floor);
+        debug_assert_eq!(buckets.head[b], v, "{v} is not queued on {p}");
+        buckets.head[b] = next;
+        if next == NONE {
+            buckets.mask &= !(1 << b);
+        }
+    }
+
+    /// Dequeues every task of processor `p` whose key is below `threshold`,
+    /// handing each to `demote` in no particular order, and returns how
+    /// many there were. `threshold` must not decrease between calls for
+    /// the same `p`; `keys[v]` is the key task `v` was queued with.
+    ///
+    /// Returns at once when `threshold` is at most the lower bound, and
+    /// demotes a lone queued task without touching the buckets. Otherwise
+    /// it runs `split_below`.
+    #[inline]
+    pub fn demote_below(
+        &mut self,
+        p: u32,
+        threshold: Time,
+        keys: &[Time],
+        mut demote: impl FnMut(u32),
+    ) -> usize {
+        let buckets = &mut self.procs[p as usize];
+        debug_assert!(threshold >= buckets.floor, "threshold fell on {p}");
+        let mask = buckets.mask;
+        if mask == 0 {
+            // Nothing queued: move the floor up so later inserts land in
+            // low buckets.
+            buckets.floor = threshold;
+            return 0;
+        }
+        if threshold <= buckets.lo {
+            return 0;
+        }
+        if mask.is_power_of_two() {
+            let b = mask.trailing_zeros() as usize;
+            let v = buckets.head[b];
+            if self.next[v as usize] == NONE && keys[v as usize] < threshold {
+                buckets.head[b] = NONE;
+                buckets.mask = 0;
+                buckets.floor = threshold;
+                demote(v);
+                return 1;
+            }
+        }
+        self.split_below(p, threshold, keys, demote)
+    }
+
+    /// The general case of [`demote_below`](Self::demote_below), kept out of
+    /// line so the common cases stay small. With `k` the bucket `threshold`
+    /// falls in, it empties every bucket below `k` (all of their keys are
+    /// below `threshold`), splits bucket `k` into demoted tasks and tasks
+    /// re-bucketed against the new floor `threshold` (all in buckets below
+    /// `k`), and leaves the buckets above `k` as they are (their index
+    /// against `threshold` is their index against the old floor).
+    #[inline(never)]
+    fn split_below(
+        &mut self,
+        p: u32,
+        threshold: Time,
+        keys: &[Time],
+        mut demote: impl FnMut(u32),
+    ) -> usize {
+        let buckets = &mut self.procs[p as usize];
+        let k = bucket_of(threshold ^ buckets.floor);
+        buckets.floor = threshold;
+        let mut n = 0;
+        let below = (1u64 << k) - 1;
+        let mut drain = buckets.mask & below;
+        buckets.mask &= !below;
+        while drain != 0 {
+            let b = drain.trailing_zeros() as usize;
+            drain &= drain - 1;
+            let mut v = buckets.head[b];
+            buckets.head[b] = NONE;
+            while v != NONE {
+                demote(v);
+                n += 1;
+                v = self.next[v as usize];
+            }
+        }
+        // The lowest bucket above `k` bounds the keys it and the buckets
+        // over it hold; the tasks re-bucketed from `k` are bounded one by
+        // one.
+        let above = buckets.mask & !(1 << k);
+        let mut lo = if above == 0 {
+            Time::MAX
+        } else {
+            bucket_floor(threshold, above.trailing_zeros() as usize)
+        };
+        if buckets.mask & (1 << k) != 0 {
+            let mut v = buckets.head[k];
+            buckets.head[k] = NONE;
+            buckets.mask &= !(1 << k);
+            while v != NONE {
+                let next = self.next[v as usize];
+                let key = keys[v as usize];
+                if key < threshold {
+                    demote(v);
+                    n += 1;
+                } else {
+                    lo = lo.min(key);
+                    let b = bucket_of(key ^ threshold);
+                    buckets.link(&mut self.next, &mut self.prev, b, v);
+                }
+                v = next;
+            }
+        }
+        buckets.lo = lo;
+        n
+    }
+
+    // flb-analyze: region-end(no-alloc)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -720,6 +980,127 @@ mod tests {
             }
             let expect: Vec<_> = model[h].iter().copied().collect();
             assert_eq!(drained, expect);
+        }
+    }
+
+    /// Walks processor `p`'s buckets, checks the structure's invariants
+    /// (mask bits, back links, each task in the bucket its key and the
+    /// floor give, the floor and the bound below every key) and returns
+    /// the queued `(key, id)` pairs.
+    fn radix_contents(rl: &RadixLists, p: usize, keys: &[Time]) -> Vec<(Time, u32)> {
+        let buckets = &rl.procs[p];
+        let mut out = Vec::new();
+        for b in 0..64 {
+            let mut v = buckets.head[b];
+            assert_eq!(buckets.mask >> b & 1 == 1, v != NONE, "mask bit {b} of {p}");
+            let mut prev = NONE;
+            while v != NONE {
+                let key = keys[v as usize];
+                assert_eq!(rl.prev[v as usize], prev, "back link of {v}");
+                assert_eq!(bucket_of(key ^ buckets.floor), b, "bucket of {v}");
+                assert!(key >= buckets.floor && key >= buckets.lo, "bound above {v}");
+                out.push((key, v));
+                prev = v;
+                v = rl.next[v as usize];
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Differential test of `RadixLists` against one `BTreeSet<(key, id)>`
+    /// per processor: random inserts at keys no smaller than the
+    /// processor's last threshold, removes of arbitrary queued tasks, and
+    /// `demote_below` at thresholds that never decrease. Keys repeat, and
+    /// keys and thresholds cross bit 63 and reach `u64::MAX`. After every
+    /// call the demoted set and every processor's contents match the model.
+    #[test]
+    fn radix_lists_match_model() {
+        use std::collections::BTreeSet;
+        const P: usize = 3;
+        const N: usize = 300;
+        let starts: [[Time; P]; 4] = [
+            [0, 1, 1000],
+            [(1 << 63) - 40, (1 << 63) - 1, 1 << 62],
+            [Time::MAX - 200, Time::MAX - 1, Time::MAX],
+            [0, (1 << 63) - 3, Time::MAX - 70],
+        ];
+        for (seed, start) in starts.into_iter().enumerate() {
+            let mut rng = lcg(seed as u64 + 99);
+            let mut rl = RadixLists::new(N, P);
+            let mut keys = vec![0; N];
+            let mut queued_on: Vec<Option<usize>> = vec![None; N];
+            let mut model: Vec<BTreeSet<(Time, u32)>> = vec![BTreeSet::new(); P];
+            let mut threshold = start;
+            // A key or threshold at or above `base`: equal, a little above,
+            // across the next bit boundary, far above, or the maximum.
+            let above = |base: Time, r: usize| -> Time {
+                match r % 7 {
+                    0 => base,
+                    1 | 2 => base.saturating_add((r / 7 % 5) as Time),
+                    3 => base.saturating_add((r / 7 % 300) as Time),
+                    4 => {
+                        let bit = (r / 7 % 64) as u32;
+                        (base | ((1 << bit) - 1)).saturating_add(1)
+                    }
+                    5 => base.saturating_add(1 << (r / 7 % 64)),
+                    _ => Time::MAX,
+                }
+            };
+            for _ in 0..20_000 {
+                let p = rng() % P;
+                match rng() % 9 {
+                    0..=3 => {
+                        let v = rng() % N;
+                        if queued_on[v].is_none() {
+                            let key = above(threshold[p], rng());
+                            keys[v] = key;
+                            rl.insert(p as u32, v as u32, key);
+                            model[p].insert((key, v as u32));
+                            queued_on[v] = Some(p);
+                        }
+                    }
+                    4 | 5 => {
+                        if !model[p].is_empty() {
+                            let nth = rng() % model[p].len();
+                            let (key, v) = *model[p].iter().nth(nth).unwrap();
+                            rl.remove(p as u32, v, key);
+                            model[p].remove(&(key, v));
+                            queued_on[v as usize] = None;
+                        }
+                    }
+                    _ => {
+                        // Half the time, aim the threshold at a queued key
+                        // or just past it.
+                        let r = rng();
+                        let target = match model[p].iter().nth(r % 8) {
+                            Some(&(key, _)) if r.is_multiple_of(3) => key,
+                            Some(&(key, _)) if r % 3 == 1 => key.saturating_add(1),
+                            _ => above(threshold[p], rng()),
+                        };
+                        threshold[p] = threshold[p].max(target);
+                        let mut got = Vec::new();
+                        let n = rl.demote_below(p as u32, threshold[p], &keys, |v| got.push(v));
+                        assert_eq!(n, got.len());
+                        got.sort_unstable();
+                        let keep = model[p].split_off(&(threshold[p], 0));
+                        let mut want: Vec<u32> = model[p].iter().map(|&(_, v)| v).collect();
+                        want.sort_unstable();
+                        assert_eq!(got, want, "demoted set of {p} at {}", threshold[p]);
+                        for &v in &got {
+                            queued_on[v as usize] = None;
+                        }
+                        model[p] = keep;
+                    }
+                }
+                for (q, m) in model.iter().enumerate() {
+                    assert_eq!(
+                        radix_contents(&rl, q, &keys),
+                        m.iter().copied().collect::<Vec<_>>()
+                    );
+                    assert_eq!(rl.is_empty_at(q as u32), m.is_empty());
+                }
+            }
         }
     }
 }

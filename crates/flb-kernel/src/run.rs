@@ -2,17 +2,28 @@
 //!
 //! [`KernelRun`] is a re-implementation of `flb_core::FlbRun` (the paper's
 //! §4.1 pseudocode) designed for million-task graphs. It makes exactly the
-//! same scheduling decisions — same candidate pairs, same tie-breaks, same
-//! demotion order — which the conformance registry and the bit-identity
-//! property tests enforce. What differs is the representation:
+//! same scheduling decisions — same candidate pairs, same tie-breaks —
+//! which the conformance registry and the bit-identity property tests
+//! enforce. What differs is the representation:
 //!
 //! * task and processor ids are `u32`; per-task state (`bl`, `LMT`,
 //!   `EMT(t, EP(t))`, `EP`, readiness countdown, placement) lives in
 //!   struct-of-arrays arenas indexed by id;
-//! * the per-processor `EMT_EP_task_l` / `LMT_EP_task_l` lists are two
-//!   [`PairingForest`]s sharing flat link arrays (a task is enabled by at
-//!   most one processor, so all `P` heaps fit one universe);
-//! * a demoted task leaves only the LMT heap. Its EMT-heap node is
+//! * the per-processor `EMT_EP_task_l` lists are a [`PairingForest`] over
+//!   flat link arrays (a task is enabled by at most one processor, so all
+//!   `P` heaps fit one universe);
+//! * the per-processor `LMT_EP_task_l` lists are [`RadixLists`]: radix
+//!   buckets relative to a per-processor floor. They only ever answer
+//!   "which EP tasks of `p` now have `LMT < PRT(p)`?", with `PRT(p)`
+//!   non-decreasing and every insert at `LMT ≥ PRT(p)` — a monotone
+//!   priority queue — so an insert and the EP winner's removal are O(1),
+//!   a demotion check usually one comparison, and a task moves between
+//!   buckets at most 64 times before it leaves: `O(V)` in total;
+//! * demoted tasks leave the LMT lists in bucket order, not LMT order.
+//!   That changes nothing: the non-EP heap orders its tasks by the strict
+//!   total order `(LMT, −bl, id)`, whatever order they arrive in, and no
+//!   decision or counter is read between two demotions of one step;
+//! * a demoted task leaves only the LMT lists. Its EMT-heap node is
 //!   deleted lazily: a live EP task of `p` has `LMT >= PRT(p)`, so dead
 //!   nodes are recognised when they reach the root and popped there, and
 //!   when `p` has no live EP task left its whole EMT heap is dropped;
@@ -23,19 +34,21 @@
 //!   every quantity (`LMT`, `EP`, `EMT`) is computed by a direct CSR scan.
 //!
 //! Each task still enters and leaves each list at most once — a lazily
-//! deleted node leaves the EMT heap by one pop or with its whole heap —
-//! so the count of list operations behind the `O(V (log W + log P) + E)`
-//! bound is unchanged. One caveat on the log factor: a dead node can
-//! stay in its EMT heap after its task has been scheduled, so that
-//! heap's size is bounded by the tasks `p` enabled since the heap was
-//! last empty, not by the ready-set width `W`.
+//! deleted node leaves the EMT heap by one pop or with its whole heap,
+//! and a bucket move is not a list entry — so the count of list
+//! operations behind the `O(V (log W + log P) + E)` bound is unchanged,
+//! and the LMT lists now contribute `O(V)` to it rather than
+//! `O(V log W)`. One caveat on the log factor: a dead node can stay in
+//! its EMT heap after its task has been scheduled, so that heap's size is
+//! bounded by the tasks `p` enabled since the heap was last empty, not by
+//! the ready-set width `W`.
 //!
 //! Everything is sized once from `V`, `E` and `P` in [`KernelRun::new`];
 //! the steady-state loop performs **zero heap allocations** (verified by a
 //! counting-allocator integration test).
 
 use crate::graph::{FlatGraph, NONE};
-use crate::list::{FlatHeap, PairingForest, SliceKeys};
+use crate::list::{FlatHeap, PairingForest, RadixLists, SliceKeys};
 use flb_graph::Time;
 use flb_sched::{RunStats, TieBreak};
 use std::cmp::Reverse;
@@ -83,12 +96,11 @@ pub struct KernelRun<'g> {
     prt: Vec<Time>,
     n_placed: usize,
     /// Per-processor EP lists keyed by `EMT(t, EP(t))` / by `LMT(t)`. The
-    /// LMT heap holds exactly the live EP tasks; the EMT heap may also
+    /// LMT lists hold exactly the live EP tasks; the EMT heap may also
     /// hold demoted ones below a live root (lazy deletion).
     emt_forest: PairingForest,
-    lmt_forest: PairingForest,
     emt_root: Vec<u32>,
-    lmt_root: Vec<u32>,
+    lmt_lists: RadixLists,
     /// Total tasks across all EP lists (for the `max_ready` counter).
     ep_in_lists: usize,
     /// Non-EP ready tasks keyed by `(LMT, ⁻bl)`.
@@ -132,9 +144,8 @@ impl<'g> KernelRun<'g> {
             prt: vec![0; p],
             n_placed: 0,
             emt_forest: PairingForest::new(v),
-            lmt_forest: PairingForest::new(v),
             emt_root: vec![NONE; p],
-            lmt_root: vec![NONE; p],
+            lmt_lists: RadixLists::new(v, p),
             ep_in_lists: 0,
             non_ep: FlatHeap::new(v),
             active: FlatHeap::new(p),
@@ -257,13 +268,7 @@ impl<'g> KernelRun<'g> {
             };
             debug_assert_eq!(self.emt_root[proc as usize], task);
             self.emt_root[proc as usize] = self.emt_forest.pop_min(&keys, task);
-            let keys = SliceKeys {
-                time: &self.lmt,
-                bl: &self.bl,
-            };
-            self.lmt_root[proc as usize] =
-                self.lmt_forest
-                    .remove(&keys, self.lmt_root[proc as usize], task);
+            self.lmt_lists.remove(proc, task, self.lmt[task as usize]);
             self.ep_in_lists -= 1;
             self.stats.ep_selections += 1;
         } else {
@@ -296,36 +301,25 @@ impl<'g> KernelRun<'g> {
     }
 
     /// Paper's `UpdateTaskLists`: demote EP tasks whose `LMT` fell below
-    /// the grown `PRT(p)` to the non-EP list, in LMT order.
+    /// the grown `PRT(p)` to the non-EP list. They leave the LMT lists in
+    /// bucket order, not LMT order; the non-EP heap orders them by
+    /// `(LMT, −bl, id)` whatever order they arrive in.
     ///
-    /// A demoted task leaves only the LMT heap. Its EMT-heap node is
+    /// A demoted task leaves only the LMT lists. Its EMT-heap node is
     /// deleted lazily: live tasks of `p` are exactly those with
     /// `LMT >= PRT(p)`, so dead heads are popped until the EMT root is
-    /// live, and once the LMT heap is empty the whole EMT heap is dead
-    /// and is dropped by forgetting its root. Safe because a task never
-    /// re-enters the EP lists, so no stale link is ever read again.
+    /// live, and once the LMT lists of `p` are empty the whole EMT heap is
+    /// dead and is dropped by forgetting its root. Safe because a task
+    /// never re-enters the EP lists, so no stale link is ever read again.
     fn update_task_lists(&mut self, p: u32) {
         let prt = self.prt[p as usize];
-        loop {
-            let head = self.lmt_root[p as usize];
-            if head == NONE {
-                break;
-            }
-            let lmt = self.lmt[head as usize];
-            if lmt >= prt {
-                break;
-            }
-            let keys = SliceKeys {
-                time: &self.lmt,
-                bl: &self.bl,
-            };
-            self.lmt_root[p as usize] = self.lmt_forest.pop_min(&keys, head);
-            self.ep_in_lists -= 1;
-            self.non_ep
-                .insert(head, (lmt, Reverse(self.bl[head as usize])));
-            self.stats.demotions += 1;
-        }
-        if self.lmt_root[p as usize] == NONE {
+        let (lmt, bl, non_ep) = (&self.lmt, &self.bl, &mut self.non_ep);
+        let demoted = self.lmt_lists.demote_below(p, prt, lmt, |t| {
+            non_ep.insert(t, (lmt[t as usize], Reverse(bl[t as usize])));
+        });
+        self.ep_in_lists -= demoted;
+        self.stats.demotions += demoted;
+        if self.lmt_lists.is_empty_at(p) {
             self.emt_root[p as usize] = NONE;
             return;
         }
@@ -416,12 +410,7 @@ impl<'g> KernelRun<'g> {
                     };
                     let head = self.emt_root[ep as usize];
                     self.emt_root[ep as usize] = self.emt_forest.insert(&keys, head, s);
-                    let keys = SliceKeys {
-                        time: &self.lmt,
-                        bl: &self.bl,
-                    };
-                    self.lmt_root[ep as usize] =
-                        self.lmt_forest.insert(&keys, self.lmt_root[ep as usize], s);
+                    self.lmt_lists.insert(ep, s, lmt);
                     self.ep_in_lists += 1;
                     // `PRT(ep)` is unchanged, so the processor's key moves
                     // only if `s` became the new EMT head.

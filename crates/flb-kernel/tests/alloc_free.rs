@@ -85,9 +85,9 @@ fn steady_state_loop_never_allocates() {
 
     // The static fences cover exactly what this test just measured.
     // `run.run()` drives `step`, the three update procedures and
-    // `enqueue_ready` through the FlatHeap/PairingForest operations;
-    // constructors stay outside the fences because `new` is the
-    // allocating phase by design.
+    // `enqueue_ready` through the FlatHeap, PairingForest and RadixLists
+    // operations; constructors stay outside the fences because `new` is
+    // the allocating phase by design.
     let fenced = flb_analyze::fenced_functions(include_str!("../src/run.rs"), "no-alloc");
     assert_eq!(
         fenced,
@@ -125,6 +125,10 @@ fn steady_state_loop_never_allocates() {
         "meld",
         "combine_siblings",
         "pop_min",
+        "link",
+        "is_empty_at",
+        "demote_below",
+        "split_below",
     ] {
         assert!(
             fenced.iter().any(|f| f == op),

@@ -446,14 +446,30 @@ pub mod wire {
         Ok(Machine::related(slow))
     }
 
-    /// Encodes a schedule (machine plus per-task placements).
+    /// One placement record: processor `u32`, start `u64`, finish `u64`.
+    const PLACEMENT_BYTES: usize = 20;
+
+    /// Bytes [`put_schedule`] writes for `s`.
+    #[must_use]
+    pub fn schedule_len(s: &Schedule) -> usize {
+        4 + 8 * s.machine().num_procs() + 4 + PLACEMENT_BYTES * s.placements().len()
+    }
+
+    /// Encodes a schedule (machine plus per-task placements). The
+    /// placements are written in one pass into records sized up front.
     pub fn put_schedule(w: &mut Writer, s: &Schedule) {
         put_machine(w, s.machine());
-        w.put_u32(s.placements().len() as u32);
-        for p in s.placements() {
-            w.put_u32(p.proc.0 as u32);
-            w.put_u64(p.start);
-            w.put_u64(p.finish);
+        let placements = s.placements();
+        w.put_u32(placements.len() as u32);
+        let at = w.buf.len();
+        w.buf.resize(at + PLACEMENT_BYTES * placements.len(), 0);
+        for (rec, p) in w.buf[at..]
+            .chunks_exact_mut(PLACEMENT_BYTES)
+            .zip(placements)
+        {
+            rec[..4].copy_from_slice(&(p.proc.0 as u32).to_le_bytes());
+            rec[4..12].copy_from_slice(&p.start.to_le_bytes());
+            rec[12..].copy_from_slice(&p.finish.to_le_bytes());
         }
     }
 
@@ -497,7 +513,7 @@ pub mod wire {
     /// Convenience: a schedule as a standalone byte buffer.
     #[must_use]
     pub fn encode_schedule(s: &Schedule) -> Vec<u8> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(schedule_len(s));
         put_schedule(&mut w, s);
         w.into_bytes()
     }
@@ -588,6 +604,48 @@ mod tests {
             parse_text("procs 2\nspeeds 1 2\ns 0 2 0 1"),
             Err(ScheduleTextError::BadCoverage(_))
         ));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The one-pass placement records are exactly the bytes of writing
+        /// every field in turn, after whatever the writer already holds.
+        #[test]
+        fn put_schedule_is_the_field_by_field_encoding(seed in proptest::prelude::any::<u64>()) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, RngCore, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let procs = rng.random_range(1..9usize);
+            let slow = (0..procs).map(|_| rng.random_range(1..=u64::MAX)).collect();
+            let placements = (0..rng.random_range(0..300usize))
+                .map(|_| Placement {
+                    proc: ProcId(rng.random_range(0..procs)),
+                    start: rng.next_u64(),
+                    finish: rng.next_u64(),
+                })
+                .collect();
+            let s = Schedule::from_raw_on(Machine::related(slow), placements);
+            let prefix: Vec<u8> = (0..rng.random_range(0..5u8)).collect();
+
+            let mut fields = wire::Writer::new();
+            fields.put_bytes(&prefix);
+            wire::put_machine(&mut fields, s.machine());
+            fields.put_u32(s.placements().len() as u32);
+            for p in s.placements() {
+                fields.put_u32(p.proc.0 as u32);
+                fields.put_u64(p.start);
+                fields.put_u64(p.finish);
+            }
+            let mut one_pass = wire::Writer::new();
+            one_pass.put_bytes(&prefix);
+            wire::put_schedule(&mut one_pass, &s);
+            let (fields, one_pass) = (fields.into_bytes(), one_pass.into_bytes());
+            proptest::prop_assert_eq!(&one_pass, &fields);
+            let alone = wire::encode_schedule(&s);
+            proptest::prop_assert_eq!(alone.len(), wire::schedule_len(&s));
+            proptest::prop_assert_eq!(&alone[..], &fields[prefix.len()..]);
+        }
     }
 
     #[test]

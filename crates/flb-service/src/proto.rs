@@ -37,6 +37,41 @@ pub const MAGIC: u32 = 0x464C_4231;
 /// hostile length prefixes.
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// The error every decode path returns for a request whose times could
+/// overflow (see `check_time_ceiling`).
+pub const TIME_OVERFLOW: &str = "task times may overflow u64: \
+     (total computation x largest slowdown + total communication) x 4 x processors \
+     exceeds u64::MAX";
+
+/// Rejects a schedule request whose times could overflow `u64`.
+///
+/// `C = Σ comp · max slowdown + Σ comm` bounds every start and finish
+/// time of every schedule a registered scheduler builds: a task starts
+/// when its processor frees up or a message arrives, so following those
+/// causes back from any start walks a chain of distinct tasks and
+/// distinct edges. The other quantities they compute are sums of two
+/// such terms, at most `2C` — an arrival `finish + comm`, a candidate
+/// EST/EFT on a processor the task does not get, a top level plus a
+/// bottom level — except HEFT's upward ranks, which are scaled by the
+/// processor count `P` to stay integral and reach `P·C`. So a request is
+/// accepted when `4·P·C` fits in `u64`: the largest quantity with a
+/// further factor of 2 to spare. Every sum here is checked, so a ceiling
+/// that itself overflows is rejected too.
+pub(crate) fn check_time_ceiling(
+    procs: usize,
+    max_slowdown: u64,
+    comp: impl IntoIterator<Item = u64>,
+    comm: impl IntoIterator<Item = u64>,
+) -> Result<(), WireError> {
+    comp.into_iter()
+        .try_fold(0u64, u64::checked_add)
+        .and_then(|c| c.checked_mul(max_slowdown))
+        .and_then(|c| comm.into_iter().try_fold(c, u64::checked_add))
+        .and_then(|c| c.checked_mul(4 * procs as u64))
+        .map(drop)
+        .ok_or_else(|| WireError::Malformed(TIME_OVERFLOW.to_owned()))
+}
+
 /// A request frame.
 #[derive(Clone, Debug)]
 pub enum Request {
@@ -174,6 +209,18 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             let deadline_ms = r.u64()?;
             let machine = wire::get_machine(&mut r)?;
             let graph = wire::get_graph(&mut r)?;
+            check_time_ceiling(
+                machine.num_procs(),
+                machine
+                    .procs()
+                    .map(|p| machine.slowdown(p))
+                    .max()
+                    .unwrap_or(1),
+                graph.tasks().map(|t| graph.comp(t)),
+                graph
+                    .tasks()
+                    .flat_map(|t| graph.succs(t).iter().map(|&(_, c)| c)),
+            )?;
             // The tenant field rides behind the graph; a frame from an
             // older encoder simply ends here and means "anonymous".
             let tenant = if r.remaining() == 0 {
@@ -251,7 +298,10 @@ pub(crate) fn flat_request(f: &ScheduleFields<'_>) -> Option<FlatScheduleRequest
     if slowdowns.is_empty() || slowdowns.contains(&0) {
         return None;
     }
-    let comp = f.costs.chunks_exact(8).map_while(le_u64).collect();
+    let comp: Vec<u64> = f.costs.chunks_exact(8).map_while(le_u64).collect();
+    let max_slowdown = slowdowns.iter().copied().max().unwrap_or(1);
+    let comm = edge_records(&f.edges).map(|x| (x >> 64) as u64);
+    check_time_ceiling(slowdowns.len(), max_slowdown, comp.iter().copied(), comm).ok()?;
     let edges = edge_records(&f.edges).map(|x| (x as u32, (x >> 32) as u32, (x >> 64) as u64));
     let graph = FlatGraph::from_sorted_edges(f.name, comp, f.edges.len() / 16, edges).ok()?;
     Some(FlatScheduleRequest {
@@ -619,7 +669,7 @@ pub fn write_schedule_reply(
     micros: u64,
     schedule: &Schedule,
 ) -> io::Result<()> {
-    let size = 10 + 4 + 8 * schedule.machine().num_procs() + 4 + 20 * schedule.num_tasks();
+    let size = 10 + wire::schedule_len(schedule);
     send_frame(
         w,
         &build_frame(size, |f| put_schedule_reply(f, cached, micros, schedule))?,

@@ -18,7 +18,11 @@
 //!   cache entry as the problem sent in canonical order;
 //! * (e) an FLB graph named with the panic marker, sent through the flat
 //!   path, answers `scheduler panicked`, and the pool respawns a worker
-//!   the hard marker kills.
+//!   the hard marker kills;
+//! * (f) end to end, for every algorithm, a request at the time ceiling
+//!   is scheduled validly and one just past it (or whose cost sums
+//!   overflow) gets the one overflow error on both decode paths, with
+//!   nothing scheduled or cached.
 
 mod common;
 
@@ -31,7 +35,7 @@ use flb_sched::{Machine, Schedule};
 use flb_service::fingerprint::{peek_request_key, request_fingerprint};
 use flb_service::proto::{
     decode_flat_request, decode_request, decode_response, encode_response, read_frame, write_frame,
-    FlatScheduleRequest, Request, Response,
+    FlatScheduleRequest, Request, Response, TIME_OVERFLOW,
 };
 use flb_service::{serve, Client, Endpoint, ServiceConfig, HARD_PANIC_MARKER, PANIC_MARKER};
 use proptest::prelude::*;
@@ -164,9 +168,20 @@ fn exhaustive_flips_truncations_and_extensions_of_one_payload() {
 /// A raw FLB schedule payload: `put_machine` of the slowdowns (as given,
 /// so zero processors and zero slowdowns can be written), then the graph.
 fn raw_flb_payload(slowdowns: &[u64], comp: &[u64], edges: &[(u32, u32, u64)]) -> Vec<u8> {
+    raw_payload(AlgorithmId::Flb, slowdowns, comp, edges)
+}
+
+/// [`raw_flb_payload`] for any algorithm. No `TaskGraph` is built, so
+/// costs whose sums overflow can be written.
+fn raw_payload(
+    alg: AlgorithmId,
+    slowdowns: &[u64],
+    comp: &[u64],
+    edges: &[(u32, u32, u64)],
+) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u8(1); // schedule request
-    w.put_u8(AlgorithmId::Flb.code());
+    w.put_u8(alg.code());
     w.put_u64(0);
     w.put_u32(slowdowns.len() as u32);
     for &s in slowdowns {
@@ -434,6 +449,80 @@ fn a_panic_marker_on_the_flat_path_is_isolated_and_a_killed_worker_respawns() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+/// A chain `t0 -> t1 -> t2` on `slowdowns` whose time ceiling
+/// `Σ comp · max slowdown + Σ comm` is exactly `ceiling`, as
+/// `(comp, edges)`.
+fn chain_with_ceiling(slowdowns: &[u64], ceiling: u64) -> (Vec<u64>, Vec<(u32, u32, u64)>) {
+    let s = *slowdowns.iter().max().unwrap();
+    let (q, r) = ((ceiling - 6) / s, (ceiling - 6) % s);
+    let a = (q - 3) / 2;
+    (vec![a, q - 3 - a, 3], vec![(0, 1, 3 + r), (1, 2, 3)])
+}
+
+#[test]
+fn requests_past_the_time_ceiling_are_rejected_on_both_decode_paths() {
+    let handle = local_server(ServiceConfig::default());
+    let endpoint = handle.endpoint();
+    let mut client = Client::connect(&endpoint).unwrap();
+    let overflow = format!("malformed wire data: {TIME_OVERFLOW}");
+    let (mut served, mut rejected) = (0, 0);
+    for slowdowns in [vec![1], vec![1, 1], vec![1, 3, 2]] {
+        // Accepted exactly when 4·P·ceiling fits in a u64.
+        let limit = u64::MAX / (4 * slowdowns.len() as u64);
+        let (comp, edges) = chain_with_ceiling(&slowdowns, limit);
+        let (over_comp, over_edges) = chain_with_ceiling(&slowdowns, limit + 1);
+        for alg in AlgorithmId::ALL {
+            let at = raw_payload(alg, &slowdowns, &comp, &edges);
+            let request = match decode_request(&at) {
+                Ok(Request::Schedule { request, .. }) => request,
+                other => panic!("{alg:?} at the ceiling: {other:?}"),
+            };
+            assert_eq!(decode_flat_request(&at).is_some(), alg == AlgorithmId::Flb);
+            match decode_response(&round_trip(&endpoint, &at)).unwrap() {
+                Response::Schedule {
+                    schedule, cached, ..
+                } => {
+                    assert!(!cached);
+                    flb_sched::validate::validate(&request.graph, &schedule)
+                        .unwrap_or_else(|e| panic!("{alg:?} on {slowdowns:?}: {e}"));
+                    assert_eq!(schedule, schedule_request(&request));
+                }
+                other => panic!("{alg:?} at the ceiling: {other:?}"),
+            }
+            served += 1;
+
+            // One past the ceiling, and the unchecked sums overflowing.
+            let half = u64::MAX / 2 + 7;
+            for past in [
+                raw_payload(alg, &slowdowns, &over_comp, &over_edges),
+                raw_payload(alg, &slowdowns, &[half, half, 3], &[(0, 1, 5), (1, 2, 5)]),
+            ] {
+                assert!(decode_flat_request(&past).is_none());
+                assert_eq!(decode_request(&past).unwrap_err().to_string(), overflow);
+                let before = client.stats().unwrap();
+                for _ in 0..2 {
+                    assert_eq!(
+                        round_trip(&endpoint, &past),
+                        encode_response(&Response::Error(overflow.clone())),
+                        "{alg:?} on {slowdowns:?}"
+                    );
+                }
+                let after = client.stats().unwrap();
+                assert_eq!(after.errors, before.errors + 2);
+                assert_eq!(after.scheduler_invocations, before.scheduler_invocations);
+                assert_eq!(after.cache_entries, before.cache_entries);
+                rejected += 2;
+            }
+        }
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.cache_entries, served);
+    assert_eq!(stats.scheduler_invocations, served);
+    assert_eq!(stats.errors, rejected);
     client.shutdown().unwrap();
     handle.join();
 }

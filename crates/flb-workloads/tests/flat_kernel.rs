@@ -8,7 +8,7 @@ use flb_graph::costs::{CostModel, Dist};
 use flb_graph::gen::RandomLayeredSpec;
 use flb_kernel::{FlatGraph, FlbKernel, KernelRun};
 use flb_sched::{Machine, RunStats, Scheduler, TieBreak};
-use flb_workloads::million::{cholesky_flat, lu_flat, random_layered_flat};
+use flb_workloads::million::{cholesky_flat, lu_flat, lu_order_for_tasks, random_layered_flat};
 
 fn assert_kernel_matches_reference(flat: &FlatGraph, machine: &Machine) {
     let kernel = FlbKernel::new().schedule_flat(flat, machine);
@@ -95,4 +95,34 @@ fn lu_flat_20k_counters_and_placements_are_pinned() {
     );
     assert_eq!(run.makespan(), 60_850);
     assert_eq!(placement_digest(&run), 0x70db_d516_37fa_a214);
+}
+
+/// The same pin on the million-task LU that perfbench's kernel-lu1m
+/// workload schedules (seed 1). Ignored in the debug test run for its
+/// size; CI's `perf-smoke` job runs it in release with `--ignored`. The
+/// reference `FlbRun` is not run at this size.
+#[test]
+#[ignore = "million-task graph; run in release with --ignored"]
+fn lu_flat_1m_counters_and_placements_are_pinned() {
+    let model = CostModel {
+        comp: Dist::UniformMean(100),
+        ccr: 1.0,
+    };
+    let g = lu_flat(lu_order_for_tasks(1_000_000), &model, 1);
+    assert_eq!(g.num_tasks(), 1_000_405);
+    let mut run = KernelRun::new(&g, &[1; 64], TieBreak::BottomLevel);
+    run.run();
+    assert_eq!(
+        run.stats(),
+        RunStats {
+            ep_selections: 6020,
+            non_ep_selections: 994_385,
+            ep_promotions: 998_353,
+            non_ep_promotions: 2052,
+            demotions: 992_333,
+            max_ready: 1413,
+        }
+    );
+    assert_eq!(run.makespan(), 1_643_017);
+    assert_eq!(placement_digest(&run), 0x7cbb_6034_45ff_7057);
 }
