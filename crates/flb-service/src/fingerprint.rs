@@ -77,34 +77,65 @@ impl Fnv64 {
 
 /// The word-at-a-time hasher behind the cache key.
 ///
-/// Input is a byte stream consumed as little-endian 64-bit words. Each
-/// step `s ← m ^ (m >> 32)` with `m = (s ^ w)·K` is a bijection of the
-/// state for every word `w`, so two inputs of equal length that differ in
-/// a single word never collide. Every section is prefixed with its byte
-/// length and zero-padded to a word boundary, so no two section layouts
-/// can produce the same stream. A splitmix64 finalizer makes every output
-/// bit depend on every input bit; [`ShardedLru`](crate::ShardedLru) picks
-/// shards from the low bits.
+/// Input is a byte stream consumed as little-endian 64-bit words. Word
+/// `k` of the stream goes to lane `k mod 4`, and each lane takes the
+/// step `s ← m ^ (m >> 32)` with `m = (s ^ w)·K`. The four lanes form
+/// four independent multiply chains, so a long section hashes about as
+/// fast as the core can issue multiplies rather than one multiply's
+/// latency per word. After `n` words, [`finish`](Self::finish) folds the
+/// lane states into one state with the same step, in the order the next
+/// words would reach them: lane `n mod 4` first.
+///
+/// The step is a bijection of the state for every word `w`, and of `w`
+/// for every state. So two inputs of equal length that differ in a
+/// single word change exactly one lane's final state, every later fold
+/// step maps that difference to a different state, and they never
+/// collide. Every section is prefixed with its byte length and
+/// zero-padded to a word boundary, so no two section layouts can produce
+/// the same stream. A splitmix64 finalizer makes every output bit depend
+/// on every input bit; [`ShardedLru`](crate::ShardedLru) picks shards
+/// from the low bits.
 struct KeyHasher {
-    state: u64,
+    /// Lane states, rotated so the next word always goes to `lanes[0]`:
+    /// after `k` words, `lanes[i]` is lane `(k + i) mod 4`.
+    lanes: [u64; 4],
     /// Bytes of the word being assembled, little-endian.
     word: u64,
     /// How many bytes of `word` are filled (always `< 8`).
     fill: u32,
 }
 
+/// Initial lane states: the first fractional words of π.
+const LANE_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+
+/// The state the lanes are folded into: π's next word.
+const FOLD_SEED: u64 = 0x4528_21E6_38D0_1377;
+
+/// One hash step: a bijection of `s` for each `w`, and of `w` for each
+/// `s`.
+fn step(s: u64, w: u64) -> u64 {
+    let m = (s ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    m ^ (m >> 32)
+}
+
 impl KeyHasher {
     fn new() -> Self {
         KeyHasher {
-            state: 0x243F_6A88_85A3_08D3,
+            lanes: LANE_SEEDS,
             word: 0,
             fill: 0,
         }
     }
 
+    /// Hashes one word into the next lane.
     fn mix(&mut self, w: u64) {
-        let m = (self.state ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.state = m ^ (m >> 32);
+        let [a, b, c, d] = self.lanes;
+        self.lanes = [b, c, d, step(a, w)];
     }
 
     /// Feeds the low `n` bytes of `v` (`1 ≤ n ≤ 8`, `v < 2^(8n)`).
@@ -135,22 +166,30 @@ impl KeyHasher {
         self.put(v, 8);
     }
 
-    /// Feeds raw bytes: byte by byte up to a word boundary, then a whole
-    /// word per step.
+    /// Feeds raw bytes: the bytes up to a word boundary, then whole
+    /// words, then the bytes left over.
     fn write(&mut self, mut bytes: &[u8]) {
-        while self.fill != 0 {
-            let Some((&b, rest)) = bytes.split_first() else {
-                return;
-            };
-            self.write_u8(b);
+        if self.fill != 0 {
+            let (head, rest) = bytes.split_at(bytes.len().min(8 - self.fill as usize));
+            self.write_short(head);
             bytes = rest;
         }
-        while let Some((w, rest)) = bytes.split_first_chunk::<8>() {
-            self.mix(u64::from_le_bytes(*w));
-            bytes = rest;
+        // One word per iteration: the compiler unrolls this loop after its
+        // vectorizer has run, so the four chains stay scalar. A body of
+        // four steps can be packed into SSE2 vectors instead, which have
+        // no 64-bit multiply; measured, that hashed at half the speed.
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.mix(u64::from_le_bytes(w.try_into().unwrap_or_default()));
         }
-        for &b in bytes {
-            self.write_u8(b);
+        self.write_short(words.remainder());
+    }
+
+    /// Feeds fewer than 8 bytes in one [`put`](Self::put).
+    fn write_short(&mut self, bytes: &[u8]) {
+        if !bytes.is_empty() {
+            let v = bytes.iter().rev().fold(0, |v, &b| v << 8 | u64::from(b));
+            self.put(v, bytes.len() as u32);
         }
     }
 
@@ -167,13 +206,18 @@ impl KeyHasher {
         }
     }
 
-    /// splitmix64's output mix.
+    /// Folds the lanes in rotation order, then applies the output mix.
     fn finish(self) -> u64 {
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        let [l0, l1, l2, l3] = self.lanes;
+        finalize(step(step(step(step(FOLD_SEED, l0), l1), l2), l3))
     }
+}
+
+/// splitmix64's output mix.
+fn finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Cache key of a full request: algorithm, machine and graph, hashed as
@@ -356,9 +400,11 @@ fn canonical_edges(edges: &[u8]) -> Option<Cow<'_, [u8]>> {
     if ends.clone().zip(ends.skip(1)).any(|(a, b)| a == b) {
         return None;
     }
-    Some(Cow::Owned(
-        sorted.iter().flat_map(|rec| rec.to_le_bytes()).collect(),
-    ))
+    let mut bytes = Vec::with_capacity(edges.len());
+    for rec in sorted {
+        bytes.extend_from_slice(&rec.to_le_bytes());
+    }
+    Some(Cow::Owned(bytes))
 }
 
 #[cfg(test)]
@@ -497,22 +543,65 @@ mod tests {
         assert!(matches!(canonical_edges(&[]), Some(Cow::Borrowed(_))));
     }
 
+    /// Feeds `bytes` as little-endian `u32`s (`wide` false) or `u64`s
+    /// (`wide` true), and the tail that does not fill one byte by byte.
+    fn feed_words(h: &mut KeyHasher, bytes: &[u8], wide: bool) {
+        let n = if wide { 8 } else { 4 };
+        let mut chunks = bytes.chunks_exact(n);
+        for c in &mut chunks {
+            let mut w = [0u8; 8];
+            w[..n].copy_from_slice(c);
+            let v = u64::from_le_bytes(w);
+            if wide {
+                h.write_u64(v);
+            } else {
+                h.write_u32(v as u32);
+            }
+        }
+        for &b in chunks.remainder() {
+            h.write_u8(b);
+        }
+    }
+
     #[test]
     fn streamed_and_word_fed_bytes_hash_alike() {
-        let bytes: Vec<u8> = (0..=40u8).collect();
-        for split in 0..bytes.len() {
-            let mut a = KeyHasher::new();
-            a.section(bytes.len(), |h| {
-                h.write(&bytes[..split]);
-                h.write(&bytes[split..]);
-            });
-            let mut b = KeyHasher::new();
-            b.section(bytes.len(), |h| {
+        // A prefix of 0–40 bytes puts the body at every byte offset and
+        // every lane phase; the 11-word, 5-byte body gives `write` a
+        // partial first word, runs of whole words longer than four and a
+        // partial last word.
+        for prefix in 0..=40usize {
+            let bytes: Vec<u8> = (0..prefix + 93).map(|i| (i * 37 + 11) as u8).collect();
+            let hash = |feed: &dyn Fn(&mut KeyHasher)| {
+                let mut h = KeyHasher::new();
+                h.section(bytes.len(), feed);
+                h.finish()
+            };
+            let reference = hash(&|h| {
                 for &x in &bytes {
                     h.write_u8(x);
                 }
             });
-            assert_eq!(a.finish(), b.finish(), "split {split}");
+            for split in 0..=bytes.len() {
+                let (head, tail) = bytes.split_at(split);
+                let tails: [&dyn Fn(&mut KeyHasher); 4] = [
+                    &|h| h.write(tail),
+                    &|h| tail.iter().for_each(|&x| h.write_u8(x)),
+                    &|h| feed_words(h, tail, false),
+                    &|h| feed_words(h, tail, true),
+                ];
+                for (mode, feed_tail) in tails.iter().enumerate() {
+                    let by_slice = hash(&|h| {
+                        h.write(head);
+                        feed_tail(h);
+                    });
+                    let by_byte = hash(&|h| {
+                        head.iter().for_each(|&x| h.write_u8(x));
+                        feed_tail(h);
+                    });
+                    let at = format!("prefix {prefix} split {split} mode {mode}");
+                    assert_eq!([by_slice, by_byte], [reference; 2], "{at}");
+                }
+            }
         }
         let mut a = KeyHasher::new();
         a.section(12, |h| {
@@ -522,6 +611,76 @@ mod tests {
         let mut b = KeyHasher::new();
         b.section(12, |h| h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]));
         assert_eq!(a.finish(), b.finish());
+    }
+
+    /// The key as specified, one word at a time: word `k` of the stream
+    /// steps lane `k mod 4`, and after `n` words the lanes fold starting
+    /// with lane `n mod 4`.
+    fn lane_model(words: &[u64]) -> u64 {
+        let mut lanes = LANE_SEEDS;
+        for (k, &w) in words.iter().enumerate() {
+            lanes[k % 4] = step(lanes[k % 4], w);
+        }
+        let n = words.len();
+        finalize((0..4).fold(FOLD_SEED, |s, i| step(s, lanes[(n + i) % 4])))
+    }
+
+    #[test]
+    fn the_key_follows_the_lane_model() {
+        // Sections of 0–80 bytes: every lane phase at the fold, with and
+        // without a zero-padded last word.
+        for len in 0..=80usize {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 101 + 7) as u8).collect();
+            let mut h = KeyHasher::new();
+            h.section(1, |h| h.write_u8(3));
+            h.section(len, |h| h.write(&bytes));
+            let mut words = vec![1, 3, len as u64];
+            words.extend(bytes.chunks(8).map(|c| {
+                let mut w = [0u8; 8];
+                w[..c.len()].copy_from_slice(c);
+                u64::from_le_bytes(w)
+            }));
+            assert_eq!(h.finish(), lane_model(&words), "len {len}");
+        }
+        // Version-3 snapshots hold keys of this hash: a change to it must
+        // bump `SNAPSHOT_VERSION` and this value together.
+        assert_eq!(
+            request_fingerprint(AlgorithmId::Flb, &fig1(), &Machine::new(2)),
+            0x62ad_caae_7971_61bf
+        );
+    }
+
+    #[test]
+    fn one_word_changed_in_any_lane_changes_the_key() {
+        // A ~1000-task stencil payload. Each variant changes one word of the
+        // hashed stream: the low byte of task costs 500–503 lies in four
+        // consecutive words (one per lane), and the last edge's cost is
+        // the last word, one of two left over after the edges' last
+        // whole group of four.
+        let g = flb_graph::costs::CostModel::paper_default(5.0)
+            .apply(&flb_graph::gen::Family::Stencil.topology(1010), 7);
+        assert_eq!(g.num_edges() % 2, 1, "the edges end in two trailing words");
+        let m = Machine::new(8);
+        let p = payload(AlgorithmId::Flb, &g, &m, "");
+        let f = ScheduleFields::split(&p).unwrap();
+        let offset = |s: &[u8]| s.as_ptr() as usize - p.as_ptr() as usize;
+        let costs = offset(f.costs);
+        let last_edge_cost = offset(&f.edges) + f.edges.len() - 8;
+        let mut keys = vec![request_fingerprint(AlgorithmId::Flb, &g, &m)];
+        for at in (500..504).map(|t| costs + 8 * t).chain([last_edge_cost]) {
+            let mut v = p.clone();
+            v[at] ^= 1;
+            let Ok(Request::Schedule { request: r, .. }) = crate::proto::decode_request(&v) else {
+                panic!("the variant at byte {at} decodes");
+            };
+            let key = request_fingerprint(r.algorithm, &r.graph, &r.machine);
+            assert_eq!(peek_request_key(&v).map(|k| k.key), Some(key));
+            keys.push(key);
+        }
+        let mut distinct = keys.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), keys.len(), "{keys:x?}");
     }
 
     #[test]

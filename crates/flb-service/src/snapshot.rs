@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic    u32 LE = 0x464C_4253 ("FLBS")
-//! version  u32 LE = 2
+//! version  u32 LE = 3
 //! count    u32 LE
 //! entries  count × (fingerprint u64 LE, len u32 LE, schedule wire bytes)
 //! checksum u64 LE  (FNV-1a over every preceding byte)
@@ -28,12 +28,13 @@ use std::sync::Arc;
 /// Snapshot file magic: `"FLBS"`.
 pub const SNAPSHOT_MAGIC: u32 = 0x464C_4253;
 
-/// Current snapshot format version. Version 2 entries are keyed by the
-/// word-hash [`request_fingerprint`](crate::request_fingerprint) over the
-/// canonical wire sections; version 1 files hold keys of the retired
-/// byte-wise FNV-1a key, are refused as `unsupported version` and
-/// quarantined, and the daemon boots cold once.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Current snapshot format version. Version 3 entries are keyed by the
+/// four-lane word hash [`request_fingerprint`](crate::request_fingerprint)
+/// over the canonical wire sections. Older files hold keys no request
+/// produces any more: version 2 the retired one-lane word hash, version
+/// 1 the retired byte-wise FNV-1a key. They are refused as
+/// `unsupported version` and quarantined, and the daemon boots cold once.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot could not be loaded.
 #[derive(Debug)]

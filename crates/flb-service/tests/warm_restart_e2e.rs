@@ -8,7 +8,9 @@ use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
 use flb_graph::gen;
 use flb_sched::Machine;
 use flb_service::fingerprint::Fnv64;
-use flb_service::{serve, snapshot, Client, Endpoint, ServiceConfig, Submission};
+use flb_service::{
+    request_fingerprint, serve, snapshot, Client, Endpoint, ServiceConfig, Submission,
+};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -141,60 +143,75 @@ fn corrupt_snapshot_is_quarantined_and_the_server_boots_anyway() {
 /// A version-1 snapshot holds keys of the retired cache key. It is
 /// refused as an unsupported version and quarantined; the daemon boots
 /// cold once, then serves and re-caches under the current key.
+/// Version 1 files are keyed by the retired byte-wise FNV-1a hash,
+/// version 2 files by the retired one-lane word hash: serving from either
+/// could answer a request with another request's schedule. Both are
+/// refused and quarantined, and the daemon boots cold. The entries here
+/// carry today's keys, so a file loaded by mistake would show up as hits.
 #[test]
 fn version_1_snapshot_is_quarantined_and_the_cache_refills() {
-    let dir = temp_dir("snapshot-v1");
-    let cache_file = dir.join("cache.snap");
-    let entries: Vec<_> = (0..3)
-        .map(|i| {
-            let request =
-                ScheduleRequest::new(AlgorithmId::Flb, gen::chain(i + 2), Machine::new(2));
-            (
-                0x1899_d0fb_0dca_ec07 + i as u64,
-                Arc::new(schedule_request(&request)),
-            )
-        })
-        .collect();
-    let mut bytes = snapshot::encode(&entries);
-    bytes.truncate(bytes.len() - 8);
-    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-    let mut h = Fnv64::new();
-    h.write(&bytes);
-    bytes.extend_from_slice(&h.finish().to_le_bytes());
-    std::fs::write(&cache_file, &bytes).unwrap();
+    for version in [1u32, 2] {
+        let dir = temp_dir(&format!("snapshot-v{version}"));
+        let cache_file = dir.join("cache.snap");
+        let entries: Vec<_> = (0..3)
+            .map(|i| {
+                let request =
+                    ScheduleRequest::new(AlgorithmId::Flb, gen::chain(i + 2), Machine::new(2));
+                (
+                    request_fingerprint(request.algorithm, &request.graph, &request.machine),
+                    Arc::new(schedule_request(&request)),
+                )
+            })
+            .collect();
+        let mut bytes = snapshot::encode(&entries);
+        bytes.truncate(bytes.len() - 8);
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        let mut h = Fnv64::new();
+        h.write(&bytes);
+        bytes.extend_from_slice(&h.finish().to_le_bytes());
+        std::fs::write(&cache_file, &bytes).unwrap();
 
-    let cfg = ServiceConfig {
-        workers: 1,
-        cache_file: Some(cache_file.clone()),
-        ..ServiceConfig::default()
-    };
-    let handle = serve(&Endpoint::parse("127.0.0.1:0"), cfg).unwrap();
-    let mut client = Client::connect(&handle.endpoint()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.snapshot_quarantined, 1);
-    assert_eq!(stats.snapshot_loaded, 0);
-    assert!(
-        dir.join("cache.snap.corrupt").exists(),
-        "evidence must be preserved"
-    );
+        let cfg = ServiceConfig {
+            workers: 1,
+            cache_file: Some(cache_file.clone()),
+            ..ServiceConfig::default()
+        };
+        let handle = serve(&Endpoint::parse("127.0.0.1:0"), cfg).unwrap();
+        let mut client = Client::connect(&handle.endpoint()).unwrap();
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.snapshot_quarantined, 1, "version {version}");
+        assert_eq!(stats.snapshot_loaded, 0, "version {version}");
+        assert!(
+            dir.join("cache.snap.corrupt").exists(),
+            "evidence must be preserved"
+        );
+        let quarantined = std::fs::read(dir.join("cache.snap.corrupt")).unwrap();
+        assert_eq!(quarantined, bytes, "the file is moved as it was");
+        match snapshot::load(&dir.join("cache.snap.corrupt")) {
+            Err(snapshot::SnapshotError::Corrupt(why)) => {
+                assert_eq!(why, format!("unsupported version {version}"));
+            }
+            other => panic!("version {version} loaded: {other:?}"),
+        }
 
-    submit_workload(&mut client, 3);
-    submit_workload(&mut client, 3);
-    let stats = client.stats().unwrap();
-    assert_eq!(
-        stats.cache_misses, 3,
-        "the cold boot schedules each graph once"
-    );
-    assert_eq!(
-        stats.cache_hits, 3,
-        "and answers the repeats from the cache"
-    );
+        submit_workload(&mut client, 3);
+        submit_workload(&mut client, 3);
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            stats.cache_misses, 3,
+            "the cold boot schedules each graph once (version {version})"
+        );
+        assert_eq!(
+            stats.cache_hits, 3,
+            "and answers the repeats from the cache (version {version})"
+        );
 
-    client.shutdown().unwrap();
-    handle.join();
-    // The shutdown snapshot is written in the current format.
-    assert_eq!(snapshot::load(&cache_file).unwrap().len(), 3);
-    let _ = std::fs::remove_dir_all(&dir);
+        client.shutdown().unwrap();
+        handle.join();
+        // The shutdown snapshot is written in the current format.
+        assert_eq!(snapshot::load(&cache_file).unwrap().len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
