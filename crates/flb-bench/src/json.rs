@@ -1,14 +1,10 @@
-//! A minimal JSON reader/writer for the benchmark artifact files.
+//! A minimal JSON reader for the CLI's `--format json` schema tests.
 //!
 //! The workspace deliberately carries no JSON dependency, and the vendored
-//! `serde` stub has no serializer — but the perf-trajectory files
-//! (`BENCH_*.json`) must be readable by `par --check`, by the CLI's
-//! JSON-schema tests and by external tooling. This module implements just
-//! enough of RFC 8259 for that: objects, arrays, strings with the standard
-//! escapes, `f64` numbers and the three literals. Emission helpers live
-//! with the schema code; parsing is a plain recursive descent over bytes.
-
-use std::fmt::Write as _;
+//! `serde` stub has no serializer, so `flb-cli`'s tests parse what the CLI
+//! prints with this module instead. It implements just enough of RFC 8259
+//! for that: objects, arrays, strings with the standard escapes, `f64`
+//! numbers and the three literals, by plain recursive descent over bytes.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -17,7 +13,7 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (kept as `f64`; the artifact schema stays within
+    /// Any JSON number (kept as `f64`; the CLI's schemas stay within
     /// the 2^53 exact-integer range).
     Num(f64),
     /// A string.
@@ -73,28 +69,6 @@ impl Value {
             _ => None,
         }
     }
-}
-
-/// Escapes a string for embedding in a JSON document (with quotes).
-#[must_use]
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
@@ -249,8 +223,8 @@ impl Parser<'_> {
                             let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                             let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             self.pos += 4;
-                            // Surrogate pairs are outside the artifact
-                            // schema's needs; reject rather than mangle.
+                            // Surrogate pairs are outside the CLI's
+                            // schemas' needs; reject rather than mangle.
                             out.push(
                                 char::from_u32(code).ok_or(format!("invalid \\u{hex} escape"))?,
                             );
@@ -317,22 +291,10 @@ mod tests {
         );
         assert_eq!(dp.get("peak_rss_kb"), Some(&Value::Null));
         assert_eq!(dp.get("ok"), Some(&Value::Bool(true)));
-    }
-
-    #[test]
-    fn quote_round_trips_through_parse() {
-        for s in [
-            "plain",
-            "with \"quotes\"",
-            "tabs\tand\nnewlines",
-            "uni😀code",
-        ] {
-            let parsed = parse(&quote(s)).unwrap();
-            assert_eq!(parsed.as_str(), Some(s));
-        }
-        // Control characters take the \u path, and \u escapes parse back.
-        assert_eq!(quote("\u{1}"), "\"\\u0001\"");
-        assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert_eq!(
+            parse(r#""tab\tquote\"\u0041""#).unwrap().as_str(),
+            Some("tab\tquote\"A")
+        );
     }
 
     #[test]

@@ -8,20 +8,27 @@
 //! * `fig3`   — FLB speedups vs `P` per problem and CCR (Fig. 3);
 //! * `fig4`   — normalised schedule lengths vs MCP (Fig. 4), plus the §6.2
 //!   summary comparisons;
-//! * `ablations` — the A1–A3 design-choice ablations of DESIGN.md.
+//! * `ablations` — the A1–A3 design-choice ablations of DESIGN.md;
+//! * `complexity`, `contention`, `duplication`, `extended`, `faults`,
+//!   `hetero`, `robustness`, `runtime` and `service` — the extension
+//!   experiments of EXPERIMENTS.md, each with its command there.
 //!
 //! Binaries accept `--quick` to run a scaled-down suite (~200-task graphs,
 //! 2 instances) so the whole pipeline can be exercised in seconds; without
 //! it they run the paper-scale suite (`V ≈ 2000`, 5 instances).
+//!
+//! The library is what the binaries share: the scheduler registry, the
+//! parallel [`measure_all`] runner, table/CSV formatting and the peak-RSS
+//! reading. [`json`] is the small JSON reader `flb-cli`'s schema tests
+//! parse `--format json` output with. The end-to-end benchmark is
+//! `perfbench/`, outside this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod csv;
 pub mod json;
-pub mod kernel_bench;
 pub mod mem;
-pub mod par_bench;
 pub mod registry;
 pub mod report;
 pub mod runner;

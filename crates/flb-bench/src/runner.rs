@@ -25,18 +25,19 @@ pub struct Measurement {
 /// Runs every registered scheduler on every workload at every `proc` count.
 ///
 /// Workloads are fanned out over `threads` OS threads with a shared work
-/// queue (crossbeam scope — no `'static` bound on the borrowed workloads).
-/// Each schedule is validated before its measurement is recorded, so a
-/// buggy algorithm aborts the experiment instead of reporting garbage.
+/// queue (`std::thread::scope` — no `'static` bound on the borrowed
+/// workloads). Each schedule is validated before its measurement is
+/// recorded, so a buggy algorithm aborts the experiment instead of
+/// reporting garbage.
 #[must_use]
 pub fn measure_all(workloads: &[Workload], procs: &[usize], threads: usize) -> Vec<Measurement> {
     let threads = threads.max(1);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results: Mutex<Vec<Measurement>> = Mutex::new(Vec::new());
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let schedulers = named_schedulers();
                 loop {
                     let wi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -66,8 +67,7 @@ pub fn measure_all(workloads: &[Workload], procs: &[usize], threads: usize) -> V
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 
     let mut out = results.into_inner();
     // Deterministic order regardless of thread interleaving.

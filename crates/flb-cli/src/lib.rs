@@ -1261,9 +1261,9 @@ mod tests {
     }
 
     /// `flb lint --format json` emits the stable `flb-analyze/v1`
-    /// schema, parsed here with the same hand-rolled JSON reader the
-    /// bench artifacts use (CI greps for the schema tag too, but this
-    /// pins the full shape: key set, types, and summary arithmetic).
+    /// schema, parsed here with the workspace's hand-rolled JSON reader
+    /// (CI greps for the schema tag too, but this pins the full shape:
+    /// key set, types, and summary arithmetic).
     #[test]
     fn lint_json_schema_is_stable() {
         use flb_bench::json::{parse, Value};

@@ -9,16 +9,10 @@
 //!
 //! The wire algorithms come from [`AlgorithmId`], the workspace's one
 //! scheduler registry. Only the `FlbRun` references (`flb`, `flb-fifo`)
-//! and the parallel `flb-par-N` are written out here.
+//! are written out here.
 
 use flb_core::{AlgorithmId, Flb, TieBreak};
-use flb_par::FlbPar;
 use flb_sched::Scheduler;
-
-/// Interleaver seed for the registered `flb-par-N` entries. Fixed so
-/// every registry run (and every shrunk counterexample) replays the same
-/// worker interleaving bit-for-bit.
-pub const PAR_REGISTRY_SEED: u64 = 0xF1B_9A12;
 
 /// How faithfully the simulator must reproduce a scheduler's static times.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,7 +28,7 @@ pub enum Replay {
 pub struct Entry {
     /// Stable name, as corpus files spell it. Of these, `flb schedule
     /// --alg` accepts only the [`AlgorithmId`] names (plus its own
-    /// `runtime-*` dispatchers), not `flb-kernel`, `flb-fifo` or `flb-par-N`.
+    /// `runtime-*` dispatchers), not `flb-kernel` or `flb-fifo`.
     pub name: &'static str,
     /// The algorithm.
     pub scheduler: Box<dyn Scheduler>,
@@ -42,7 +36,7 @@ pub struct Entry {
     pub replay: Replay,
 }
 
-/// All fourteen registered schedulers, in comparison order.
+/// All eleven registered schedulers, in comparison order.
 #[must_use]
 pub fn all() -> Vec<Entry> {
     fn e(name: &'static str, scheduler: Box<dyn Scheduler>, replay: Replay) -> Entry {
@@ -76,20 +70,6 @@ pub fn all() -> Vec<Entry> {
         ),
         kernel,
     ];
-    // The sharded work-stealing scheduler, run under its seeded
-    // deterministic interleaver so every oracle (and ddmin) can replay
-    // it. N=1 delegates to the exact kernel; N>1 uses the
-    // conservative-LMT relaxation, whose append-style start times are
-    // valid but may be later than the eager simulator's — replay class
-    // NoLater.
-    for (threads, replay) in [
-        (1, Replay::Exact),
-        (2, Replay::NoLater),
-        (4, Replay::NoLater),
-    ] {
-        let par = FlbPar::deterministic(threads, PAR_REGISTRY_SEED);
-        entries.push(e(par.name(), Box::new(par), replay));
-    }
     entries.extend(baselines);
     entries
 }
@@ -105,13 +85,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exactly_fourteen_schedulers_with_unique_names() {
+    fn exactly_eleven_schedulers_with_unique_names() {
         let entries = all();
-        assert_eq!(entries.len(), 14);
+        assert_eq!(entries.len(), 11);
         let mut names: Vec<&str> = entries.iter().map(|e| e.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 14, "duplicate registry names");
+        assert_eq!(names.len(), 11, "duplicate registry names");
     }
 
     /// The kernel, registered and behind the wire id, and the reference
@@ -132,27 +112,12 @@ mod tests {
 
     #[test]
     fn relaxed_schedulers_are_no_later() {
-        // Insertion schedulers backfill idle slots; the sharded parallel
-        // FLB skips the EMT refinement. Both replay equal-or-earlier.
+        // Insertion schedulers backfill idle slots, so they replay
+        // equal-or-earlier.
         for e in all() {
-            let expect = matches!(e.name, "mcp-ins" | "heft" | "flb-par-2" | "flb-par-4");
+            let expect = matches!(e.name, "mcp-ins" | "heft");
             assert_eq!(e.replay == Replay::NoLater, expect, "{}", e.name);
         }
-    }
-
-    /// `flb-par-1` must be indistinguishable from the kernel (and hence
-    /// from the reference): same delegation, held to exact replay.
-    #[test]
-    fn par_n1_is_registered_exact_and_matches_the_kernel() {
-        let g = flb_graph::paper::fig1();
-        let m = flb_sched::Machine::new(2);
-        let par = by_name("flb-par-1").expect("flb-par-1 registered");
-        let kernel = by_name("flb-kernel").expect("kernel registered");
-        assert_eq!(par.replay, Replay::Exact);
-        assert_eq!(
-            par.scheduler.schedule(&g, &m).placements(),
-            kernel.scheduler.schedule(&g, &m).placements()
-        );
     }
 
     #[test]

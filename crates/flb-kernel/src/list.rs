@@ -28,8 +28,7 @@
 //!   links, which is safe as long as none of them is inserted again (the
 //!   kernel's lazy EMT deletion relies on exactly this). Pairing heaps
 //!   give O(1) insert/meld and amortised `O(log n)` delete-min and
-//!   arbitrary delete. `flb-par`'s shards use the forest for their LMT
-//!   lists too.
+//!   arbitrary delete.
 //! * [`RadixLists`] — the per-processor `LMT_EP_task_l[p]` lists as radix
 //!   buckets (Ahuja, Mehlhorn, Orlin & Tarjan, J. ACM 1990), sharing two
 //!   per-task link arrays (`next`/`prev`). FLB asks those lists only
@@ -257,41 +256,16 @@ impl<K: Copy + Ord> FlatHeap<K> {
     // flb-analyze: region-end(no-alloc)
 }
 
-/// Where a [`PairingForest`] reads its comparison keys from.
-///
-/// The forest stores no keys: every operation asks this source for
-/// `(time, bottom level)` of a node and compares
-/// `(time(a), Reverse(bl(a)), a)` — a strict total order. The sequential
-/// kernel reads plain slices ([`SliceKeys`]); `flb-par` implements the
-/// trait over atomic arrays so shards can share one key arena while each
-/// owns its forest. Keys must not change while a node is linked into a
-/// heap (the usual heap contract).
-pub trait TaskKeys {
-    /// The primary key (a time quantity) of node `v`.
-    fn time(&self, v: u32) -> Time;
-    /// The tie-break bottom level of node `v` (larger wins).
-    fn bl(&self, v: u32) -> Time;
-}
-
-/// [`TaskKeys`] over two plain slices — the sequential kernel's view.
+/// The comparison keys a [`PairingForest`] reads: `(time, bottom level)`
+/// per node, compared as `(time[a], Reverse(bl[a]), a)` — a strict total
+/// order. Keys must not change while a node is linked into a heap (the
+/// usual heap contract).
 #[derive(Clone, Copy, Debug)]
 pub struct SliceKeys<'a> {
     /// Primary key per node.
     pub time: &'a [Time],
     /// Tie-break bottom level per node.
     pub bl: &'a [Time],
-}
-
-impl TaskKeys for SliceKeys<'_> {
-    #[inline]
-    fn time(&self, v: u32) -> Time {
-        self.time[v as usize]
-    }
-
-    #[inline]
-    fn bl(&self, v: u32) -> Time {
-        self.bl[v as usize]
-    }
 }
 
 /// `P` pairing heaps over a shared universe of `V` nodes.
@@ -316,8 +290,9 @@ pub struct PairingForest {
 /// paper's task ordering: earlier time first, then larger bottom level,
 /// then smaller id.
 #[inline]
-fn task_less<K: TaskKeys + ?Sized>(keys: &K, a: u32, b: u32) -> bool {
-    (keys.time(a), Reverse(keys.bl(a)), a) < (keys.time(b), Reverse(keys.bl(b)), b)
+fn task_less(keys: &SliceKeys<'_>, a: u32, b: u32) -> bool {
+    let (ai, bi) = (a as usize, b as usize);
+    (keys.time[ai], Reverse(keys.bl[ai]), a) < (keys.time[bi], Reverse(keys.bl[bi]), b)
 }
 
 impl PairingForest {
@@ -334,10 +309,12 @@ impl PairingForest {
     // flb-analyze: region(no-alloc)
     // Pairing-heap links live in the three arrays sized at new();
     // meld/insert/combine/pop/remove only rewrite indices.
+    // Every operation is `#[inline]` so `KernelRun`'s loop, compiled in
+    // another codegen unit, can inline them.
 
     /// Melds two non-`NONE` roots; returns the winner.
     #[inline]
-    fn meld<K: TaskKeys + ?Sized>(&mut self, keys: &K, a: u32, b: u32) -> u32 {
+    fn meld(&mut self, keys: &SliceKeys<'_>, a: u32, b: u32) -> u32 {
         let (top, bot) = if task_less(keys, a, b) {
             (a, b)
         } else {
@@ -355,8 +332,9 @@ impl PairingForest {
 
     /// Inserts node `v` into the heap rooted at `root` (`NONE` = empty);
     /// returns the new root. `v` must not be in any heap of the forest.
+    #[inline]
     #[must_use]
-    pub fn insert<K: TaskKeys + ?Sized>(&mut self, keys: &K, root: u32, v: u32) -> u32 {
+    pub fn insert(&mut self, keys: &SliceKeys<'_>, root: u32, v: u32) -> u32 {
         debug_assert!(
             self.child[v as usize] == NONE
                 && self.sib[v as usize] == NONE
@@ -372,7 +350,8 @@ impl PairingForest {
 
     /// Two-pass pairing combine of a sibling list starting at `first`
     /// (whose `prev` must already be cleared); returns the resulting root.
-    fn combine_siblings<K: TaskKeys + ?Sized>(&mut self, keys: &K, first: u32) -> u32 {
+    #[inline]
+    fn combine_siblings(&mut self, keys: &SliceKeys<'_>, first: u32) -> u32 {
         // Pass 1: meld adjacent pairs left to right, stacking the winners
         // through their (now free) `sib` links.
         let mut stack = NONE;
@@ -413,8 +392,9 @@ impl PairingForest {
     }
 
     /// Removes the minimum (the root itself); returns the new root.
+    #[inline]
     #[must_use]
-    pub fn pop_min<K: TaskKeys + ?Sized>(&mut self, keys: &K, root: u32) -> u32 {
+    pub fn pop_min(&mut self, keys: &SliceKeys<'_>, root: u32) -> u32 {
         debug_assert_ne!(root, NONE, "pop from empty heap");
         let c = self.child[root as usize];
         self.child[root as usize] = NONE;
@@ -427,8 +407,9 @@ impl PairingForest {
 
     /// Removes an arbitrary node `v` from the heap rooted at `root`;
     /// returns the new root.
+    #[inline]
     #[must_use]
-    pub fn remove<K: TaskKeys + ?Sized>(&mut self, keys: &K, root: u32, v: u32) -> u32 {
+    pub fn remove(&mut self, keys: &SliceKeys<'_>, root: u32, v: u32) -> u32 {
         if v == root {
             return self.pop_min(keys, root);
         }

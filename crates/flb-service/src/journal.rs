@@ -932,7 +932,13 @@ mod tests {
                 reply: None,
                 request: sample_request_bytes(i),
             });
-            std::thread::sleep(Duration::from_millis(2));
+            // Wait for the writer to take each event, so a slow
+            // `sync_data` on a busy disk cannot fill the 4-slot queue and
+            // shed events this phase expects written.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while counters.appended.load(Ordering::Relaxed) <= i && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
         }
         stop.store(true, Ordering::SeqCst);
         writer.join().unwrap();

@@ -1,10 +1,10 @@
-//! Streaming million-task workload generators.
+//! The streaming million-task LU generator.
 //!
 //! The suite generators in the crate root build [`flb_graph::TaskGraph`]s
 //! through the validating builder — fine at the paper's `V ≈ 2000`, but at a
 //! million tasks the builder's intermediate edge lists, cycle check and
-//! adjacency sort dominate. The generators here stream the same topologies
-//! directly into [`flb_kernel::FlatGraph`] CSR arrays via
+//! adjacency sort dominate. [`lu_flat`] streams the LU topology directly
+//! into [`flb_kernel::FlatGraph`] CSR arrays via
 //! [`FlatGraph::from_emitter`]: task ids are assigned in the natural
 //! construction order (which is topological), edge endpoints are computed
 //! arithmetically, and no per-task `Vec` of handles is ever materialised.
@@ -13,16 +13,15 @@
 //! computation costs in task-id order from a generator seeded with `seed`,
 //! communication costs in edge-emission order from an independent stream
 //! (the emitter runs twice, so the communication generator is reseeded per
-//! pass). Topologies are bit-identical to the corresponding
-//! [`flb_graph::gen`] generators — the tests check exactly that — while the
-//! cost *streams* are this module's own.
+//! pass). The topology is bit-identical to [`flb_graph::gen::lu`] — the
+//! tests check exactly that — while the cost *streams* are this module's
+//! own.
 
 use flb_graph::costs::CostModel;
-use flb_graph::gen::RandomLayeredSpec;
 use flb_graph::Time;
 use flb_kernel::FlatGraph;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Decorrelates the communication-cost stream from the computation one
 /// (golden-ratio constant, as in splitmix).
@@ -45,28 +44,6 @@ pub fn lu_order_for_tasks(v: usize) -> usize {
         m += 1;
     }
     m
-}
-
-/// Number of tasks in a blocked Cholesky factorisation on `nb` tiles:
-/// `nb` POTRF + `nb(nb-1)` TRSM/SYRK + `C(nb, 3)` GEMM.
-#[must_use]
-pub fn cholesky_task_count(nb: usize) -> usize {
-    let gemm = if nb >= 3 {
-        nb * (nb - 1) * (nb - 2) / 6
-    } else {
-        0
-    };
-    nb + nb * (nb - 1) + gemm
-}
-
-/// Smallest tile count `nb` whose Cholesky task count reaches `v`.
-#[must_use]
-pub fn cholesky_tiles_for_tasks(v: usize) -> usize {
-    let mut nb = 1;
-    while cholesky_task_count(nb) < v {
-        nb += 1;
-    }
-    nb
 }
 
 /// Streams the LU-decomposition topology of [`flb_graph::gen::lu`] straight
@@ -99,172 +76,6 @@ pub fn lu_flat(m: usize, model: &CostModel, seed: u64) -> FlatGraph {
                     sink(id(k, j), id(k + 1, j), comm.sample(&mut rng));
                 }
             }
-        },
-    )
-}
-
-/// Task-id arithmetic for the blocked Cholesky DAG: ids per step `k` are
-/// POTRF, then TRSM(k, i) for `i = k+1..nb`, then SYRK likewise, then
-/// GEMM(k, i, j) i-major — exactly [`flb_graph::gen::cholesky`]'s order.
-#[derive(Clone, Copy)]
-struct CholeskyIds {
-    nb: usize,
-}
-
-impl CholeskyIds {
-    fn base(self, k: usize) -> usize {
-        // Prefix sum of step sizes 1 + 2r + r(r-1)/2, r = nb - s - 1.
-        (0..k)
-            .map(|s| {
-                let r = self.nb - s - 1;
-                1 + 2 * r + r * (r - 1) / 2
-            })
-            .sum()
-    }
-    fn potrf(self, k: usize) -> u32 {
-        self.base(k) as u32
-    }
-    fn trsm(self, k: usize, i: usize) -> u32 {
-        (self.base(k) + 1 + (i - k - 1)) as u32
-    }
-    fn syrk(self, k: usize, i: usize) -> u32 {
-        (self.base(k) + 1 + (self.nb - k - 1) + (i - k - 1)) as u32
-    }
-    fn gemm(self, k: usize, i: usize, j: usize) -> u32 {
-        let x = i - k - 1; // GEMMs with smaller first index: 0 + 1 + ... + (x-1)
-        (self.base(k) + 1 + 2 * (self.nb - k - 1) + x * (x - 1) / 2 + (j - k - 1)) as u32
-    }
-}
-
-fn cholesky_edges(nb: usize, sink: &mut dyn FnMut(u32, u32)) {
-    let ids = CholeskyIds { nb };
-    for k in 0..nb {
-        if k > 0 {
-            // POTRF(k) <- SYRK(k-1, k)
-            sink(ids.syrk(k - 1, k), ids.potrf(k));
-        }
-        for i in (k + 1)..nb {
-            sink(ids.potrf(k), ids.trsm(k, i));
-            if k > 0 {
-                sink(ids.gemm(k - 1, i, k), ids.trsm(k, i));
-            }
-        }
-        for i in (k + 1)..nb {
-            sink(ids.trsm(k, i), ids.syrk(k, i));
-            if k > 0 {
-                sink(ids.syrk(k - 1, i), ids.syrk(k, i));
-            }
-        }
-        for i in (k + 1)..nb {
-            for j in (k + 1)..i {
-                sink(ids.trsm(k, i), ids.gemm(k, i, j));
-                sink(ids.trsm(k, j), ids.gemm(k, i, j));
-                if k > 0 {
-                    sink(ids.gemm(k - 1, i, j), ids.gemm(k, i, j));
-                }
-            }
-        }
-    }
-}
-
-/// Streams the blocked-Cholesky topology of [`flb_graph::gen::cholesky`]
-/// into a weighted [`FlatGraph`]. `V = nb + nb(nb-1) + C(nb, 3)`.
-///
-/// Unlike the reference generator's relative kernel weights, computation
-/// costs are drawn from `model` (as [`CostModel::apply`] would re-weight
-/// them anyway).
-///
-/// # Panics
-///
-/// Panics if `nb == 0`.
-#[must_use]
-pub fn cholesky_flat(nb: usize, model: &CostModel, seed: u64) -> FlatGraph {
-    assert!(nb > 0, "cholesky needs at least one tile");
-    let v = cholesky_task_count(nb);
-    let mut num_edges = 0usize;
-    cholesky_edges(nb, &mut |_, _| num_edges += 1);
-    let comm = model.comm_dist();
-    FlatGraph::from_emitter(
-        format!("cholesky-{nb}-ccr{}-s{seed}", model.ccr),
-        sample_comps(model, seed, v),
-        num_edges,
-        move |sink| {
-            let mut rng = StdRng::seed_from_u64(comm_seed(seed));
-            cholesky_edges(nb, &mut |s, d| sink(s, d, comm.sample(&mut rng)));
-        },
-    )
-}
-
-/// Replays [`flb_graph::gen::random_layered`]'s RNG stream (layer sizes,
-/// then per-task edge coin flips) against arithmetic ids.
-fn layered_edges(
-    spec: &RandomLayeredSpec,
-    seed: u64,
-    starts: &[usize],
-    sizes: &[usize],
-    sink: &mut dyn FnMut(u32, u32),
-) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    for _ in 0..spec.tasks - spec.layers {
-        let _ = rng.random_range(0..spec.layers);
-    }
-    for l in 1..spec.layers {
-        for t_idx in 0..sizes[l] {
-            let t = (starts[l] + t_idx) as u32;
-            let mut has_pred = false;
-            let lo = l.saturating_sub(spec.max_skip.max(1));
-            for pl in lo..l {
-                for p_idx in 0..sizes[pl] {
-                    if rng.random_bool(spec.edge_prob) {
-                        sink((starts[pl] + p_idx) as u32, t);
-                        has_pred = true;
-                    }
-                }
-            }
-            if !has_pred {
-                // Guarantee connectivity to the previous layer.
-                let p = starts[l - 1] + rng.random_range(0..sizes[l - 1]);
-                sink(p as u32, t);
-            }
-        }
-    }
-}
-
-/// Streams the random layered DAG of [`flb_graph::gen::random_layered`]
-/// (bit-identical topology for the same `spec` and `seed`) into a weighted
-/// [`FlatGraph`].
-///
-/// # Panics
-///
-/// Panics if `spec.tasks < spec.layers` or `spec.layers == 0`.
-#[must_use]
-pub fn random_layered_flat(spec: &RandomLayeredSpec, model: &CostModel, seed: u64) -> FlatGraph {
-    assert!(spec.tasks >= spec.layers && spec.layers > 0);
-    // Layer sizes are the head of the same RNG stream the edges use.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sizes = vec![1usize; spec.layers];
-    for _ in 0..spec.tasks - spec.layers {
-        let l = rng.random_range(0..spec.layers);
-        sizes[l] += 1;
-    }
-    let mut starts = Vec::with_capacity(spec.layers);
-    let mut acc = 0usize;
-    for &sz in &sizes {
-        starts.push(acc);
-        acc += sz;
-    }
-    let mut num_edges = 0usize;
-    layered_edges(spec, seed, &starts, &sizes, &mut |_, _| num_edges += 1);
-    let comm = model.comm_dist();
-    FlatGraph::from_emitter(
-        format!("rand-layered-{}-ccr{}-s{seed}", spec.tasks, model.ccr),
-        sample_comps(model, seed, spec.tasks),
-        num_edges,
-        move |sink| {
-            let mut crng = StdRng::seed_from_u64(comm_seed(seed));
-            layered_edges(spec, seed, &starts, &sizes, &mut |s, d| {
-                sink(s, d, comm.sample(&mut crng));
-            });
         },
     )
 }
@@ -308,42 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn cholesky_flat_matches_reference_topology() {
-        for nb in [1usize, 2, 3, 6, 10] {
-            let flat = cholesky_flat(nb, &model(1.0), 7);
-            assert_same_topology(&flat, &gen::cholesky(nb));
-            assert_eq!(flat.num_tasks(), cholesky_task_count(nb));
-        }
-    }
-
-    #[test]
-    fn random_layered_flat_matches_reference_topology() {
-        let spec = RandomLayeredSpec {
-            tasks: 120,
-            layers: 8,
-            edge_prob: 0.25,
-            max_skip: 3,
-        };
-        for seed in [0u64, 1, 42, 1999] {
-            let flat = random_layered_flat(&spec, &model(1.0), seed);
-            assert_same_topology(&flat, &gen::random_layered(&spec, seed));
-        }
-        // Zero edge probability exercises the guaranteed-fallback path.
-        let sparse = RandomLayeredSpec {
-            edge_prob: 0.0,
-            ..spec
-        };
-        let flat = random_layered_flat(&sparse, &model(1.0), 3);
-        assert_same_topology(&flat, &gen::random_layered(&sparse, 3));
-    }
-
-    #[test]
     fn generators_are_deterministic_and_seed_sensitive() {
-        let a = cholesky_flat(8, &model(0.2), 11);
-        let b = cholesky_flat(8, &model(0.2), 11);
+        let a = lu_flat(30, &model(0.2), 11);
+        let b = lu_flat(30, &model(0.2), 11);
         assert_eq!(a.total_comp(), b.total_comp());
         assert_eq!(a.total_comm(), b.total_comm());
-        let c = cholesky_flat(8, &model(0.2), 12);
+        let c = lu_flat(30, &model(0.2), 12);
         assert!(a.total_comp() != c.total_comp() || a.total_comm() != c.total_comm());
     }
 
@@ -367,11 +148,8 @@ mod tests {
             let m = lu_order_for_tasks(v);
             assert!(m * (m + 1) / 2 >= v);
             assert!(m == 1 || (m - 1) * m / 2 < v);
-            let nb = cholesky_tiles_for_tasks(v);
-            assert!(cholesky_task_count(nb) >= v);
-            assert!(nb == 1 || cholesky_task_count(nb - 1) < v);
         }
-        // The 1M-task LU instance of the benchmark trajectory.
+        // The 1M-task LU instance of perfbench's kernel-lu1m workload.
         assert_eq!(lu_order_for_tasks(1_000_000), 1414);
         assert_eq!(1414 * 1415 / 2, 1_000_405);
     }

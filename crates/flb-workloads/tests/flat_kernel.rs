@@ -1,14 +1,15 @@
-//! End-to-end check of the streaming path: graphs built by the flat
-//! generators (identity topological order, emission-ordered CSR) scheduled
-//! by the kernel must match the reference FLB run on the converted
-//! `TaskGraph` exactly — placements, start times and makespan.
+//! End-to-end check of the kernel on CSR graphs: the streaming LU
+//! generator's graphs (identity topological order, emission-ordered CSR)
+//! and converted suite graphs, scheduled by the kernel, must match the
+//! reference FLB run on the `TaskGraph` exactly — placements, start times
+//! and makespan.
 
 use flb_core::Flb;
 use flb_graph::costs::{CostModel, Dist};
-use flb_graph::gen::RandomLayeredSpec;
+use flb_graph::gen::{self, RandomLayeredSpec};
 use flb_kernel::{FlatGraph, FlbKernel, KernelRun};
 use flb_sched::{Machine, RunStats, Scheduler, TieBreak};
-use flb_workloads::million::{cholesky_flat, lu_flat, lu_order_for_tasks, random_layered_flat};
+use flb_workloads::million::{lu_flat, lu_order_for_tasks};
 
 fn assert_kernel_matches_reference(flat: &FlatGraph, machine: &Machine) {
     let kernel = FlbKernel::new().schedule_flat(flat, machine);
@@ -32,7 +33,7 @@ fn cholesky_flat_schedules_match_reference_on_related_machine() {
         comp: Dist::UniformMean(100),
         ccr: 0.2,
     };
-    let flat = cholesky_flat(12, &model, 7);
+    let flat = FlatGraph::from_task_graph(&model.apply(&gen::cholesky(12), 7));
     assert_kernel_matches_reference(&flat, &Machine::related(vec![1, 2, 2, 3]));
 }
 
@@ -48,7 +49,7 @@ fn random_layered_flat_schedules_match_reference() {
         edge_prob: 0.1,
         max_skip: 2,
     };
-    let flat = random_layered_flat(&spec, &model, 3);
+    let flat = FlatGraph::from_task_graph(&model.apply(&gen::random_layered(&spec, 3), 3));
     assert_kernel_matches_reference(&flat, &Machine::new(4));
 }
 

@@ -78,19 +78,18 @@ fn facade_reexports_every_crate() {
 /// Dependency edges the workspace forbids: (crate, dependency, the
 /// manifest sections it may not appear in).
 ///
-/// `flb-core` runs FLB through `flb-kernel`, so neither the kernel nor
-/// `flb-par` may depend on `flb-core`, not even for tests. The CLI ships
-/// without the bench harness; only its JSON-schema tests use it.
-const FORBIDDEN_EDGES: [(&str, &str, &[&str]); 3] = [
+/// `flb-core` runs FLB through `flb-kernel`, so the kernel may not
+/// depend on `flb-core`, not even for tests. The CLI ships without the
+/// bench harness; only its JSON-schema tests use it.
+const FORBIDDEN_EDGES: [(&str, &str, &[&str]); 2] = [
     ("flb-kernel", "flb-core", ANY),
-    ("flb-par", "flb-core", ANY),
     ("flb-cli", "flb-bench", NORMAL),
 ];
 const NORMAL: &[&str] = &["[dependencies]"];
 const ANY: &[&str] = &["[dependencies]", "[dev-dependencies]"];
 
 #[test]
-fn kernel_and_par_do_not_depend_on_core() {
+fn forbidden_dependency_edges_are_absent() {
     for (krate, dep, sections) in FORBIDDEN_EDGES {
         let path = format!("{}/crates/{krate}/Cargo.toml", env!("CARGO_MANIFEST_DIR"));
         let manifest = std::fs::read_to_string(&path).expect("crate manifest");
