@@ -27,8 +27,7 @@
 //!   a whole heap by forgetting its root: the dropped nodes keep stale
 //!   links, which is safe as long as none of them is inserted again (the
 //!   kernel's lazy EMT deletion relies on exactly this). Pairing heaps
-//!   give O(1) insert/meld and amortised `O(log n)` delete-min and
-//!   arbitrary delete.
+//!   give O(1) insert/meld and amortised `O(log n)` delete-min.
 //! * [`RadixLists`] — the per-processor `LMT_EP_task_l[p]` lists as radix
 //!   buckets (Ahuja, Mehlhorn, Orlin & Tarjan, J. ACM 1990), sharing two
 //!   per-task link arrays (`next`/`prev`). FLB asks those lists only
@@ -308,7 +307,7 @@ impl PairingForest {
 
     // flb-analyze: region(no-alloc)
     // Pairing-heap links live in the three arrays sized at new();
-    // meld/insert/combine/pop/remove only rewrite indices.
+    // meld/insert/combine/pop only rewrite indices.
     // Every operation is `#[inline]` so `KernelRun`'s loop, compiled in
     // another codegen unit, can inline them.
 
@@ -403,38 +402,6 @@ impl PairingForest {
         }
         self.prev[c as usize] = NONE;
         self.combine_siblings(keys, c)
-    }
-
-    /// Removes an arbitrary node `v` from the heap rooted at `root`;
-    /// returns the new root.
-    #[inline]
-    #[must_use]
-    pub fn remove(&mut self, keys: &SliceKeys<'_>, root: u32, v: u32) -> u32 {
-        if v == root {
-            return self.pop_min(keys, root);
-        }
-        // Unlink v from its sibling list (it has a prev: it is not a root).
-        let p = self.prev[v as usize];
-        let s = self.sib[v as usize];
-        debug_assert_ne!(p, NONE, "non-root node without prev link");
-        if self.child[p as usize] == v {
-            self.child[p as usize] = s;
-        } else {
-            self.sib[p as usize] = s;
-        }
-        if s != NONE {
-            self.prev[s as usize] = p;
-        }
-        self.sib[v as usize] = NONE;
-        self.prev[v as usize] = NONE;
-        let c = self.child[v as usize];
-        self.child[v as usize] = NONE;
-        if c == NONE {
-            return root;
-        }
-        self.prev[c as usize] = NONE;
-        let t = self.combine_siblings(keys, c);
-        self.meld(keys, root, t)
     }
 
     // flb-analyze: region-end(no-alloc)
@@ -855,15 +822,11 @@ mod tests {
         }
         // Drop the first heap wholesale, then reuse its slot.
         let mut slot = NONE;
-        let mut model: std::collections::BTreeSet<_> = (48..n as u32).map(key).collect();
+        let model: std::collections::BTreeSet<_> = (48..n as u32).map(key).collect();
         for v in 48..n as u32 {
             slot = f.insert(&keys, slot, v);
         }
-        let mut other_model: std::collections::BTreeSet<_> = (32..48u32).map(key).collect();
-        other = f.remove(&keys, other, 40);
-        other_model.remove(&key(40));
-        slot = f.remove(&keys, slot, 57);
-        model.remove(&key(57));
+        let other_model: std::collections::BTreeSet<_> = (32..48u32).map(key).collect();
         for (mut root, m) in [(slot, model), (other, other_model)] {
             let mut drained = Vec::new();
             while root != NONE {
@@ -890,7 +853,7 @@ mod tests {
         let mut present = vec![false; n];
         for _ in 0..5000 {
             let h = rng() % 2;
-            match rng() % 4 {
+            match rng() % 3 {
                 0 | 1 => {
                     let v = (rng() % n) as u32;
                     if !present[v as usize] {
@@ -906,7 +869,7 @@ mod tests {
                         present[v as usize] = true;
                     }
                 }
-                2 => {
+                _ => {
                     if roots[h] != NONE {
                         let min = roots[h];
                         assert_eq!(key(min), *model[h].iter().next().unwrap());
@@ -919,22 +882,6 @@ mod tests {
                         );
                         model[h].remove(&key(min));
                         present[min as usize] = false;
-                    }
-                }
-                _ => {
-                    // Remove an arbitrary present element of heap h.
-                    if let Some(&k) = model[h].iter().nth(rng() % model[h].len().max(1)) {
-                        let v = k.2;
-                        roots[h] = f.remove(
-                            &SliceKeys {
-                                time: &time,
-                                bl: &bl,
-                            },
-                            roots[h],
-                            v,
-                        );
-                        model[h].remove(&k);
-                        present[v as usize] = false;
                     }
                 }
             }

@@ -26,11 +26,12 @@
 //! # Durability model
 //!
 //! Journaling is strictly off the request path: connection threads hand
-//! events to a bounded queue ([`Appender::append`] never blocks) and a
-//! dedicated writer thread does all file I/O. When the disk stalls or
-//! fills, the queue fills and further events are *dropped and counted*
-//! ([`JournalCounters::dropped`]) — the journal is shed, never the
-//! client. Fsync policy is configurable ([`SyncPolicy`]); segments
+//! events to a bounded queue ([`Appender::append`] never blocks, and
+//! wakes no thread while traffic flows) and a dedicated writer thread
+//! does all file I/O, one write per drain of the queue. When the disk
+//! stalls or fills, the queue fills and further events are *dropped and
+//! counted* ([`JournalCounters::dropped`]) — the journal is shed, never
+//! the client. Fsync policy is configurable ([`SyncPolicy`]); segments
 //! rotate at a size cap.
 //!
 //! # Recovery model
@@ -93,7 +94,8 @@ pub enum SyncPolicy {
     /// At most every this-many milliseconds. The default trade: a crash
     /// costs at most one interval of records.
     Interval(u64),
-    /// After every record. Slowest; loses nothing that was acked.
+    /// After every write: each record is synced before it counts as
+    /// appended. Slowest; loses nothing that was acked.
     Always,
 }
 
@@ -215,20 +217,37 @@ pub fn schedule_digest(schedule: &Schedule) -> u64 {
 /// Encodes one record as its on-disk frame (length, checksum, payload).
 #[must_use]
 pub fn encode_record(rec: &JournalRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(RECORD_PREFIX + rec.request.len());
-    payload.push(REC_REQUEST);
-    payload.extend_from_slice(&rec.ts_us.to_le_bytes());
-    payload.extend_from_slice(&rec.conn_id.to_le_bytes());
-    payload.push(rec.reply_kind);
-    payload.extend_from_slice(&rec.reply_digest.to_le_bytes());
-    payload.extend_from_slice(&rec.request);
-    let mut h = Fnv64::new();
-    h.write(&payload);
-    let mut out = Vec::with_capacity(RECORD_FRAMING + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    put_record(&mut out, rec);
     out
+}
+
+/// Appends one record's on-disk frame to `out`, the bytes
+/// [`encode_record`] returns.
+fn put_record(out: &mut Vec<u8>, rec: &JournalRecord) {
+    let payload: [&[u8]; 6] = [
+        &[REC_REQUEST],
+        &rec.ts_us.to_le_bytes(),
+        &rec.conn_id.to_le_bytes(),
+        &[rec.reply_kind],
+        &rec.reply_digest.to_le_bytes(),
+        &rec.request,
+    ];
+    let mut h = Fnv64::new();
+    for field in payload {
+        h.write(field);
+    }
+    out.reserve(frame_len(rec));
+    out.extend_from_slice(&((RECORD_PREFIX + rec.request.len()) as u32).to_le_bytes());
+    out.extend_from_slice(&h.finish().to_le_bytes());
+    for field in payload {
+        out.extend_from_slice(field);
+    }
+}
+
+/// Length of `rec`'s on-disk frame.
+fn frame_len(rec: &JournalRecord) -> usize {
+    RECORD_FRAMING + RECORD_PREFIX + rec.request.len()
 }
 
 /// Decodes one record payload (the bytes behind the framing).
@@ -528,13 +547,12 @@ pub fn write_trace(dir: &Path, records: &[JournalRecord], segment_bytes: u64) ->
         Ok(())
     };
     for rec in records {
-        let frame = encode_record(rec);
-        if buf.len() > HEADER_LEN && (buf.len() + frame.len()) as u64 > segment_bytes.max(1) {
+        if buf.len() > HEADER_LEN && (buf.len() + frame_len(rec)) as u64 > segment_bytes.max(1) {
             flush(index, &mut buf)?;
             segments += 1;
             index += 1;
         }
-        buf.extend_from_slice(&frame);
+        put_record(&mut buf, rec);
     }
     flush(index, &mut buf)?;
     Ok(segments + 1)
@@ -597,8 +615,21 @@ pub struct WriterConfig {
     pub stall_ms: u64,
 }
 
+/// How often the writer drains the queue while events keep arriving.
+/// Between drains it sleeps instead of waiting on the queue, so an
+/// `append` wakes no thread; one tick bounds how long an event waits.
+const DRAIN_TICK: Duration = Duration::from_millis(1);
+
+/// How long an idle writer blocks on the queue before it looks at the
+/// shutdown flag again.
+const IDLE_POLL: Duration = Duration::from_millis(25);
+
+/// Buffered bytes past which a drain writes before taking more events.
+const DRAIN_BYTES: usize = 1 << 20;
+
 struct Segment {
     file: std::fs::File,
+    /// Bytes of the segment, the writer's unwritten buffer included.
     bytes: u64,
 }
 
@@ -613,11 +644,133 @@ fn open_segment(dir: &Path, index: u64, counters: &JournalCounters) -> io::Resul
     })
 }
 
-/// The dedicated writer thread's loop: drains the queue, appends
-/// records, rotates segments at the size cap, and fsyncs per policy.
-/// Returns once `shutdown` reads true (after draining what is queued)
-/// or every `Appender` is gone. A failing disk costs records (counted
-/// as dropped), never progress.
+/// The writer thread's state: the open segment and the records encoded
+/// for it but not yet written. Records reach the file in the order they
+/// were pushed, and the segment files come out byte for byte as writing
+/// each record on its own would leave them.
+struct SegmentWriter<'a> {
+    cfg: &'a WriterConfig,
+    counters: &'a JournalCounters,
+    index: u64,
+    seg: Option<Segment>,
+    /// Encoded records for `seg`, reused across drains.
+    buf: Vec<u8>,
+    /// Records in `buf`.
+    buffered: u64,
+}
+
+impl SegmentWriter<'_> {
+    /// Encodes one event into the buffer, first writing out the buffer
+    /// and rotating when the record would push the segment past the cap
+    /// (an empty segment never rotates: an oversized record still lands).
+    fn push(&mut self, ev: JournalEvent) {
+        if self.cfg.stall_ms > 0 {
+            // Chaos hook: a disk that takes this long per record makes the
+            // bounded queue fill, exercising the real drop path.
+            std::thread::sleep(Duration::from_millis(self.cfg.stall_ms));
+        }
+        let rec = JournalRecord {
+            ts_us: ev.ts_us,
+            conn_id: ev.conn_id,
+            reply_kind: ev.reply_kind,
+            reply_digest: ev.reply.as_deref().map_or(0, schedule_digest),
+            request: ev.request,
+        };
+        let len = frame_len(&rec) as u64;
+        let cap = self.cfg.segment_bytes.max(1);
+        if self
+            .seg
+            .as_ref()
+            .is_some_and(|s| s.bytes > HEADER_LEN as u64 && s.bytes + len > cap)
+        {
+            self.flush();
+            if let Some(s) = self.seg.take() {
+                let _ = s.file.sync_data();
+            }
+        }
+        if self.seg.is_none() {
+            // Either rotating, or recovering from an earlier write failure;
+            // always move to a fresh index so a half-written file is never
+            // appended to.
+            self.index += 1;
+            match open_segment(&self.cfg.dir, self.index, self.counters) {
+                Ok(s) => self.seg = Some(s),
+                Err(e) => {
+                    eprintln!("flb-service: journal segment open failed: {e}");
+                    self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+            }
+        }
+        if let Some(s) = self.seg.as_mut() {
+            s.bytes += len;
+            put_record(&mut self.buf, &rec);
+            self.buffered += 1;
+        }
+        if self.buf.len() >= DRAIN_BYTES {
+            self.flush();
+        }
+    }
+
+    /// Encodes queued events until the queue is empty or one
+    /// [`DRAIN_TICK`] has passed, then writes them out in one flush.
+    /// Returns whether the queue ran empty. The time bound keeps a
+    /// writer that cannot catch up (a stalled disk under steady
+    /// traffic) writing as it goes.
+    fn drain(&mut self, rx: &Receiver<JournalEvent>) -> bool {
+        let t0 = Instant::now();
+        let emptied = loop {
+            match rx.try_recv() {
+                Ok(ev) => self.push(ev),
+                Err(_) => break true,
+            }
+            if t0.elapsed() >= DRAIN_TICK {
+                break false;
+            }
+        };
+        self.flush();
+        emptied
+    }
+
+    /// Writes the buffered records to the segment with one `write_all`,
+    /// syncing under [`SyncPolicy::Always`]. A failed write drops them
+    /// all (counted) and abandons the segment; the next record opens a
+    /// fresh one.
+    fn flush(&mut self) {
+        if self.buffered == 0 {
+            return;
+        }
+        let (n, bytes) = (self.buffered, self.buf.len() as u64);
+        self.buffered = 0;
+        let written = match self.seg.as_mut() {
+            Some(s) => s.file.write_all(&self.buf),
+            None => Err(io::Error::other("no open segment")),
+        };
+        self.buf.clear();
+        match written {
+            Ok(()) => {
+                if let (SyncPolicy::Always, Some(s)) = (self.cfg.sync, self.seg.as_ref()) {
+                    let _ = s.file.sync_data();
+                }
+                self.counters.appended.fetch_add(n, Ordering::Relaxed);
+                self.counters.bytes.fetch_add(bytes, Ordering::Relaxed);
+            }
+            Err(e) => {
+                eprintln!("flb-service: journal append failed: {e}");
+                self.counters.dropped.fetch_add(n, Ordering::Relaxed);
+                self.seg = None;
+            }
+        }
+    }
+}
+
+/// The dedicated writer thread's loop. Idle, it blocks on the queue;
+/// once an event arrives it drains the queue every [`DRAIN_TICK`] with
+/// one write per drain (at once again if a drain left events queued),
+/// until a tick brings nothing. It rotates segments
+/// at the size cap and fsyncs per policy. Returns once `shutdown` reads
+/// true (after draining what is queued) or every `Appender` is gone. A
+/// failing disk costs records (counted as dropped), never progress.
 pub fn writer_loop(
     cfg: &WriterConfig,
     rx: &Receiver<JournalEvent>,
@@ -625,8 +778,7 @@ pub fn writer_loop(
     start_index: u64,
     shutdown: &dyn Fn() -> bool,
 ) {
-    let mut index = start_index;
-    let mut seg = match open_segment(&cfg.dir, index, counters) {
+    let seg = match open_segment(&cfg.dir, start_index, counters) {
         Ok(s) => Some(s),
         Err(e) => {
             eprintln!(
@@ -636,101 +788,54 @@ pub fn writer_loop(
             None
         }
     };
+    let mut w = SegmentWriter {
+        cfg,
+        counters,
+        index: start_index,
+        seg,
+        buf: Vec::new(),
+        buffered: 0,
+    };
     let mut last_sync = Instant::now();
-    loop {
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(ev) => {
-                write_event(cfg, &mut seg, &mut index, counters, ev);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shutdown() {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        if let (SyncPolicy::Interval(ms), Some(s)) = (cfg.sync, seg.as_ref()) {
+    let mut sync_due = |w: &SegmentWriter<'_>| {
+        if let (SyncPolicy::Interval(ms), Some(s)) = (cfg.sync, w.seg.as_ref()) {
             if last_sync.elapsed() >= Duration::from_millis(ms.max(1)) {
                 let _ = s.file.sync_data();
                 last_sync = Instant::now();
             }
         }
+    };
+    loop {
+        match rx.recv_timeout(IDLE_POLL) {
+            Ok(ev) => {
+                w.push(ev);
+                // Traffic flows: drain once per tick until a tick brings
+                // nothing.
+                loop {
+                    let emptied = w.drain(rx);
+                    sync_due(&w);
+                    if emptied {
+                        std::thread::sleep(DRAIN_TICK);
+                        match rx.try_recv() {
+                            Ok(ev) => w.push(ev),
+                            Err(_) => break,
+                        }
+                    }
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                if shutdown() {
+                    break;
+                }
+                sync_due(&w);
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
     }
     // Shutdown: drain whatever the connections managed to enqueue.
-    while let Ok(ev) = rx.try_recv() {
-        write_event(cfg, &mut seg, &mut index, counters, ev);
-    }
-    if let Some(s) = seg {
+    while !w.drain(rx) {}
+    if let Some(s) = w.seg {
         let _ = s.file.sync_all();
-    }
-}
-
-fn write_event(
-    cfg: &WriterConfig,
-    seg: &mut Option<Segment>,
-    index: &mut u64,
-    counters: &JournalCounters,
-    ev: JournalEvent,
-) {
-    if cfg.stall_ms > 0 {
-        // Chaos hook: a disk that takes this long per record makes the
-        // bounded queue fill, exercising the real drop path.
-        std::thread::sleep(Duration::from_millis(cfg.stall_ms));
-    }
-    let rec = JournalRecord {
-        ts_us: ev.ts_us,
-        conn_id: ev.conn_id,
-        reply_kind: ev.reply_kind,
-        reply_digest: ev.reply.as_deref().map_or(0, schedule_digest),
-        request: ev.request,
-    };
-    let frame = encode_record(&rec);
-
-    // Rotate when the record would push the segment past the cap (but
-    // never rotate an empty segment: an oversized record still lands).
-    let needs_rotate = seg.as_ref().is_some_and(|s| {
-        s.bytes > HEADER_LEN as u64 && s.bytes + frame.len() as u64 > cfg.segment_bytes.max(1)
-    });
-    if needs_rotate {
-        if let Some(s) = seg.take() {
-            let _ = s.file.sync_data();
-        }
-    }
-    if seg.is_none() {
-        // Either rotating, or recovering from an earlier write failure;
-        // always move to a fresh index so a half-written file is never
-        // appended to.
-        *index += 1;
-        match open_segment(&cfg.dir, *index, counters) {
-            Ok(s) => *seg = Some(s),
-            Err(e) => {
-                eprintln!("flb-service: journal segment open failed: {e}");
-                counters.dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-    let Some(s) = seg.as_mut() else {
-        counters.dropped.fetch_add(1, Ordering::Relaxed);
-        return;
-    };
-    match s.file.write_all(&frame) {
-        Ok(()) => {
-            s.bytes += frame.len() as u64;
-            counters.appended.fetch_add(1, Ordering::Relaxed);
-            counters
-                .bytes
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            if cfg.sync == SyncPolicy::Always {
-                let _ = s.file.sync_data();
-            }
-        }
-        Err(e) => {
-            eprintln!("flb-service: journal append failed: {e}");
-            counters.dropped.fetch_add(1, Ordering::Relaxed);
-            // Abandon the segment; the next event opens a fresh one.
-            *seg = None;
-        }
     }
 }
 
@@ -983,6 +1088,243 @@ mod tests {
         assert!(counters2.dropped.load(Ordering::Relaxed) > 0);
         stop2.store(true, Ordering::SeqCst);
         writer2.join().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Event `i`, with a schedule on every third so the writer computes
+    /// reply digests too, and the record it must be written as.
+    fn event_and_record(i: u64, schedule: &Arc<Schedule>) -> (JournalEvent, JournalRecord) {
+        let reply = i.is_multiple_of(3).then(|| Arc::clone(schedule));
+        let rec = JournalRecord {
+            ts_us: 7 * i,
+            conn_id: i % 4,
+            reply_kind: 1,
+            reply_digest: reply.as_deref().map_or(0, schedule_digest),
+            request: sample_request_bytes(i),
+        };
+        let ev = JournalEvent {
+            ts_us: rec.ts_us,
+            conn_id: rec.conn_id,
+            reply_kind: rec.reply_kind,
+            reply,
+            request: rec.request.clone(),
+        };
+        (ev, rec)
+    }
+
+    fn fig1_schedule() -> Arc<Schedule> {
+        Arc::new(flb_core::schedule_request(&flb_core::ScheduleRequest::new(
+            AlgorithmId::Flb,
+            fig1(),
+            Machine::new(2),
+        )))
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("flb-journal-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Every segment file of `dir`, by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        list_segments(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(i, path)| (segment_file_name(i), std::fs::read(path).unwrap()))
+            .collect()
+    }
+
+    /// Runs a writer over `events` in `dir`: handed over one at a time,
+    /// each written before the next is sent, or all queued before the
+    /// writer starts, so its first drain takes them all.
+    fn write_with(dir: &Path, events: Vec<JournalEvent>, one_by_one: bool) -> Arc<JournalCounters> {
+        let counters = Arc::new(JournalCounters::default());
+        let (appender, rx) = channel(events.len(), Arc::clone(&counters));
+        let cfg = WriterConfig {
+            dir: dir.to_path_buf(),
+            sync: SyncPolicy::Always,
+            segment_bytes: 2048,
+            stall_ms: 0,
+        };
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(!one_by_one));
+        let (queued, handed) = if one_by_one {
+            (Vec::new(), events)
+        } else {
+            (events, Vec::new())
+        };
+        for ev in queued {
+            appender.append(ev);
+        }
+        let writer = {
+            let (counters, stop) = (Arc::clone(&counters), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                writer_loop(&cfg, &rx, &counters, 1, &|| stop.load(Ordering::SeqCst))
+            })
+        };
+        for (i, ev) in handed.into_iter().enumerate() {
+            appender.append(ev);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while counters.appended.load(Ordering::Relaxed) <= i as u64 && Instant::now() < deadline
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        writer.join().unwrap();
+        counters
+    }
+
+    /// A drain writes many records with one write, yet the segment files
+    /// come out byte for byte as writing each record on its own, and as
+    /// the offline recorder writes them: same rotation points, same bytes.
+    #[test]
+    fn drained_segments_match_one_at_a_time_writes() {
+        let schedule = fig1_schedule();
+        let events = || (0..24).map(|i| event_and_record(i, &schedule).0).collect();
+        let records: Vec<_> = (0..24).map(|i| event_and_record(i, &schedule).1).collect();
+        let (single, drained, offline) = (
+            scratch_dir("single"),
+            scratch_dir("drained"),
+            scratch_dir("offline"),
+        );
+        let c1 = write_with(&single, events(), true);
+        let c2 = write_with(&drained, events(), false);
+        write_trace(&offline, &records, 2048).unwrap();
+        for c in [&c1, &c2] {
+            assert_eq!(c.appended.load(Ordering::Relaxed), 24);
+            assert_eq!(c.dropped.load(Ordering::Relaxed), 0);
+        }
+        assert_eq!(
+            c1.bytes.load(Ordering::Relaxed),
+            c2.bytes.load(Ordering::Relaxed)
+        );
+        let want = dir_bytes(&offline);
+        assert!(
+            want.len() > 2,
+            "expected rotations, got {} segment(s)",
+            want.len()
+        );
+        assert!(dir_bytes(&single) == want, "one-at-a-time segments differ");
+        assert!(dir_bytes(&drained) == want, "drained segments differ");
+        assert_eq!(read_trace(&drained).unwrap(), records);
+        for dir in [single, drained, offline] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// Events still queued when the writer sees the shutdown flag are all
+    /// written, in order, before it returns.
+    #[test]
+    fn shutdown_drains_every_queued_event() {
+        let dir = scratch_dir("shutdown");
+        let counters = Arc::new(JournalCounters::default());
+        let (appender, rx) = channel(64, Arc::clone(&counters));
+        let cfg = WriterConfig {
+            dir: dir.clone(),
+            sync: SyncPolicy::None,
+            segment_bytes: 1 << 20,
+            stall_ms: 0,
+        };
+        let schedule = fig1_schedule();
+        let (events, records): (Vec<_>, Vec<_>) =
+            (0..40).map(|i| event_and_record(i, &schedule)).unzip();
+        let writer = {
+            let counters = Arc::clone(&counters);
+            std::thread::spawn(move || {
+                // The first shutdown poll finds the queue empty; it fills
+                // the queue and raises the flag in one step, so only the
+                // final drain can write these events.
+                let events = std::sync::Mutex::new(Some(events));
+                writer_loop(&cfg, &rx, &counters, 1, &|| {
+                    for ev in events.lock().unwrap().take().into_iter().flatten() {
+                        appender.append(ev);
+                    }
+                    true
+                });
+            })
+        };
+        writer.join().unwrap();
+        assert_eq!(counters.appended.load(Ordering::Relaxed), 40);
+        assert_eq!(counters.dropped.load(Ordering::Relaxed), 0);
+        assert_eq!(read_trace(&dir).unwrap(), records);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The simulated disk stall is paid per record, not per drain: five
+    /// queued records cost five stalls.
+    #[test]
+    fn stall_is_paid_per_record() {
+        let dir = scratch_dir("stall");
+        let counters = Arc::new(JournalCounters::default());
+        let (appender, rx) = channel(8, Arc::clone(&counters));
+        let cfg = WriterConfig {
+            dir: dir.clone(),
+            sync: SyncPolicy::None,
+            segment_bytes: 1 << 20,
+            stall_ms: 20,
+        };
+        let schedule = fig1_schedule();
+        for i in 0..5 {
+            appender.append(event_and_record(i, &schedule).0);
+        }
+        let t0 = Instant::now();
+        let writer = {
+            let counters = Arc::clone(&counters);
+            std::thread::spawn(move || writer_loop(&cfg, &rx, &counters, 1, &|| true))
+        };
+        writer.join().unwrap();
+        assert_eq!(counters.appended.load(Ordering::Relaxed), 5);
+        assert!(
+            t0.elapsed() >= Duration::from_millis(100),
+            "5 records at 20 ms each took {:?}",
+            t0.elapsed()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stalled writer under steady traffic still writes as it goes:
+    /// records count as appended while events keep arriving, not only
+    /// once the traffic stops.
+    #[test]
+    fn stalled_writer_writes_while_traffic_flows() {
+        use std::sync::atomic::AtomicBool;
+        let dir = scratch_dir("stall-flow");
+        let counters = Arc::new(JournalCounters::default());
+        let (appender, rx) = channel(16, Arc::clone(&counters));
+        let cfg = WriterConfig {
+            dir: dir.clone(),
+            sync: SyncPolicy::None,
+            segment_bytes: 1 << 20,
+            stall_ms: 5,
+        };
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (counters, done) = (Arc::clone(&counters), Arc::clone(&done));
+            std::thread::spawn(move || {
+                writer_loop(&cfg, &rx, &counters, 1, &|| done.load(Ordering::SeqCst));
+            })
+        };
+        // One event a millisecond for 200 ms: faster than the writer's
+        // 5 ms a record, so the queue never runs empty.
+        let schedule = fig1_schedule();
+        let t0 = Instant::now();
+        let mut i = 0;
+        while t0.elapsed() < Duration::from_millis(200) {
+            appender.append(event_and_record(i, &schedule).0);
+            i += 1;
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let meanwhile = counters.appended.load(Ordering::Relaxed);
+        done.store(true, Ordering::SeqCst);
+        drop(appender);
+        writer.join().unwrap();
+        assert!(
+            meanwhile >= 10,
+            "{meanwhile} records written during 200 ms of traffic at 5 ms each"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

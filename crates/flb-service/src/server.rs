@@ -11,19 +11,23 @@
 //!    encoded from the cached schedule into one frame and sent with one
 //!    write (this is the "repeated workloads skip scheduling entirely"
 //!    path, and it keeps working even while the queue is saturated);
-//! 2. otherwise the miss is pushed onto the bounded queue; when the
+//! 2. otherwise the miss is offered to the bounded queue; when the
 //!    queue is full the client gets a `busy` response with a retry hint
 //!    instead of blocking the daemon (backpressure, never a hang). An FLB
 //!    request is built straight into the kernel's CSR form from the same
 //!    split the key was read from (`proto::flat_request`); every other
 //!    algorithm goes through [`decode_request`] into a `TaskGraph`. A
 //!    payload that does not build gets `decode_request`'s error reply;
-//! 3. a worker pops the job, drops it with an `expired` response if its
-//!    deadline passed while it queued, otherwise runs the scheduler,
-//!    populates the cache and hands the schedule back to the connection
+//! 3. an admitted miss that finds the queue otherwise empty and fewer
+//!    than `workers` schedules running runs on the connection thread
+//!    itself; any other waits for a worker. Whichever thread runs the
+//!    job drops it with an `expired` response if its deadline passed
+//!    while it queued, otherwise runs the scheduler and populates the
+//!    cache; a worker then hands the schedule back to the connection
 //!    thread. A flat job runs on `flb-kernel`'s [`FlbKernel`]; every
 //!    other job runs through [`schedule_request`], whose FLB engine is
-//!    the same kernel.
+//!    the same kernel. Pool and inline runs share one count of running
+//!    schedules, so never more than `workers` run at once.
 //!
 //! Two concurrent misses on the same fingerprint may both run the
 //! scheduler; the algorithms are deterministic, so both compute the same
@@ -54,7 +58,7 @@ use crate::cache::ShardedLru;
 use crate::fingerprint::ScheduleFields;
 use crate::journal::{self, SyncPolicy};
 use crate::metrics::{Gauges, Metrics};
-use crate::overload::{Decision, OverloadConfig, OverloadCtl, ShedPolicy, TenantId};
+use crate::overload::{Decision, OverloadConfig, OverloadCtl, Popped, ShedPolicy, TenantId};
 use crate::proto::{
     decode_request, flat_request, read_frame, write_response, write_schedule_reply, Request,
     Response, RESP_SCHEDULE,
@@ -65,7 +69,7 @@ use flb_kernel::{FlatGraph, FlbKernel};
 use flb_sched::io::wire::WireError;
 use flb_sched::{Machine, Schedule};
 use parking_lot::{Condvar, Mutex};
-use std::io;
+use std::io::{self, Read as _};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -297,6 +301,10 @@ fn ms(v: u64) -> Option<Duration> {
     (v > 0).then(|| Duration::from_millis(v))
 }
 
+/// Bytes a connection reads ahead: one `read(2)` takes a small request
+/// frame whole, header and payload.
+const READ_AHEAD: usize = 8 * 1024;
+
 /// A stream wrapper enforcing deadline-aware I/O.
 ///
 /// Per-call socket timeouts bound each `read(2)`/`write(2)`, but a client
@@ -304,16 +312,30 @@ fn ms(v: u64) -> Option<Duration> {
 /// additionally tracks when the current frame started (first byte read,
 /// or `begin_write`) and shrinks the per-call timeout to the remaining
 /// frame budget, so the *total* time per frame is bounded.
+///
+/// A socket timeout is set only when its value changes: outside the last
+/// per-call window of a frame's budget, a connection's reads and writes
+/// run under the same values from one request to the next. Reads go
+/// through a [`READ_AHEAD`] buffer, so bytes of the next frame that arrive
+/// with this one are kept for it.
 struct DeadlineConn {
     inner: Stream,
     read_timeout: Option<Duration>,
     write_timeout: Option<Duration>,
     frame_deadline: Option<Duration>,
     idle_timeout: Option<Duration>,
+    /// The read and write timeouts the socket carries now (an accepted
+    /// socket starts with none).
+    armed_read: Option<Duration>,
+    armed_write: Option<Duration>,
     /// When the first byte of the in-flight request frame arrived.
     read_start: Option<Instant>,
     /// When the in-flight response write started.
     write_start: Option<Instant>,
+    /// Read-ahead buffer; `ahead[pos..filled]` is not yet consumed.
+    ahead: Box<[u8; READ_AHEAD]>,
+    pos: usize,
+    filled: usize,
 }
 
 impl DeadlineConn {
@@ -324,15 +346,21 @@ impl DeadlineConn {
             write_timeout: ms(cfg.write_timeout_ms),
             frame_deadline: ms(cfg.frame_deadline_ms),
             idle_timeout: ms(cfg.idle_timeout_ms),
+            armed_read: None,
+            armed_write: None,
             read_start: None,
             write_start: None,
+            ahead: Box::new([0; READ_AHEAD]),
+            pos: 0,
+            filled: 0,
         }
     }
 
     /// Arms the next request frame: the frame clock starts at its first
-    /// byte, and until then only the idle timeout applies.
+    /// byte, and until then only the idle timeout applies. Bytes already
+    /// read ahead start the clock now.
     fn begin_read(&mut self) {
-        self.read_start = None;
+        self.read_start = (self.pos < self.filled).then(Instant::now);
         self.write_start = None;
     }
 
@@ -358,27 +386,56 @@ impl DeadlineConn {
             .ok_or_else(|| timeout_err(what))?;
         Ok(Some(per_call.map_or(remaining, |p| p.min(remaining))))
     }
+
+    /// Sets the socket's read timeout for the next `read(2)`: only the
+    /// idle timeout while waiting for a frame to start, otherwise the
+    /// frame's remaining per-call budget.
+    fn arm_read(&mut self) -> io::Result<()> {
+        let t = match self.read_start {
+            // A well-behaved client may sit here forever.
+            None => self.idle_timeout,
+            Some(t0) => self.call_budget(t0, self.read_timeout, "read frame")?,
+        };
+        if t != self.armed_read {
+            self.inner.set_read_timeout(t)?;
+            self.armed_read = t;
+        }
+        Ok(())
+    }
+
+    /// One `read(2)`, into `buf` or, when `buf` is None, into the
+    /// emptied read-ahead buffer; the frame clock starts at its first
+    /// byte.
+    fn read_socket(&mut self, buf: Option<&mut [u8]>) -> io::Result<usize> {
+        self.arm_read()?;
+        let n = match buf {
+            Some(buf) => self.inner.read(buf)?,
+            None => {
+                let n = self.inner.read(self.ahead.as_mut_slice())?;
+                (self.pos, self.filled) = (0, n);
+                n
+            }
+        };
+        if n > 0 && self.read_start.is_none() {
+            self.read_start = Some(Instant::now());
+        }
+        Ok(n)
+    }
 }
 
 impl io::Read for DeadlineConn {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self.read_start {
-            None => {
-                // Waiting for a frame to start: only the idle timeout
-                // applies, and a well-behaved client may sit here forever.
-                self.inner.set_read_timeout(self.idle_timeout)?;
-                let n = self.inner.read(buf)?;
-                if n > 0 {
-                    self.read_start = Some(Instant::now());
-                }
-                Ok(n)
+        if self.pos == self.filled {
+            // A read at least the buffer's size gains nothing from it.
+            if buf.len() >= READ_AHEAD {
+                return self.read_socket(Some(buf));
             }
-            Some(t0) => {
-                let budget = self.call_budget(t0, self.read_timeout, "read frame")?;
-                self.inner.set_read_timeout(budget)?;
-                self.inner.read(buf)
-            }
+            self.read_socket(None)?;
         }
+        let mut ahead = self.ahead.get(self.pos..self.filled).unwrap_or_default();
+        let n = ahead.read(buf)?;
+        self.pos += n;
+        Ok(n)
     }
 }
 
@@ -388,7 +445,10 @@ impl io::Write for DeadlineConn {
             Some(t0) => self.call_budget(t0, self.write_timeout, "write frame")?,
             None => self.write_timeout,
         };
-        self.inner.set_write_timeout(budget)?;
+        if budget != self.armed_write {
+            self.inner.set_write_timeout(budget)?;
+            self.armed_write = budget;
+        }
         self.inner.write(buf)
     }
 
@@ -397,7 +457,8 @@ impl io::Write for DeadlineConn {
     }
 }
 
-/// What a worker sends back to the waiting connection thread.
+/// The outcome of running one job, on a worker (sent back to the waiting
+/// connection thread) or inline on the connection thread itself.
 enum WorkerReply {
     Done {
         schedule: Arc<Schedule>,
@@ -454,6 +515,29 @@ struct Job {
     reply: mpsc::Sender<WorkerReply>,
 }
 
+/// The tenant-fair queue and the schedules running now. Both change
+/// under one lock, so a job starts only while fewer than `workers`
+/// schedules run, whether on a pool worker or on the connection thread
+/// that received it.
+struct JobQueue {
+    ctl: OverloadCtl<Job>,
+    /// Schedules running now.
+    running: usize,
+}
+
+impl JobQueue {
+    /// Pops the next job tenant-fairly and takes a schedule slot for it,
+    /// or `None` when nothing is queued or all `workers` slots are taken.
+    fn start(&mut self, workers: usize, now_us: u64) -> Option<Popped<Job>> {
+        if self.running >= workers {
+            return None;
+        }
+        let popped = self.ctl.pop(now_us)?;
+        self.running += 1;
+        Some(popped)
+    }
+}
+
 /// Most per-tenant rows a `stats` reply carries (overflow folds into an
 /// aggregate row, so the frame stays bounded under tenant churn).
 const STATS_TENANT_ROWS: usize = 16;
@@ -466,10 +550,11 @@ struct Shared {
     endpoint: Endpoint,
     cache: ShardedLru<Arc<Schedule>>,
     metrics: Metrics,
-    /// Admission control + tenant-fair queue (replaces the old FIFO).
+    /// Admission control + tenant-fair queue (replaces the old FIFO),
+    /// with the count of running schedules.
     /// Named lock class: acquisition order is checked by `lockcheck`
     /// builds and the flb-analyze `lock-order` rule.
-    queue: Mutex<OverloadCtl<Job>>,
+    queue: Mutex<JobQueue>,
     job_ready: Condvar,
     shutdown: AtomicBool,
     open_connections: AtomicU64,
@@ -492,11 +577,22 @@ impl Shared {
         self.epoch.elapsed().as_micros() as u64
     }
 
+    /// Sets the shutdown flag and wakes every thread waiting on
+    /// `job_ready` to look at it. The flag changes under the queue lock,
+    /// so no waiter misses the wake-up and no miss is queued or started
+    /// after it (`schedule_miss` reads it under the same lock).
+    fn begin_shutdown(&self) {
+        let _q = self.queue.lock();
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.job_ready.notify_all();
+    }
+
     /// Gauges plus the per-tenant stats rows, read under one queue lock
     /// so the pair is a consistent snapshot.
     fn stats_view(&self) -> (Gauges, Vec<crate::metrics::TenantStat>) {
         let now = self.now_us();
         let q = self.queue.lock();
+        let q = &q.ctl;
         let gauges = Gauges {
             queue_depth: q.depth() as u64,
             workers: self.live_workers.load(Ordering::SeqCst),
@@ -546,66 +642,93 @@ impl Drop for WorkerSlot {
     }
 }
 
-/// Worker loop: pop, check deadline, schedule (panic-isolated), cache,
-/// reply.
+/// Worker loop: start the next queued job once a schedule slot is free,
+/// run it, reply.
 fn worker_loop(shared: &Arc<Shared>) {
     let _slot = WorkerSlot(Arc::clone(shared));
     loop {
         let popped = {
             let mut q = shared.queue.lock();
             loop {
-                if let Some(popped) = q.pop(shared.now_us()) {
+                if let Some(popped) = q.start(shared.cfg.workers, shared.now_us()) {
                     break popped;
                 }
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.shutdown.load(Ordering::SeqCst) && q.ctl.depth() == 0 {
                     return;
                 }
                 shared.job_ready.wait(&mut q);
             }
         };
-        let (tenant, job) = (popped.tenant, popped.item);
-        let waited = job.accepted_at.elapsed();
-        if job.deadline.is_some_and(|d| waited > d) {
-            Metrics::bump(&shared.metrics.expired);
-            // A deadline blown while queued counts against the tenant's
-            // breaker: a tenant whose work always expires is wasting slots.
-            shared.queue.lock().outcome(&tenant, false, shared.now_us());
-            let _ = job.reply.send(WorkerReply::Expired);
-            continue;
-        }
-        let inject = shared.cfg.panic_injection;
-        let hard_kill = inject && job.work.graph_name() == HARD_PANIC_MARKER;
-        Metrics::bump(&shared.metrics.scheduler_invocations);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inject && job.work.graph_name() == PANIC_MARKER {
-                // flb-analyze: allow(no-panic-in-request-path, reason="chaos injection, gated by cfg.panic_injection and confined by the catch_unwind below")
-                panic!("injected scheduler panic ({PANIC_MARKER})");
-            }
-            job.work.schedule()
-        }));
-        match outcome {
-            Ok(schedule) => {
-                let schedule = Arc::new(schedule);
-                shared.cache.insert(job.fingerprint, Arc::clone(&schedule));
-                let micros = job.accepted_at.elapsed().as_micros() as u64;
-                shared.metrics.latency.record(micros);
-                shared.queue.lock().outcome(&tenant, true, shared.now_us());
-                // The client may have hung up while waiting; its problem.
-                let _ = job.reply.send(WorkerReply::Done { schedule, micros });
-            }
-            Err(payload) => {
-                Metrics::bump(&shared.metrics.worker_panics);
-                shared.queue.lock().outcome(&tenant, false, shared.now_us());
-                let _ = job
-                    .reply
-                    .send(WorkerReply::Panicked(panic_message(payload.as_ref())));
-            }
-        }
+        let job = popped.item;
+        let hard_kill = is_hard_kill(shared, &job.work);
+        // The client may have hung up while waiting; its problem.
+        let _ = job.reply.send(run_job(shared, &popped.tenant, &job));
         if hard_kill {
             // Chaos hook: die after replying so the supervisor's respawn
             // path is exercised end-to-end.
             return;
         }
+    }
+}
+
+/// Whether `work` asks its worker thread to die after replying
+/// ([`HARD_PANIC_MARKER`]). Such a job always runs on the pool.
+fn is_hard_kill(shared: &Shared, work: &Work) -> bool {
+    shared.cfg.panic_injection && work.graph_name() == HARD_PANIC_MARKER
+}
+
+/// Runs a started job on the calling thread: drops it as expired if its
+/// deadline passed while it queued, otherwise runs the scheduler
+/// (panic-isolated) and populates the cache. Frees the job's schedule
+/// slot before returning the reply.
+fn run_job(shared: &Shared, tenant: &TenantId, job: &Job) -> WorkerReply {
+    let waited = job.accepted_at.elapsed();
+    if job.deadline.is_some_and(|d| waited > d) {
+        Metrics::bump(&shared.metrics.expired);
+        // A deadline blown while queued counts against the tenant's
+        // breaker: a tenant whose work always expires is wasting slots.
+        finish(shared, tenant, false);
+        return WorkerReply::Expired;
+    }
+    let inject = shared.cfg.panic_injection;
+    Metrics::bump(&shared.metrics.scheduler_invocations);
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        if inject && job.work.graph_name() == PANIC_MARKER {
+            // flb-analyze: allow(no-panic-in-request-path, reason="chaos injection, gated by cfg.panic_injection and confined by the catch_unwind below")
+            panic!("injected scheduler panic ({PANIC_MARKER})");
+        }
+        job.work.schedule()
+    }));
+    match outcome {
+        Ok(schedule) => {
+            let schedule = Arc::new(schedule);
+            shared.cache.insert(job.fingerprint, Arc::clone(&schedule));
+            let micros = job.accepted_at.elapsed().as_micros() as u64;
+            shared.metrics.latency.record(micros);
+            finish(shared, tenant, true);
+            WorkerReply::Done { schedule, micros }
+        }
+        Err(payload) => {
+            Metrics::bump(&shared.metrics.worker_panics);
+            finish(shared, tenant, false);
+            WorkerReply::Panicked(panic_message(payload.as_ref()))
+        }
+    }
+}
+
+/// Feeds a job's outcome into its tenant's breaker and frees its
+/// schedule slot, waking a worker for any job queued behind the slot.
+fn finish(shared: &Shared, tenant: &TenantId, ok: bool) {
+    let mut q = shared.queue.lock();
+    q.ctl.outcome(tenant, ok, shared.now_us());
+    q.running -= 1;
+    if shared.shutdown.load(Ordering::SeqCst) {
+        // Every waiter has something to re-check: an idle worker whether
+        // the queue is drained and it may exit, `join` whether the
+        // inline runs are done.
+        shared.job_ready.notify_all();
+    } else if q.ctl.depth() > 0 {
+        shared.job_ready.notify_one();
     }
 }
 
@@ -780,10 +903,7 @@ fn serve_schedule(
     let busy = Reply::Other(Response::Busy {
         retry_after_ms: shared.cfg.retry_after_ms,
     });
-    if shared.shutdown.load(Ordering::SeqCst) {
-        Metrics::bump(&shared.metrics.rejected);
-        return busy;
-    }
+    let hard_kill = is_hard_kill(shared, &work);
     let (tx, rx) = mpsc::channel();
     let job = Job {
         work,
@@ -792,9 +912,35 @@ fn serve_schedule(
         deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
         reply: tx,
     };
-    let decision = shared.queue.lock().offer(tenant, job, shared.now_us());
+    // Admission is decided as for any miss. An admitted job that finds
+    // the queue otherwise empty and a schedule slot free then runs right
+    // here: handing it to a worker would cost a wake-up and a reply
+    // channel round trip, and change nothing else.
+    let (decision, inline) = {
+        let mut q = shared.queue.lock();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // The workers may be gone, and `join` may have seen the last
+            // inline run end: a job taken now might never run.
+            drop(q);
+            Metrics::bump(&shared.metrics.rejected);
+            return busy;
+        }
+        let now = shared.now_us();
+        let decision = q.ctl.offer(tenant, job, now);
+        let alone = decision == Decision::Admitted && q.ctl.depth() == 1;
+        let inline = if alone && !hard_kill {
+            q.start(shared.cfg.workers, now)
+        } else {
+            None
+        };
+        (decision, inline)
+    };
     match decision {
-        Decision::Admitted => shared.job_ready.notify_one(),
+        Decision::Admitted => {
+            if inline.is_none() {
+                shared.job_ready.notify_one();
+            }
+        }
         Decision::Busy => {
             Metrics::bump(&shared.metrics.rejected);
             return busy;
@@ -808,7 +954,11 @@ fn serve_schedule(
             return Reply::Other(Response::BreakerOpen { retry_after_ms });
         }
     }
-    match rx.recv() {
+    let reply = match inline {
+        Some(popped) => Ok(run_job(shared, &popped.tenant, &popped.item)),
+        None => rx.recv(),
+    };
+    match reply {
         Ok(WorkerReply::Done { schedule, micros }) => Reply::Schedule {
             cached: false,
             micros,
@@ -882,8 +1032,7 @@ fn connection_loop(shared: &Arc<Shared>, conn: &mut DeadlineConn, conn_id: u64) 
                         // late write reaches the wire.
                         conn.begin_write();
                         let _ = write_response(conn, &Response::ShuttingDown);
-                        shared.shutdown.store(true, Ordering::SeqCst);
-                        shared.job_ready.notify_all();
+                        shared.begin_shutdown();
                         nudge_accept_loop(&shared.endpoint);
                         return;
                     }
@@ -963,8 +1112,7 @@ impl ServiceHandle {
 
     /// Requests shutdown from within the process.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.job_ready.notify_all();
+        self.shared.begin_shutdown();
         nudge_accept_loop(&self.shared.endpoint);
     }
 
@@ -989,6 +1137,15 @@ impl ServiceHandle {
             }
             for w in handles {
                 let _ = w.join();
+            }
+        }
+        // Misses running on connection threads insert into the cache
+        // too; the final snapshot waits for them as for the workers.
+        // Each of them signals `job_ready` as it finishes.
+        {
+            let mut q = self.shared.queue.lock();
+            while q.running > 0 {
+                self.shared.job_ready.wait(&mut q);
             }
         }
         if let Some(snapshotter) = self.snapshotter.take() {
@@ -1189,7 +1346,13 @@ pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> io::Result<ServiceHandl
         endpoint: resolved,
         cache: ShardedLru::new(cfg.cache_capacity, cfg.cache_shards),
         metrics,
-        queue: Mutex::named("queue", OverloadCtl::new(overload)),
+        queue: Mutex::named(
+            "queue",
+            JobQueue {
+                ctl: OverloadCtl::new(overload),
+                running: 0,
+            },
+        ),
         job_ready: Condvar::new(),
         shutdown: AtomicBool::new(false),
         open_connections: AtomicU64::new(0),
@@ -1243,8 +1406,7 @@ pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> io::Result<ServiceHandl
                 let _ = std::fs::remove_file(path);
             }
             // Wake every worker so they observe the flag and exit.
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.job_ready.notify_all();
+            shared.begin_shutdown();
         })
     };
 
@@ -1293,5 +1455,145 @@ mod tests {
         assert!(!is_timeout(&io::Error::from(io::ErrorKind::BrokenPipe)));
         assert_eq!(ms(0), None);
         assert_eq!(ms(250), Some(Duration::from_millis(250)));
+    }
+
+    /// More concurrent slow misses than workers: runs on the pool and on
+    /// connection threads together never exceed `workers` schedules, and
+    /// a job queued behind full slots starts as soon as one frees.
+    #[test]
+    fn slow_misses_never_run_more_than_workers_schedules_at_once() {
+        use crate::client::{Client, Submission};
+        use flb_graph::costs::CostModel;
+        use flb_graph::gen::Family;
+        use std::sync::Barrier;
+
+        const WORKERS: usize = 2;
+        const CLIENTS: usize = 6;
+        let handle = serve(
+            &Endpoint::parse("127.0.0.1:0"),
+            ServiceConfig {
+                workers: WORKERS,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let sampler = {
+            let (shared, done) = (Arc::clone(&handle.shared), Arc::clone(&done));
+            thread::spawn(move || {
+                // Most schedules seen running, and the longest stretch a
+                // job sat queued while a slot was free.
+                let (mut peak, mut stalled, mut since) = (0, Duration::ZERO, None);
+                while !done.load(Ordering::SeqCst) {
+                    let (running, depth) = {
+                        let q = shared.queue.lock();
+                        (q.running, q.ctl.depth())
+                    };
+                    peak = peak.max(running);
+                    if depth > 0 && running < WORKERS {
+                        let t0: Instant = *since.get_or_insert_with(Instant::now);
+                        stalled = stalled.max(t0.elapsed());
+                    } else {
+                        since = None;
+                    }
+                    thread::sleep(Duration::from_micros(200));
+                }
+                (peak, stalled)
+            })
+        };
+        let start = Arc::new(Barrier::new(CLIENTS));
+        let (tx, rx) = mpsc::channel();
+        let mut clients = Vec::new();
+        for seed in 0..CLIENTS as u64 {
+            let (endpoint, start, tx) = (handle.endpoint(), Arc::clone(&start), tx.clone());
+            clients.push(thread::spawn(move || {
+                // ETF on distinct mid-sized graphs: every request misses
+                // and keeps its slot for a while.
+                let graph = CostModel::paper_default(1.0).apply(&Family::Lu.topology(1000), seed);
+                let mut client = Client::connect(&endpoint).unwrap();
+                start.wait();
+                let reply = client.schedule(AlgorithmId::Etf, graph, Machine::new(8), 0);
+                let _ = tx.send(matches!(reply, Ok(Submission::Done(ref r)) if !r.cached));
+            }));
+        }
+        for _ in 0..CLIENTS {
+            let served = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("every miss is answered; a queued one must not wait for ever");
+            assert!(served, "every miss is scheduled");
+        }
+        for client in clients {
+            client.join().unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        let (peak, stalled) = sampler.join().unwrap();
+        assert_eq!(
+            peak, WORKERS,
+            "at most `workers` schedules at once, and all slots used"
+        );
+        assert!(
+            stalled < Duration::from_millis(500),
+            "a queued job waited {stalled:?} behind a free slot"
+        );
+        handle.shutdown();
+        handle.join();
+    }
+
+    /// Shutdown while a miss is queued behind inline runs that hold
+    /// every slot: the pool drains the queue and `join` returns. Both
+    /// workers wait for a slot when shutdown wakes them; the one that
+    /// does not get the queued job must be woken again to exit.
+    #[test]
+    fn shutdown_behind_inline_runs_that_hold_every_slot_joins() {
+        const WORKERS: usize = 2;
+        let handle = serve(
+            &Endpoint::parse("127.0.0.1:0"),
+            ServiceConfig {
+                workers: WORKERS,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let shared = Arc::clone(&handle.shared);
+        let tenant = TenantId::Named("t".into());
+        // Two inline runs hold both slots, as `schedule_miss` takes
+        // them, and a third miss is queued behind them.
+        let (tx, rx) = mpsc::channel();
+        {
+            let mut q = shared.queue.lock();
+            q.running = WORKERS;
+            let request =
+                ScheduleRequest::new(AlgorithmId::Flb, flb_graph::paper::fig1(), Machine::new(2));
+            let job = Job {
+                work: Work::Graph(Box::new(request)),
+                fingerprint: 1,
+                accepted_at: Instant::now(),
+                deadline: None,
+                reply: tx,
+            };
+            let admitted = q.ctl.offer(&tenant, job, shared.now_us());
+            assert!(admitted == Decision::Admitted);
+        }
+        shared.job_ready.notify_one();
+        handle.shutdown();
+        // Give both workers time to find the slots taken and wait again.
+        thread::sleep(Duration::from_millis(50));
+        // The first inline run ends and a worker runs the queued job;
+        // the second inline run then ends with nothing queued.
+        finish(&shared, &tenant, true);
+        let reply = rx.recv_timeout(Duration::from_secs(30));
+        assert!(
+            matches!(reply, Ok(WorkerReply::Done { .. })),
+            "the queued job runs during shutdown"
+        );
+        finish(&shared, &tenant, true);
+        let (joined_tx, joined) = mpsc::channel();
+        thread::spawn(move || {
+            handle.join();
+            let _ = joined_tx.send(());
+        });
+        joined
+            .recv_timeout(Duration::from_secs(30))
+            .expect("join returns once the queue is drained");
     }
 }

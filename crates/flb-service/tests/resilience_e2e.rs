@@ -109,6 +109,50 @@ fn slow_loris_is_evicted_while_fast_clients_are_served() {
     handle.join();
 }
 
+/// A sender that trickles every byte of its frame, the header included,
+/// is evicted once the frame deadline is spent, even though each byte
+/// arrives well inside the per-read timeout.
+#[test]
+fn one_byte_at_a_time_sender_is_evicted_at_the_frame_deadline() {
+    let handle = local_server(ServiceConfig {
+        read_timeout_ms: 1_000,
+        frame_deadline_ms: 300,
+        ..ServiceConfig::default()
+    });
+    let Endpoint::Tcp(addr) = handle.endpoint() else {
+        panic!("loopback server is TCP");
+    };
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&flb_service::proto::MAGIC.to_le_bytes());
+    frame.extend_from_slice(&64u32.to_le_bytes());
+    frame.resize(8 + 64, 0);
+    let mut s = TcpStream::connect(&addr).unwrap();
+    let started = Instant::now();
+    let mut evicted = false;
+    for byte in &frame {
+        if s.write_all(std::slice::from_ref(byte)).is_err() {
+            evicted = true;
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        evicted,
+        "a 72-byte frame trickled over {elapsed:?} was never evicted"
+    );
+    assert!(
+        elapsed >= Duration::from_millis(300) && elapsed < Duration::from_secs(1),
+        "evicted after {elapsed:?}, not at the 300 ms frame deadline"
+    );
+
+    let mut client = Client::connect(&handle.endpoint()).unwrap();
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.evicted_slow, 1, "eviction must be counted");
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 #[test]
 fn injected_panics_conform_across_every_algorithm() {
     let handle = local_server(ServiceConfig {
@@ -159,6 +203,9 @@ fn hard_worker_death_is_respawned_by_the_supervisor() {
     let mut client = Client::connect(&handle.endpoint()).unwrap();
 
     // The hard marker schedules normally, replies, then kills its worker.
+    // The queue is empty and a slot free, so any other miss would run on
+    // the connection thread; a hard-marker job always goes to the pool,
+    // or no worker would die and the respawn path would go untested.
     for tag in 0..2u64 {
         let reply = expect_done(
             client

@@ -347,3 +347,62 @@ fn in_process_shutdown_unblocks_everything() {
     };
     assert!(dead.ping().is_err());
 }
+
+/// Frames that reach the daemon in one segment are each answered, in
+/// order: a small request, one larger than the daemon's read-ahead
+/// buffer, that one again (now a hit), and a ping.
+#[test]
+fn frames_sent_in_one_write_are_all_answered() {
+    use flb_service::proto::{encode_request, read_response, write_frame, Request, Response};
+    use std::io::Write;
+
+    let handle = local_server(ServiceConfig::default());
+    let Endpoint::Tcp(addr) = handle.endpoint() else {
+        panic!("loopback server is TCP");
+    };
+    let machine = Machine::new(4);
+    let request =
+        |graph: &TaskGraph| ScheduleRequest::new(AlgorithmId::Flb, graph.clone(), machine.clone());
+    let payload = |graph: &TaskGraph| {
+        encode_request(&Request::Schedule {
+            request: Box::new(request(graph)),
+            deadline_ms: 0,
+            tenant: String::new(),
+        })
+    };
+    let (small, large) = (lu(10, 5), lu(600, 5));
+    assert!(
+        payload(&large).len() > 8 * 1024,
+        "the large frame outgrows the read-ahead"
+    );
+    let mut bytes = Vec::new();
+    for p in [
+        payload(&small),
+        payload(&large),
+        payload(&large),
+        encode_request(&Request::Ping),
+    ] {
+        write_frame(&mut bytes, &p).unwrap();
+    }
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream.write_all(&bytes).unwrap();
+
+    for (graph, want_cached) in [(&small, false), (&large, false), (&large, true)] {
+        match read_response(&mut stream).unwrap() {
+            Response::Schedule {
+                cached, schedule, ..
+            } => {
+                assert_eq!(cached, want_cached);
+                assert_eq!(schedule, schedule_request(&request(graph)));
+            }
+            other => panic!("expected a schedule, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        read_response(&mut stream).unwrap(),
+        Response::Pong
+    ));
+
+    handle.shutdown();
+    handle.join();
+}
