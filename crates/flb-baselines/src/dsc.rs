@@ -75,8 +75,7 @@ pub fn cluster(graph: &TaskGraph) -> Clustering {
         // Start time with no merge: every message pays its communication.
         let no_merge: Time = graph
             .preds(t)
-            .iter()
-            .map(|&(p, c)| tlevel[p.0] + graph.comp(p) + c)
+            .map(|(p, c)| tlevel[p.0] + graph.comp(p) + c)
             .max()
             .unwrap_or(0);
 
@@ -84,18 +83,13 @@ pub fn cluster(graph: &TaskGraph) -> Clustering {
         // cluster `c` zeroes every incoming edge whose source is in `c` but
         // serialises `t` after the cluster's last task.
         let mut best: Option<(Time, usize)> = None;
-        let mut cand: Vec<usize> = graph
-            .preds(t)
-            .iter()
-            .map(|&(p, _)| cluster_of[p.0])
-            .collect();
+        let mut cand: Vec<usize> = graph.preds(t).map(|(p, _)| cluster_of[p.0]).collect();
         cand.sort_unstable();
         cand.dedup();
         for c in cand {
             let arrivals = graph
                 .preds(t)
-                .iter()
-                .map(|&(p, comm)| {
+                .map(|(p, comm)| {
                     let ft = tlevel[p.0] + graph.comp(p);
                     if cluster_of[p.0] == c {
                         ft
@@ -127,15 +121,14 @@ pub fn cluster(graph: &TaskGraph) -> Clustering {
             }
         }
 
-        for &(s, _) in graph.succs(t) {
+        for (s, _) in graph.succs(t) {
             missing[s.0] -= 1;
             if missing[s.0] == 0 {
                 // Priority with the now-final tlevels of all predecessors
                 // (no edge into `s` is zeroed yet: `s` is unclustered).
                 let tl: Time = graph
                     .preds(s)
-                    .iter()
-                    .map(|&(p, c)| tlevel[p.0] + graph.comp(p) + c)
+                    .map(|(p, c)| tlevel[p.0] + graph.comp(p) + c)
                     .max()
                     .unwrap_or(0);
                 free.insert(s.0, Reverse(tl + bl[s.0]));
@@ -176,7 +169,7 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
         // Message arrivals respected.
         for t in g.tasks() {
-            for &(p, c) in g.preds(t) {
+            for (p, c) in g.preds(t) {
                 let delay = if cl.cluster_of[p.0] == cl.cluster_of[t.0] {
                     0
                 } else {

@@ -176,7 +176,7 @@ pub fn validate_dup(g: &TaskGraph, s: &DupSchedule) -> Result<(), DupError> {
     // than the cheapest arrival over the pred's instances.
     for t in g.tasks() {
         for inst in s.instances(t) {
-            for &(pred, comm) in g.preds(t) {
+            for (pred, comm) in g.preds(t) {
                 let required = s
                     .instances(pred)
                     .iter()
@@ -250,7 +250,7 @@ impl Cpd {
         let data_ready = |sched: &DupSchedule, t: TaskId, p: usize| -> (Time, Option<TaskId>) {
             let mut ready = 0;
             let mut critical: Option<(Time, TaskId)> = None;
-            for &(u, c) in g.preds(t) {
+            for (u, c) in g.preds(t) {
                 let a = arrival(sched, u, c, p);
                 ready = ready.max(a);
                 // Only a cross-processor arrival can be improved by

@@ -37,11 +37,10 @@ impl Heft {
                 .sum()
         };
         let mut rank = vec![0; graph.num_tasks()];
-        for &t in graph.topological_order().iter().rev() {
+        for t in graph.topological_order().rev() {
             let tail = graph
                 .succs(t)
-                .iter()
-                .map(|&(s, c)| c * p + rank[s.0])
+                .map(|(s, c)| c * p + rank[s.0])
                 .max()
                 .unwrap_or(0);
             rank[t.0] = sum_exec(t) + tail;
@@ -102,7 +101,7 @@ mod tests {
         for m in [Machine::new(3), Machine::related(vec![1, 2, 4])] {
             let rank = Heft::upward_ranks(&g, &m);
             for t in g.tasks() {
-                for &(s, _) in g.succs(t) {
+                for (s, _) in g.succs(t) {
                     assert!(rank[t.0] > rank[s.0], "edge {t} -> {s} rank order");
                 }
             }

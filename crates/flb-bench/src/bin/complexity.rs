@@ -22,7 +22,7 @@ use flb_bench::mem::{fmt_peak_rss, peak_rss_kb};
 use flb_bench::report::{fmt_seconds, table};
 use flb_graph::costs::CostModel;
 use flb_graph::gen::Family;
-use flb_kernel::{FlatGraph, FlbKernel, KernelRun};
+use flb_kernel::{FlbKernel, KernelRun};
 use flb_sched::{Machine, Scheduler, TieBreak};
 use std::time::Instant;
 
@@ -116,8 +116,7 @@ fn main() {
     for &v in sizes {
         for fam in [Family::Lu, Family::Stencil] {
             let g = CostModel::paper_default(1.0).apply(&fam.topology(v), 5);
-            let fg = FlatGraph::from_task_graph(&g);
-            let mut run = KernelRun::new(&fg, &vec![1; p_fixed], TieBreak::BottomLevel);
+            let mut run = KernelRun::new(&g, &vec![1; p_fixed], TieBreak::BottomLevel);
             run.run();
             let st = run.stats();
             rows.push(vec![

@@ -50,7 +50,7 @@ fn perturb(g: &TaskGraph, error: f64, seed: u64) -> TaskGraph {
         b.add_task(c);
     }
     for t in g.tasks() {
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             b.add_edge(t, s, noisy(c, factor())).expect("same topology");
         }
     }

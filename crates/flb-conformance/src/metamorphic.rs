@@ -143,7 +143,7 @@ fn same_structure(a: &TaskGraph, b: &TaskGraph) -> bool {
     a.num_tasks() == b.num_tasks()
         && a.num_edges() == b.num_edges()
         && a.tasks()
-            .all(|t| a.comp(t) == b.comp(t) && a.succs(t) == b.succs(t))
+            .all(|t| a.comp(t) == b.comp(t) && a.succs(t).eq(b.succs(t)))
 }
 
 /// Inserts up to `want` random transitive edges (endpoints already
@@ -156,7 +156,7 @@ fn insert_transitive_edges(g: &TaskGraph, seed: u64, want: usize) -> Option<Task
     for s in g.tasks() {
         let mut stack = vec![s];
         while let Some(u) = stack.pop() {
-            for &(w, _) in g.succs(u) {
+            for (w, _) in g.succs(u) {
                 if !reach[s.0][w.0] {
                     reach[s.0][w.0] = true;
                     stack.push(w);
@@ -185,7 +185,7 @@ fn insert_transitive_edges(g: &TaskGraph, seed: u64, want: usize) -> Option<Task
         b.add_task(g.comp(t));
     }
     for t in g.tasks() {
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             b.add_edge(t, s, c).expect("copied edge of a valid graph");
         }
     }

@@ -51,7 +51,7 @@ pub fn induced(g: &TaskGraph, keep: &[bool]) -> Option<TaskGraph> {
         if !keep[t.0] {
             continue;
         }
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             if keep[s.0] {
                 b.add_edge(TaskId(new_id[t.0]), TaskId(new_id[s.0]), c)
                     .expect("induced edge of a valid graph");
@@ -71,7 +71,7 @@ fn drop_edges(g: &TaskGraph, dropped: &[bool]) -> TaskGraph {
     }
     let mut idx = 0usize;
     for t in g.tasks() {
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             if !dropped[idx] {
                 b.add_edge(t, s, c).expect("kept edge of a valid graph");
             }
@@ -91,7 +91,7 @@ fn with_costs(g: &TaskGraph, comp: &[u64], comm: &[u64]) -> TaskGraph {
     }
     let mut idx = 0usize;
     for t in g.tasks() {
-        for &(s, _) in g.succs(t) {
+        for (s, _) in g.succs(t) {
             b.add_edge(t, s, comm[idx]).expect("same edge, new cost");
             idx += 1;
         }
@@ -221,10 +221,7 @@ pub fn shrink(
         {
             let g = &cur.graph;
             let mut comp: Vec<u64> = g.tasks().map(|t| g.comp(t)).collect();
-            let mut comm: Vec<u64> = g
-                .tasks()
-                .flat_map(|t| g.succs(t).iter().map(|&(_, c)| c))
-                .collect();
+            let mut comm: Vec<u64> = g.tasks().flat_map(|t| g.succs(t).map(|(_, c)| c)).collect();
             let mut changed = false;
             for i in 0..comp.len() {
                 for target in [1, comp[i] / 2] {

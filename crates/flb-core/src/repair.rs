@@ -127,7 +127,7 @@ pub fn naive_remap(g: &TaskGraph, original: &Schedule, exec: &ExecState) -> Sche
     // Replay order: original start times, topological index as tie-break
     // (original starts respect precedence, so this order does too).
     let mut topo_idx = vec![0usize; v];
-    for (i, &t) in g.topological_order().iter().enumerate() {
+    for (i, t) in g.topological_order().enumerate() {
         topo_idx[t.0] = i;
     }
     let mut order: Vec<usize> = (0..v).filter(|&i| !exec.completed[i]).collect();
@@ -155,8 +155,7 @@ pub fn naive_remap(g: &TaskGraph, original: &Schedule, exec: &ExecState) -> Sche
         let p = target[i];
         let emt = g
             .preds(t)
-            .iter()
-            .map(|&(u, c)| {
+            .map(|(u, c)| {
                 let f = placements[u.0].finish;
                 if placements[u.0].proc == p {
                     f

@@ -13,7 +13,7 @@
 use flb_core::{FlbRun, TieBreak};
 use flb_graph::costs::CostModel;
 use flb_graph::{gen, TaskGraph};
-use flb_kernel::{FlatGraph, KernelRun};
+use flb_kernel::KernelRun;
 use flb_sched::Machine;
 
 const CCRS: [f64; 3] = [0.2, 1.0, 5.0];
@@ -21,11 +21,10 @@ const PROCS: [usize; 3] = [2, 8, 64];
 const TIES: [TieBreak; 2] = [TieBreak::BottomLevel, TieBreak::TaskId];
 
 fn assert_lockstep(g: &TaskGraph, procs: usize, tie: TieBreak) {
-    let fg = FlatGraph::from_task_graph(g);
     let m = Machine::new(procs);
     let slow = vec![1; procs];
     let mut reference = FlbRun::new(g, &m, tie);
-    let mut kernel = KernelRun::new(&fg, &slow, tie);
+    let mut kernel = KernelRun::new(g, &slow, tie);
     let ctx = format!("{} on P={procs} ({tie:?})", g.name());
     assert_eq!(reference.stats(), kernel.stats(), "{ctx}: initial counters");
     for step in 0..g.num_tasks() {

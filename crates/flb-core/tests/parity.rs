@@ -10,7 +10,7 @@ use flb_core::{Flb, FlbRun, TieBreak};
 use flb_graph::costs::CostModel;
 use flb_graph::gen::{self, RandomLayeredSpec};
 use flb_graph::{TaskGraph, TaskId};
-use flb_kernel::{FlatGraph, FlbKernel, KernelRun};
+use flb_kernel::{FlbKernel, KernelRun};
 use flb_sched::{validate::validate, Machine, Scheduler};
 use proptest::prelude::*;
 
@@ -87,12 +87,11 @@ proptest! {
         fifo in proptest::strategy::any::<bool>(),
     ) {
         let tie = if fifo { TieBreak::TaskId } else { TieBreak::BottomLevel };
-        let fg = FlatGraph::from_task_graph(&g);
         let slow: Vec<u64> = (0..m.num_procs())
             .map(|p| m.slowdown(flb_sched::ProcId(p)))
             .collect();
         let mut reference = FlbRun::new(&g, &m, tie);
-        let mut kernel = KernelRun::new(&fg, &slow, tie);
+        let mut kernel = KernelRun::new(&g, &slow, tie);
         let mut steps = 0usize;
         loop {
             match (reference.step(), kernel.step()) {

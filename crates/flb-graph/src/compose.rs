@@ -15,7 +15,7 @@ fn splice(b: &mut TaskGraphBuilder, g: &TaskGraph) -> usize {
         b.add_task(g.comp(t));
     }
     for t in g.tasks() {
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             b.add_edge(TaskId(t.0 + offset), TaskId(s.0 + offset), c)
                 .expect("copied edge of a valid graph");
         }

@@ -20,7 +20,7 @@ pub fn to_dot(g: &TaskGraph) -> String {
         writeln!(out, "  t{} [label=\"t{}\\n{}\"];", t.0, t.0, g.comp(t)).expect("write");
     }
     for t in g.tasks() {
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             writeln!(out, "  t{} -> t{} [label=\"{}\"];", t.0, s.0, c).expect("write");
         }
     }

@@ -134,81 +134,157 @@ impl TaskGraphBuilder {
         Ok(())
     }
 
-    /// Validates and freezes the graph.
-    ///
-    /// Checks: at least one task, no duplicate edges, acyclicity (Kahn's
-    /// algorithm). The resulting [`TaskGraph`] stores successor and
-    /// predecessor adjacency in CSR form plus a topological order.
+    /// Validates and freezes the graph: sorts the edges into
+    /// `(src, dst)` order and hands them to
+    /// [`TaskGraph::from_sorted_edges`], which checks for at least one
+    /// task, no duplicate edges and acyclicity.
     pub fn build(self) -> Result<TaskGraph, GraphError> {
-        let v = self.comp.len();
-        if v == 0 {
-            return Err(GraphError::Empty);
-        }
         let mut edges = self.edges;
-        // Sort by (src, dst) for CSR construction and duplicate detection.
         edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        for w in edges.windows(2) {
-            if w[0].0 == w[1].0 && w[0].1 == w[1].1 {
-                return Err(GraphError::DuplicateEdge(w[0].0, w[0].1));
-            }
-        }
-
         let e = edges.len();
-        let mut succ_off = vec![0usize; v + 1];
-        for &(s, _, _) in &edges {
-            succ_off[s.0 + 1] += 1;
-        }
-        for i in 0..v {
-            succ_off[i + 1] += succ_off[i];
-        }
-        let succ: Vec<(TaskId, Cost)> = edges.iter().map(|&(_, d, c)| (d, c)).collect();
-
-        // Predecessor CSR: counting sort by destination.
-        let mut pred_off = vec![0usize; v + 1];
-        for &(_, d, _) in &edges {
-            pred_off[d.0 + 1] += 1;
-        }
-        for i in 0..v {
-            pred_off[i + 1] += pred_off[i];
-        }
-        let mut cursor = pred_off.clone();
-        let mut pred = vec![(TaskId(0), 0); e];
-        for &(s, d, c) in &edges {
-            pred[cursor[d.0]] = (s, c);
-            cursor[d.0] += 1;
-        }
-
-        let graph = TaskGraph {
-            name: self.name,
-            comp: self.comp,
-            succ_off,
-            succ,
-            pred_off,
-            pred,
-            topo: Vec::new(),
-        };
-        let topo = graph.kahn_topo().ok_or(GraphError::Cycle)?;
-        Ok(TaskGraph { topo, ..graph })
+        let edges = edges
+            .into_iter()
+            .map(|(s, d, c)| (s.0 as u32, d.0 as u32, c));
+        TaskGraph::from_sorted_edges(self.name, self.comp, e, edges)
     }
 }
 
 /// An immutable weighted task DAG.
 ///
-/// Tasks are identified by dense [`TaskId`]s; adjacency (successors with
-/// their communication costs, and symmetrically predecessors) is stored in
-/// compressed sparse row form, and a topological order is precomputed.
+/// Tasks are identified by dense [`TaskId`]s. Adjacency is stored in
+/// compressed sparse row form in both directions, as `u32` offsets and
+/// `u32` endpoints with the communication costs in separate arrays: 20
+/// bytes per task and 24 per edge, topological order included. Successor
+/// rows ascend by target and predecessor rows by source, whatever
+/// constructor built the graph.
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
     name: String,
     comp: Vec<Cost>,
-    succ_off: Vec<usize>,
-    succ: Vec<(TaskId, Cost)>,
-    pred_off: Vec<usize>,
-    pred: Vec<(TaskId, Cost)>,
-    topo: Vec<TaskId>,
+    succ_off: Vec<u32>,
+    succ_dst: Vec<u32>,
+    succ_w: Vec<Cost>,
+    pred_off: Vec<u32>,
+    pred_src: Vec<u32>,
+    pred_w: Vec<Cost>,
+    topo: Vec<u32>,
+}
+
+/// One adjacency row as `(neighbour, communication cost)` pairs.
+fn row<'a>(
+    ids: &'a [u32],
+    costs: &'a [Cost],
+) -> impl ExactSizeIterator<Item = (TaskId, Cost)> + DoubleEndedIterator + Clone + 'a {
+    ids.iter()
+        .zip(costs)
+        .map(|(&id, &c)| (TaskId(id as usize), c))
 }
 
 impl TaskGraph {
+    /// The one CSR constructor, over `edges` in strictly ascending
+    /// `(src, dst)` order. The successor rows are filled as the edges
+    /// stream by, the predecessor rows by a counting sort over them.
+    /// `num_edges` sizes the arrays and should be the number of edges
+    /// `edges` yields.
+    ///
+    /// Rejects what [`TaskGraphBuilder`] rejects, in its order of
+    /// precedence: an edge naming an unknown task or a self-loop (the
+    /// first one in the list), an empty graph, a duplicate edge and a
+    /// cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an edge that comes before its predecessor in the list in
+    /// `(src, dst)` order (the caller sorts), and when the graph does not
+    /// fit `u32` ids and offsets.
+    pub fn from_sorted_edges(
+        name: impl Into<String>,
+        comp: Vec<Cost>,
+        num_edges: usize,
+        edges: impl IntoIterator<Item = (u32, u32, Cost)>,
+    ) -> Result<Self, GraphError> {
+        let v = comp.len();
+        assert!(v < u32::MAX as usize, "graph too large for u32 ids");
+        let mut succ_off = Vec::with_capacity(v + 1);
+        let mut succ_dst = Vec::with_capacity(num_edges);
+        let mut succ_w = Vec::with_capacity(num_edges);
+        // In-degrees, shifted by one for the prefix sum below.
+        let mut pred_off = vec![0u32; v + 1];
+        let mut duplicate = None;
+        let mut prev = None;
+        for (src, dst, w) in edges {
+            for id in [src, dst] {
+                if id as usize >= v {
+                    return Err(GraphError::UnknownTask(TaskId(id as usize)));
+                }
+            }
+            if src == dst {
+                return Err(GraphError::SelfLoop(TaskId(src as usize)));
+            }
+            if prev == Some((src, dst)) {
+                // Unknown tasks and self-loops later in the list still
+                // take precedence, as the builder's eager checks do.
+                duplicate.get_or_insert((src, dst));
+                continue;
+            }
+            assert!(
+                prev < Some((src, dst)),
+                "edge {src} -> {dst} is out of (source, target) order"
+            );
+            prev = Some((src, dst));
+            // Close the rows of every source up to and including `src`.
+            while succ_off.len() <= src as usize {
+                succ_off.push(succ_dst.len() as u32);
+            }
+            succ_dst.push(dst);
+            succ_w.push(w);
+            pred_off[dst as usize + 1] += 1;
+        }
+        if v == 0 {
+            return Err(GraphError::Empty);
+        }
+        if let Some((s, d)) = duplicate {
+            return Err(GraphError::DuplicateEdge(
+                TaskId(s as usize),
+                TaskId(d as usize),
+            ));
+        }
+        let e = succ_dst.len();
+        assert!(e < u32::MAX as usize, "graph too large for u32 offsets");
+        succ_off.resize(v + 1, e as u32);
+        for i in 0..v {
+            pred_off[i + 1] += pred_off[i];
+        }
+        let mut pred_src = vec![0u32; e];
+        let mut pred_w = vec![0; e];
+        let mut cursor = pred_off[..v].to_vec();
+        for s in 0..v {
+            let out = succ_off[s] as usize..succ_off[s + 1] as usize;
+            for (&d, &w) in succ_dst[out.clone()].iter().zip(&succ_w[out]) {
+                let at = cursor[d as usize] as usize;
+                pred_src[at] = s as u32;
+                pred_w[at] = w;
+                cursor[d as usize] += 1;
+            }
+        }
+        // Freed before the topological order is allocated: at a million
+        // tasks this keeps the peak at the graph's own arrays.
+        drop(cursor);
+        let mut graph = TaskGraph {
+            name: name.into(),
+            comp,
+            succ_off,
+            succ_dst,
+            succ_w,
+            pred_off,
+            pred_src,
+            pred_w,
+            topo: Vec::new(),
+        };
+        graph.topo = graph.kahn_topo().ok_or(GraphError::Cycle)?;
+        Ok(graph)
+    }
+
     /// Human-readable name given at construction (may be empty).
     #[must_use]
     pub fn name(&self) -> &str {
@@ -224,7 +300,7 @@ impl TaskGraph {
     /// Number of edges `E`.
     #[must_use]
     pub fn num_edges(&self) -> usize {
-        self.succ.len()
+        self.succ_dst.len()
     }
 
     /// Iterator over all task ids in index order.
@@ -233,42 +309,63 @@ impl TaskGraph {
     }
 
     /// Computation cost of `t`.
+    #[inline]
     #[must_use]
     pub fn comp(&self, t: TaskId) -> Cost {
         self.comp[t.0]
     }
 
-    /// Successors of `t` with the communication cost of each edge.
-    #[must_use]
-    pub fn succs(&self, t: TaskId) -> &[(TaskId, Cost)] {
-        &self.succ[self.succ_off[t.0]..self.succ_off[t.0 + 1]]
+    fn succ_row(&self, t: TaskId) -> std::ops::Range<usize> {
+        self.succ_off[t.0] as usize..self.succ_off[t.0 + 1] as usize
     }
 
-    /// Predecessors of `t` with the communication cost of each edge.
-    #[must_use]
-    pub fn preds(&self, t: TaskId) -> &[(TaskId, Cost)] {
-        &self.pred[self.pred_off[t.0]..self.pred_off[t.0 + 1]]
+    fn pred_row(&self, t: TaskId) -> std::ops::Range<usize> {
+        self.pred_off[t.0] as usize..self.pred_off[t.0 + 1] as usize
+    }
+
+    /// Successors of `t` with the communication cost of each edge, in
+    /// ascending id order.
+    #[inline]
+    pub fn succs(
+        &self,
+        t: TaskId,
+    ) -> impl ExactSizeIterator<Item = (TaskId, Cost)> + DoubleEndedIterator + Clone + '_ {
+        let r = self.succ_row(t);
+        row(&self.succ_dst[r.clone()], &self.succ_w[r])
+    }
+
+    /// Predecessors of `t` with the communication cost of each edge, in
+    /// ascending id order.
+    #[inline]
+    pub fn preds(
+        &self,
+        t: TaskId,
+    ) -> impl ExactSizeIterator<Item = (TaskId, Cost)> + DoubleEndedIterator + Clone + '_ {
+        let r = self.pred_row(t);
+        row(&self.pred_src[r.clone()], &self.pred_w[r])
     }
 
     /// Number of incoming edges of `t`.
     #[must_use]
     pub fn in_degree(&self, t: TaskId) -> usize {
-        self.pred_off[t.0 + 1] - self.pred_off[t.0]
+        self.pred_row(t).len()
     }
 
     /// Number of outgoing edges of `t`.
     #[must_use]
     pub fn out_degree(&self, t: TaskId) -> usize {
-        self.succ_off[t.0 + 1] - self.succ_off[t.0]
+        self.succ_row(t).len()
     }
 
     /// Communication cost of edge `src -> dst`, if the edge exists.
     #[must_use]
     pub fn edge_comm(&self, src: TaskId, dst: TaskId) -> Option<Cost> {
-        let row = self.succs(src);
-        row.binary_search_by_key(&dst, |&(d, _)| d)
+        let r = self.succ_row(src);
+        let i = u32::try_from(dst.0).ok()?;
+        self.succ_dst[r.clone()]
+            .binary_search(&i)
             .ok()
-            .map(|i| row[i].1)
+            .map(|k| self.succ_w[r.start + k])
     }
 
     /// Tasks with no predecessors (§2: *entry tasks*).
@@ -283,9 +380,10 @@ impl TaskGraph {
 
     /// A topological order of the tasks (precomputed, deterministic:
     /// Kahn's algorithm with a smallest-id-first tie break).
-    #[must_use]
-    pub fn topological_order(&self) -> &[TaskId] {
-        &self.topo
+    pub fn topological_order(
+        &self,
+    ) -> impl ExactSizeIterator<Item = TaskId> + DoubleEndedIterator + Clone + '_ {
+        self.topo.iter().map(|&t| TaskId(t as usize))
     }
 
     /// Sum of all computation costs — the sequential execution time `T_seq`.
@@ -297,7 +395,7 @@ impl TaskGraph {
     /// Sum of all communication costs.
     #[must_use]
     pub fn total_comm(&self) -> Cost {
-        self.succ.iter().map(|&(_, c)| c).sum()
+        self.succ_w.iter().sum()
     }
 
     /// Average computation cost over tasks, as `f64`.
@@ -323,33 +421,61 @@ impl TaskGraph {
         self.avg_comm() / self.avg_comp()
     }
 
+    /// A copy of `g`. perfbench only: it still calls the conversion the
+    /// kernel's former graph type needed.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn from_task_graph(g: &TaskGraph) -> TaskGraph {
+        g.clone()
+    }
+
+    /// A copy of `self`. perfbench only: it still calls the conversion the
+    /// kernel's former graph type needed.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn to_task_graph(&self) -> TaskGraph {
+        self.clone()
+    }
+
+    /// [`levels::bottom_levels`](crate::levels::bottom_levels) of `self`.
+    /// perfbench only: it still calls the sweep as a method of the
+    /// kernel's former graph type.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn bottom_levels(&self) -> Vec<Time> {
+        crate::levels::bottom_levels(self)
+    }
+
     /// Kahn's algorithm; `None` when a cycle exists. Deterministic: the
     /// smallest ready id goes first. When every edge points from a smaller
     /// to a larger id, that order is `0..V` itself (each task's
     /// predecessors all precede it), so it is returned without a pass.
-    fn kahn_topo(&self) -> Option<Vec<TaskId>> {
+    fn kahn_topo(&self) -> Option<Vec<u32>> {
+        let v = self.num_tasks() as u32;
         // Successor rows are sorted, so the first entry is the smallest.
-        let forward = self
-            .tasks()
-            .all(|t| self.succs(t).first().is_none_or(|&(s, _)| s > t));
+        let forward = (0..v).all(|t| {
+            let r = self.succ_row(TaskId(t as usize));
+            self.succ_dst[r].first().is_none_or(|&s| s > t)
+        });
         if forward {
-            return Some(self.tasks().collect());
+            return Some((0..v).collect());
         }
-        let v = self.num_tasks();
-        let mut indeg: Vec<usize> = (0..v).map(|i| self.in_degree(TaskId(i))).collect();
-        let mut order = Vec::with_capacity(v);
-        let mut ready: BinaryHeap<Reverse<usize>> =
-            (0..v).filter(|&i| indeg[i] == 0).map(Reverse).collect();
+        let mut indeg: Vec<usize> = self.tasks().map(|t| self.in_degree(t)).collect();
+        let mut order = Vec::with_capacity(v as usize);
+        let mut ready: BinaryHeap<Reverse<u32>> = (0..v)
+            .filter(|&i| indeg[i as usize] == 0)
+            .map(Reverse)
+            .collect();
         while let Some(Reverse(i)) = ready.pop() {
-            order.push(TaskId(i));
-            for &(s, _) in self.succs(TaskId(i)) {
+            order.push(i);
+            for (s, _) in self.succs(TaskId(i as usize)) {
                 indeg[s.0] -= 1;
                 if indeg[s.0] == 0 {
-                    ready.push(Reverse(s.0));
+                    ready.push(Reverse(s.0 as u32));
                 }
             }
         }
-        (order.len() == v).then_some(order)
+        (order.len() == v as usize).then_some(order)
     }
 }
 
@@ -378,8 +504,10 @@ mod tests {
         assert_eq!(g.num_tasks(), 4);
         assert_eq!(g.num_edges(), 4);
         assert_eq!(g.comp(TaskId(2)), 4);
-        assert_eq!(g.succs(TaskId(0)), &[(TaskId(1), 10), (TaskId(2), 20)]);
-        assert_eq!(g.preds(TaskId(3)), &[(TaskId(1), 30), (TaskId(2), 40)]);
+        let succs: Vec<_> = g.succs(TaskId(0)).collect();
+        assert_eq!(succs, [(TaskId(1), 10), (TaskId(2), 20)]);
+        let preds: Vec<_> = g.preds(TaskId(3)).collect();
+        assert_eq!(preds, [(TaskId(1), 30), (TaskId(2), 40)]);
         assert_eq!(g.in_degree(TaskId(0)), 0);
         assert_eq!(g.out_degree(TaskId(0)), 2);
         assert_eq!(g.edge_comm(TaskId(0), TaskId(2)), Some(20));
@@ -396,10 +524,8 @@ mod tests {
     #[test]
     fn topological_order_is_valid_and_deterministic() {
         let g = diamond();
-        assert_eq!(
-            g.topological_order(),
-            &[TaskId(0), TaskId(1), TaskId(2), TaskId(3)]
-        );
+        let order: Vec<_> = g.topological_order().collect();
+        assert_eq!(order, [TaskId(0), TaskId(1), TaskId(2), TaskId(3)]);
     }
 
     /// The sorted-`Vec` Kahn pass `kahn_topo` replaced, kept as its oracle.
@@ -411,7 +537,7 @@ mod tests {
         ready.sort_unstable_by(|a, b| b.cmp(a));
         while let Some(i) = ready.pop() {
             order.push(TaskId(i));
-            for &(s, _) in g.succs(TaskId(i)) {
+            for (s, _) in g.succs(TaskId(i)) {
                 indeg[s.0] -= 1;
                 if indeg[s.0] == 0 {
                     let pos = ready.partition_point(|&x| x > s.0);
@@ -447,8 +573,9 @@ mod tests {
             .collect();
         let mut permuted_runs = 0;
         for g in graphs.iter().chain(&permuted) {
-            assert_eq!(Some(g.topological_order().to_vec()), sorted_vec_kahn(g));
-            let forward = g.tasks().all(|t| g.succs(t).iter().all(|&(s, _)| s > t));
+            let order: Vec<_> = g.topological_order().collect();
+            assert_eq!(Some(order), sorted_vec_kahn(g));
+            let forward = g.tasks().all(|t| g.succs(t).all(|(s, _)| s > t));
             permuted_runs += usize::from(!forward);
         }
         assert_eq!(permuted_runs, permuted.len());
@@ -531,7 +658,7 @@ mod tests {
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.avg_comm(), 0.0);
         assert_eq!(g.ccr(), 0.0);
-        assert_eq!(g.topological_order(), &[TaskId(0)]);
+        assert_eq!(g.topological_order().collect::<Vec<_>>(), [TaskId(0)]);
     }
 
     #[test]
@@ -541,5 +668,131 @@ mod tests {
             GraphError::SelfLoop(TaskId(3)).to_string(),
             "self-loop on task t3"
         );
+    }
+
+    #[test]
+    fn from_sorted_edges_builds_the_diamond() {
+        // 0 -> {1, 2} -> 3
+        let edges = [(0, 1, 5), (0, 2, 6), (1, 3, 7), (2, 3, 8)];
+        let g = TaskGraph::from_sorted_edges("diamond", vec![1, 2, 3, 4], 4, edges).unwrap();
+        assert_eq!(g.num_tasks(), 4);
+        assert_eq!(g.num_edges(), 4);
+        let succs: Vec<_> = g.succs(TaskId(0)).collect();
+        assert_eq!(succs, [(TaskId(1), 5), (TaskId(2), 6)]);
+        let preds: Vec<_> = g.preds(TaskId(3)).collect();
+        assert_eq!(preds, [(TaskId(1), 7), (TaskId(2), 8)]);
+        assert_eq!(g.in_degree(TaskId(3)), 2);
+        assert_eq!(g.total_comp(), 10);
+        // bl(3)=4, bl(1)=2+7+4=13, bl(2)=3+8+4=15, bl(0)=1+6+15=22
+        assert_eq!(crate::levels::bottom_levels(&g), [22, 13, 15, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of (source, target) order")]
+    fn from_sorted_edges_panics_on_out_of_order_edges() {
+        let _ = TaskGraph::from_sorted_edges("bad", vec![1; 3], 2, [(0, 2, 1), (0, 1, 1)]);
+    }
+
+    /// Bottom levels are the same under any topological order: a
+    /// permuted graph (heap Kahn pass) has the original's (forward-edge
+    /// shortcut) levels, moved with its tasks.
+    #[test]
+    fn bottom_levels_match_reference() {
+        use crate::levels::bottom_levels;
+        let lu = crate::gen::lu(7);
+        let n = lu.num_tasks();
+        let perm: Vec<TaskId> = (0..n).map(|i| TaskId((i * 13 + 5) % n)).collect();
+        let shuffled = crate::transform::permute(&lu, &perm);
+        let (bl, shuffled_bl) = (bottom_levels(&lu), bottom_levels(&shuffled));
+        for t in lu.tasks() {
+            assert_eq!(bl[t.0], shuffled_bl[perm[t.0].0]);
+        }
+        assert_eq!(bottom_levels(&diamond()), [2 + 20 + 4 + 40 + 5, 38, 49, 5]);
+    }
+
+    /// Deterministic xorshift, enough to spray edge lists.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Same rows, costs and topological order.
+    fn assert_same_csr(a: &TaskGraph, b: &TaskGraph) {
+        assert_eq!(a.name(), b.name());
+        assert_eq!(a.num_tasks(), b.num_tasks());
+        for t in a.tasks() {
+            assert_eq!(a.comp(t), b.comp(t));
+            assert!(a.succs(t).eq(b.succs(t)));
+            assert!(a.preds(t).eq(b.preds(t)));
+        }
+        assert!(a.topological_order().eq(b.topological_order()));
+    }
+
+    /// The direct constructor over a sorted list and the builder over the
+    /// same edges give the same verdict: the daemon's request build and
+    /// the wire decoder's accept the same graphs.
+    #[test]
+    fn from_sorted_edges_rejects_exactly_what_the_builder_rejects() {
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut accepted = 0;
+        for _ in 0..3000 {
+            let v = (xorshift(&mut rng) % 7) as u32;
+            let e = xorshift(&mut rng) % 9;
+            let mut edges: Vec<(u32, u32, Cost)> = (0..e)
+                .map(|_| {
+                    let s = (xorshift(&mut rng) % u64::from(v + 1)) as u32;
+                    let d = (xorshift(&mut rng) % u64::from(v + 1)) as u32;
+                    (s, d, xorshift(&mut rng) % 5)
+                })
+                .collect();
+            edges.sort_by_key(|&(s, d, _)| (s, d));
+            let comp: Vec<Cost> = (0..v).map(|i| u64::from(i) + 1).collect();
+            let mut b = TaskGraphBuilder::new();
+            for &c in &comp {
+                b.add_task(c);
+            }
+            let built = edges
+                .iter()
+                .try_for_each(|&(s, d, w)| b.add_edge(TaskId(s as usize), TaskId(d as usize), w))
+                .and_then(|()| b.build());
+            let direct = TaskGraph::from_sorted_edges("", comp, edges.len(), edges.clone());
+            match (&built, &direct) {
+                (Ok(g), Ok(d)) => {
+                    accepted += 1;
+                    assert_same_csr(d, g);
+                }
+                (Err(be), Err(de)) => assert_eq!(be, de, "{edges:?}"),
+                _ => panic!("builder {built:?} vs direct {direct:?} on {edges:?}"),
+            }
+        }
+        assert!(accepted > 300, "{accepted}");
+    }
+
+    #[test]
+    fn from_sorted_edges_names_each_rejection() {
+        let build = |v: u32, edges: &[(u32, u32, Cost)]| {
+            TaskGraph::from_sorted_edges("g", vec![1; v as usize], edges.len(), edges.to_vec())
+                .map(|_| ())
+        };
+        assert_eq!(build(0, &[]), Err(GraphError::Empty));
+        assert_eq!(
+            build(2, &[(0, 2, 1)]),
+            Err(GraphError::UnknownTask(TaskId(2)))
+        );
+        assert_eq!(build(2, &[(1, 1, 1)]), Err(GraphError::SelfLoop(TaskId(1))));
+        assert_eq!(
+            build(2, &[(0, 1, 1), (0, 1, 2)]),
+            Err(GraphError::DuplicateEdge(TaskId(0), TaskId(1)))
+        );
+        assert_eq!(build(2, &[(0, 1, 1), (1, 0, 1)]), Err(GraphError::Cycle));
+        // A later unknown task outranks an earlier duplicate, as the
+        // builder's eager `add_edge` checks outrank its sort.
+        assert_eq!(
+            build(3, &[(0, 1, 1), (0, 1, 1), (0, 9, 1)]),
+            Err(GraphError::UnknownTask(TaskId(9)))
+        );
+        assert_eq!(build(3, &[(0, 2, 1), (1, 2, 1)]), Ok(()));
     }
 }

@@ -31,13 +31,8 @@ use crate::{TaskGraph, TaskId, Time};
 #[must_use]
 pub fn bottom_levels(g: &TaskGraph) -> Vec<Time> {
     let mut bl = vec![0; g.num_tasks()];
-    for &t in g.topological_order().iter().rev() {
-        let tail = g
-            .succs(t)
-            .iter()
-            .map(|&(s, c)| c + bl[s.0])
-            .max()
-            .unwrap_or(0);
+    for t in g.topological_order().rev() {
+        let tail = g.succs(t).map(|(s, c)| c + bl[s.0]).max().unwrap_or(0);
         bl[t.0] = g.comp(t) + tail;
     }
     bl
@@ -48,8 +43,8 @@ pub fn bottom_levels(g: &TaskGraph) -> Vec<Time> {
 #[must_use]
 pub fn bottom_levels_comp_only(g: &TaskGraph) -> Vec<Time> {
     let mut bl = vec![0; g.num_tasks()];
-    for &t in g.topological_order().iter().rev() {
-        let tail = g.succs(t).iter().map(|&(s, _)| bl[s.0]).max().unwrap_or(0);
+    for t in g.topological_order().rev() {
+        let tail = g.succs(t).map(|(s, _)| bl[s.0]).max().unwrap_or(0);
         bl[t.0] = g.comp(t) + tail;
     }
     bl
@@ -60,11 +55,10 @@ pub fn bottom_levels_comp_only(g: &TaskGraph) -> Vec<Time> {
 #[must_use]
 pub fn top_levels(g: &TaskGraph) -> Vec<Time> {
     let mut tl = vec![0; g.num_tasks()];
-    for &t in g.topological_order() {
+    for t in g.topological_order() {
         tl[t.0] = g
             .preds(t)
-            .iter()
-            .map(|&(p, c)| tl[p.0] + g.comp(p) + c)
+            .map(|(p, c)| tl[p.0] + g.comp(p) + c)
             .max()
             .unwrap_or(0);
     }
@@ -108,13 +102,8 @@ pub fn alap_times(g: &TaskGraph) -> Vec<Time> {
 #[must_use]
 pub fn depths(g: &TaskGraph) -> Vec<usize> {
     let mut d = vec![0usize; g.num_tasks()];
-    for &t in g.topological_order() {
-        d[t.0] = g
-            .preds(t)
-            .iter()
-            .map(|&(p, _)| d[p.0] + 1)
-            .max()
-            .unwrap_or(0);
+    for t in g.topological_order() {
+        d[t.0] = g.preds(t).map(|(p, _)| d[p.0] + 1).max().unwrap_or(0);
     }
     d
 }
@@ -137,9 +126,8 @@ pub fn critical_path_tasks(g: &TaskGraph) -> Vec<TaskId> {
         let need = bl[cur.0] - g.comp(cur);
         let next = g
             .succs(cur)
-            .iter()
-            .find(|&&(s, c)| c + bl[s.0] == need)
-            .map(|&(s, _)| s);
+            .find(|(s, c)| c + bl[s.0] == need)
+            .map(|(s, _)| s);
         match next {
             Some(s) => {
                 path.push(s);

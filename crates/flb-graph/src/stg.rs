@@ -161,7 +161,7 @@ pub fn to_stg(g: &TaskGraph) -> String {
     let _ = writeln!(out, "{}", g.num_tasks());
     for t in g.tasks() {
         let _ = write!(out, "{} {} {}", t.0, g.comp(t), g.in_degree(t));
-        for &(p, _) in g.preds(t) {
+        for (p, _) in g.preds(t) {
             let _ = write!(out, " {}", p.0);
         }
         out.push('\n');
@@ -218,8 +218,8 @@ mod tests {
         assert_eq!(back.num_edges(), original.num_edges());
         for t in original.tasks() {
             assert_eq!(back.comp(t), original.comp(t));
-            let p0: Vec<TaskId> = original.preds(t).iter().map(|&(p, _)| p).collect();
-            let p1: Vec<TaskId> = back.preds(t).iter().map(|&(p, _)| p).collect();
+            let p0: Vec<TaskId> = original.preds(t).map(|(p, _)| p).collect();
+            let p1: Vec<TaskId> = back.preds(t).map(|(p, _)| p).collect();
             assert_eq!(p0, p1);
         }
     }

@@ -48,10 +48,10 @@ pub fn transitive_reduction(g: &TaskGraph) -> TaskGraph {
     // Reachability bitsets, as in width computation.
     let words = v.div_ceil(64);
     let mut reach = vec![vec![0u64; words]; v];
-    for &t in g.topological_order().iter().rev() {
+    for t in g.topological_order().rev() {
         // reach[t] = union over succs s of ({s} ∪ reach[s]).
         let mut row = std::mem::take(&mut reach[t.0]);
-        for &(s, _) in g.succs(t) {
+        for (s, _) in g.succs(t) {
             row[s.0 / 64] |= 1 << (s.0 % 64);
             for (a, b) in row.iter_mut().zip(&reach[s.0]) {
                 *a |= *b;
@@ -66,12 +66,11 @@ pub fn transitive_reduction(g: &TaskGraph) -> TaskGraph {
         b.add_task(g.comp(t));
     }
     for t in g.tasks() {
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             // Redundant iff some *other* direct successor of t reaches s.
             let redundant = g
                 .succs(t)
-                .iter()
-                .any(|&(mid, _)| mid != s && (reach[mid.0][s.0 / 64] >> (s.0 % 64)) & 1 == 1);
+                .any(|(mid, _)| mid != s && (reach[mid.0][s.0 / 64] >> (s.0 % 64)) & 1 == 1);
             if !redundant {
                 b.add_edge(t, s, c).expect("copying edges of a valid graph");
             }
@@ -105,7 +104,7 @@ pub fn coarsen_chains(g: &TaskGraph) -> Coarsening {
     let mut new_of: Vec<Option<TaskId>> = vec![None; v];
     let mut b = TaskGraphBuilder::named(format!("{}-coarse", g.name()));
 
-    for &t in g.topological_order() {
+    for t in g.topological_order() {
         if new_of[t.0].is_some() {
             continue; // interior of an already-merged chain
         }
@@ -113,14 +112,11 @@ pub fn coarsen_chains(g: &TaskGraph) -> Coarsening {
         let mut comp: Cost = g.comp(t);
         let mut members = vec![t];
         let mut cur = t;
-        while let [(next, _)] = g.succs(cur) {
-            if chains_to(cur, *next) {
-                comp += g.comp(*next);
-                members.push(*next);
-                cur = *next;
-            } else {
-                break;
-            }
+        // `chains_to` holds only for a task's one successor.
+        while let Some((next, _)) = g.succs(cur).next().filter(|&(s, _)| chains_to(cur, s)) {
+            comp += g.comp(next);
+            members.push(next);
+            cur = next;
         }
         let id = b.add_task(comp);
         for m in members {
@@ -131,7 +127,7 @@ pub fn coarsen_chains(g: &TaskGraph) -> Coarsening {
     // Re-add the surviving (cross-chain) edges.
     let new_of: Vec<TaskId> = new_of.into_iter().map(|x| x.expect("covered")).collect();
     for t in g.tasks() {
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             let (a, bb) = (new_of[t.0], new_of[s.0]);
             if a != bb {
                 b.add_edge(a, bb, c).expect("cross-chain edge");
@@ -186,7 +182,7 @@ pub fn permute(g: &TaskGraph, new_id_of: &[TaskId]) -> TaskGraph {
         b.add_task(c);
     }
     for t in g.tasks() {
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             b.add_edge(new_id_of[t.0], new_id_of[s.0], c)
                 .expect("relabeled edge of a valid graph");
         }
@@ -208,7 +204,7 @@ pub fn scale_costs(g: &TaskGraph, k: Cost) -> TaskGraph {
         b.add_task(g.comp(t) * k);
     }
     for t in g.tasks() {
-        for &(s, c) in g.succs(t) {
+        for (s, c) in g.succs(t) {
             b.add_edge(t, s, c * k)
                 .expect("scaled edge of a valid graph");
         }
@@ -306,7 +302,7 @@ mod tests {
         assert_eq!(p.num_edges(), g.num_edges());
         for t in g.tasks() {
             assert_eq!(p.comp(rev[t.0]), g.comp(t));
-            for &(s, c) in g.succs(t) {
+            for (s, c) in g.succs(t) {
                 assert_eq!(p.edge_comm(rev[t.0], rev[s.0]), Some(c));
             }
         }
@@ -322,7 +318,7 @@ mod tests {
         let back = permute(&p, &inv);
         for t in g.tasks() {
             assert_eq!(back.comp(t), g.comp(t));
-            assert_eq!(back.succs(t), g.succs(t));
+            assert!(back.succs(t).eq(g.succs(t)));
         }
     }
 
@@ -339,7 +335,7 @@ mod tests {
         let s = scale_costs(&g, 7);
         for t in g.tasks() {
             assert_eq!(s.comp(t), 7 * g.comp(t));
-            for &(d, c) in g.succs(t) {
+            for (d, c) in g.succs(t) {
                 assert_eq!(s.edge_comm(t, d), Some(7 * c));
             }
         }

@@ -7,8 +7,13 @@ use flb_graph::levels::{
     critical_path_tasks, depths, top_levels,
 };
 use flb_graph::width::{max_antichain, max_ready_width};
-use flb_graph::{TaskGraph, TaskId};
+use flb_graph::{transform, Cost, TaskGraph, TaskGraphBuilder, TaskId};
+use flb_sched::io::wire::{self, Reader, Writer};
+use flb_workloads::million::lu_flat;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Strategy producing a diverse mix of small task graphs.
 fn arb_graph() -> impl Strategy<Value = TaskGraph> {
@@ -46,7 +51,7 @@ fn assert_topological(g: &TaskGraph, order: &[TaskId]) {
     }
     for t in g.tasks() {
         assert_ne!(pos[t.0], usize::MAX, "task {t} missing from order");
-        for &(s, _) in g.succs(t) {
+        for (s, _) in g.succs(t) {
             assert!(pos[t.0] < pos[s.0], "edge {t} -> {s} violates order");
         }
     }
@@ -57,7 +62,7 @@ proptest! {
 
     #[test]
     fn generated_graphs_are_valid_dags(g in arb_graph()) {
-        assert_topological(&g, g.topological_order());
+        assert_topological(&g, &g.topological_order().collect::<Vec<_>>());
         // Edge count consistency between the two CSR directions.
         let out_sum: usize = g.tasks().map(|t| g.out_degree(t)).sum();
         let in_sum: usize = g.tasks().map(|t| g.in_degree(t)).sum();
@@ -86,7 +91,7 @@ proptest! {
             prop_assert!(tl[t.0] + bl[t.0] <= cp);
             prop_assert_eq!(alap[t.0] + bl[t.0], cp);
             // Monotonicity along edges.
-            for &(s, c) in g.succs(t) {
+            for (s, c) in g.succs(t) {
                 prop_assert!(bl[t.0] >= g.comp(t) + c + bl[s.0]);
                 prop_assert!(tl[s.0] >= tl[t.0] + g.comp(t) + c);
                 prop_assert!(d[s.0] > d[t.0]);
@@ -126,7 +131,7 @@ proptest! {
         for s in g.tasks() {
             let mut stack = vec![s];
             while let Some(u) = stack.pop() {
-                for &(w, _) in g.succs(u) {
+                for (w, _) in g.succs(u) {
                     if !reach[s.0][w.0] {
                         reach[s.0][w.0] = true;
                         stack.push(w);
@@ -169,7 +174,7 @@ proptest! {
         prop_assert_eq!(g.num_edges(), topo.num_edges());
         for t in g.tasks() {
             prop_assert!(g.comp(t) >= 1);
-            for (&(s, c), &(s0, _)) in g.succs(t).iter().zip(topo.succs(t)) {
+            for ((s, c), (s0, _)) in g.succs(t).zip(topo.succs(t)) {
                 prop_assert_eq!(s, s0);
                 prop_assert!(c >= 1);
             }
@@ -196,7 +201,7 @@ proptest! {
         prop_assert_eq!(max_antichain(&r), max_antichain(&g));
         let d = depths(&r);
         for t in g.tasks() {
-            for &(s, _) in g.succs(t) {
+            for (s, _) in g.succs(t) {
                 prop_assert!(d[s.0] > d[t.0], "original edge {t} -> {s} lost");
             }
         }
@@ -215,7 +220,7 @@ proptest! {
         prop_assert_eq!(c.new_of.len(), g.num_tasks());
         let d = depths(&c.graph);
         for t in g.tasks() {
-            for &(s, _) in g.succs(t) {
+            for (s, _) in g.succs(t) {
                 let (a, b) = (c.new_of[t.0], c.new_of[s.0]);
                 if a != b {
                     prop_assert!(d[b.0] > d[a.0], "cross-chain edge order lost");
@@ -238,5 +243,72 @@ proptest! {
             prop_assert!(n * 2 >= v / 2, "{}: {n} tasks for target {v}", fam.name());
             prop_assert!(n <= v * 3, "{}: {n} tasks for target {v}", fam.name());
         }
+    }
+}
+
+/// Successor rows ascend by target and predecessor rows by source.
+fn assert_rows_ascend(g: &TaskGraph, what: &str) -> Result<(), TestCaseError> {
+    for t in g.tasks() {
+        let succs: Vec<TaskId> = g.succs(t).map(|(s, _)| s).collect();
+        prop_assert!(
+            succs.windows(2).all(|w| w[0] < w[1]),
+            "{what}: succs of {t}"
+        );
+        let preds: Vec<TaskId> = g.preds(t).map(|(p, _)| p).collect();
+        prop_assert!(
+            preds.windows(2).all(|w| w[0] < w[1]),
+            "{what}: preds of {t}"
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Every constructor lays rows out in ascending id order: the builder
+    /// fed shuffled edges, the sorted-edge constructor, a wire round trip
+    /// and the streaming LU generator. `edge_comm`'s binary search and
+    /// the forward-edge topological shortcut rely on it.
+    #[test]
+    fn every_constructor_yields_ascending_rows(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        m in 1usize..30,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = g.num_tasks();
+        let mut perm: Vec<TaskId> = (0..n).map(TaskId).collect();
+        for i in (1..n).rev() {
+            perm.swap(i, rng.random_range(0..i + 1));
+        }
+        let g = transform::permute(&g, &perm);
+        let mut edges: Vec<(u32, u32, Cost)> = g
+            .tasks()
+            .flat_map(|t| g.succs(t).map(move |(s, c)| (t.0 as u32, s.0 as u32, c)))
+            .collect();
+        for i in (1..edges.len()).rev() {
+            edges.swap(i, rng.random_range(0..i + 1));
+        }
+
+        let mut b = TaskGraphBuilder::named(g.name());
+        for t in g.tasks() {
+            b.add_task(g.comp(t));
+        }
+        for &(s, d, c) in &edges {
+            b.add_edge(TaskId(s as usize), TaskId(d as usize), c).unwrap();
+        }
+        assert_rows_ascend(&b.build().unwrap(), "builder")?;
+
+        edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        let comp = g.tasks().map(|t| g.comp(t)).collect();
+        let direct = TaskGraph::from_sorted_edges(g.name(), comp, edges.len(), edges).unwrap();
+        assert_rows_ascend(&direct, "sorted edges")?;
+
+        let mut w = Writer::new();
+        wire::put_graph(&mut w, &g);
+        let bytes = w.into_bytes();
+        assert_rows_ascend(&wire::get_graph(&mut Reader::new(&bytes)).unwrap(), "wire")?;
+
+        let model = CostModel { comp: Dist::UniformMean(10), ccr: 1.0 };
+        assert_rows_ascend(&lu_flat(m, &model, seed), "lu_flat")?;
     }
 }

@@ -7,10 +7,10 @@
 //! million-task graphs out of reach. This crate is the same algorithm on a
 //! different substrate:
 //!
-//! * [`FlatGraph`] — `u32`-indexed CSR in six flat arrays, with a
-//!   streaming constructor so generators build straight into it;
-//! * [`KernelRun`] — SoA arenas for per-task state and the five FLB lists
-//!   as preallocated flat structures ([`list::FlatHeap`], a binary heap
+//! * [`KernelRun`] — runs on [`flb_graph::TaskGraph`] itself, whose CSR
+//!   arrays (`u32` offsets and endpoints, weights apart) suit a
+//!   million-task graph. It keeps per-task state in SoA arenas and the
+//!   five FLB lists in preallocated flat structures ([`list::FlatHeap`], a binary heap
 //!   with inline keys and branch-free bottom-up sifts;
 //!   [`list::PairingForest`] for the EMT lists, with demoted tasks
 //!   deleted lazily; and [`list::RadixLists`], radix buckets for the LMT
@@ -18,9 +18,8 @@
 //!   allocations after init;
 //! * [`FlbKernel`] — a [`flb_sched::Scheduler`] adapter. It is the engine
 //!   behind `flb_core::AlgorithmId::Flb`, so `schedule_request`, the CLI,
-//!   the benches and the scheduler daemon all run FLB through it. Its
-//!   [`schedule_flat`](FlbKernel::schedule_flat) runs a [`FlatGraph`]
-//!   straight to a [`Schedule`].
+//!   the benches and the scheduler daemon all run FLB through it, on the
+//!   caller's graph with no conversion.
 //!
 //! The kernel must be **bit-identical** to `flb_core::FlbRun`: same
 //! `(task, processor, start)` triple at every step, same run counters.
@@ -34,21 +33,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod graph;
 pub mod list;
 mod run;
 
-pub use graph::{FlatGraph, SortedEdgesError, NONE};
+/// perfbench still imports the kernel's graph type under its former name.
+#[doc(hidden)]
+pub use flb_graph::TaskGraph as FlatGraph;
 pub use run::{KernelRun, KernelStep};
+
+/// Sentinel for "no node" in every `u32`-indexed structure of this crate.
+pub const NONE: u32 = u32::MAX;
 
 use flb_graph::{TaskGraph, Time};
 use flb_sched::{Machine, Placement, ProcId, Schedule, Scheduler, TieBreak};
 
 /// FLB on the flat kernel, as a drop-in [`Scheduler`].
 ///
-/// Converts the graph to [`FlatGraph`] form, runs [`KernelRun`], and
-/// re-wraps the placements — bit-identical to `flb_core::Flb` with the
-/// same tie-break, and named "FLB" like it.
+/// Runs [`KernelRun`] on the graph and wraps its placements as a
+/// [`Schedule`] — bit-identical to `flb_core::Flb` with the same
+/// tie-break, and named "FLB" like it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FlbKernel {
     /// Tie-break rule among tasks with equal time keys.
@@ -61,13 +64,16 @@ impl FlbKernel {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Runs [`KernelRun`] on `g` to completion and wraps its placements
-    /// as a [`Schedule`] on `machine`.
-    #[must_use]
-    pub fn schedule_flat(&self, g: &FlatGraph, machine: &Machine) -> Schedule {
+impl Scheduler for FlbKernel {
+    fn name(&self) -> &'static str {
+        "FLB"
+    }
+
+    fn schedule(&self, graph: &TaskGraph, machine: &Machine) -> Schedule {
         let slow: Vec<Time> = machine.procs().map(|p| machine.slowdown(p)).collect();
-        let mut run = KernelRun::new(g, &slow, self.tie_break);
+        let mut run = KernelRun::new(graph, &slow, self.tie_break);
         run.run();
         let placements = run
             .procs()
@@ -80,16 +86,6 @@ impl FlbKernel {
             })
             .collect();
         Schedule::from_raw_on(machine.clone(), placements)
-    }
-}
-
-impl Scheduler for FlbKernel {
-    fn name(&self) -> &'static str {
-        "FLB"
-    }
-
-    fn schedule(&self, graph: &TaskGraph, machine: &Machine) -> Schedule {
-        self.schedule_flat(&FlatGraph::from_task_graph(graph), machine)
     }
 }
 

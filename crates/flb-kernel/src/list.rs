@@ -48,7 +48,7 @@
 //! Together they meet the `O(V (log W + log P) + E)` bound of the paper
 //! with a constant factor small enough for million-task graphs.
 
-use crate::graph::NONE;
+use crate::NONE;
 use flb_graph::Time;
 use std::cmp::Reverse;
 

@@ -47,9 +47,10 @@
 //! the steady-state loop performs **zero heap allocations** (verified by a
 //! counting-allocator integration test).
 
-use crate::graph::{FlatGraph, NONE};
 use crate::list::{FlatHeap, PairingForest, RadixLists, SliceKeys};
-use flb_graph::Time;
+use crate::NONE;
+use flb_graph::levels::bottom_levels;
+use flb_graph::{TaskGraph, TaskId, Time};
 use flb_sched::{RunStats, TieBreak};
 use std::cmp::Reverse;
 
@@ -72,9 +73,9 @@ pub struct KernelStep {
     pub from_ep_list: bool,
 }
 
-/// A resumable FLB execution over a [`FlatGraph`].
+/// A resumable FLB execution over a [`TaskGraph`].
 pub struct KernelRun<'g> {
-    g: &'g FlatGraph,
+    g: &'g TaskGraph,
     /// Per-processor slowdown factors (all 1 on homogeneous machines).
     slow: Vec<Time>,
     tie_break: TieBreak,
@@ -121,12 +122,12 @@ impl<'g> KernelRun<'g> {
     ///
     /// Panics if `slow` is empty.
     #[must_use]
-    pub fn new(g: &'g FlatGraph, slow: &[Time], tie_break: TieBreak) -> Self {
+    pub fn new(g: &'g TaskGraph, slow: &[Time], tie_break: TieBreak) -> Self {
         let v = g.num_tasks();
         let p = slow.len();
         assert!(p > 0, "a machine needs at least one processor");
         let bl = match tie_break {
-            TieBreak::BottomLevel => g.bottom_levels(),
+            TieBreak::BottomLevel => bottom_levels(g),
             TieBreak::TaskId => vec![0; v],
         };
         let mut run = KernelRun {
@@ -134,7 +135,7 @@ impl<'g> KernelRun<'g> {
             slow: slow.to_vec(),
             tie_break,
             bl,
-            missing_preds: (0..v).map(|i| g.in_degree(i as u32)).collect(),
+            missing_preds: g.tasks().map(|t| g.in_degree(t) as u32).collect(),
             lmt: vec![0; v],
             emt_on_ep: vec![0; v],
             ep: vec![NONE; v],
@@ -279,7 +280,7 @@ impl<'g> KernelRun<'g> {
 
         // Place: append on `proc` (FLB never inserts into gaps).
         debug_assert!(start >= self.prt[proc as usize], "append before PRT");
-        let finish = start + self.g.comp(task) * self.slow[proc as usize];
+        let finish = start + self.g.comp(TaskId(task as usize)) * self.slow[proc as usize];
         self.proc_of[task as usize] = proc;
         self.start[task as usize] = start;
         self.finish[task as usize] = finish;
@@ -352,10 +353,10 @@ impl<'g> KernelRun<'g> {
     /// classified EP / non-EP and enqueued.
     fn update_ready_tasks(&mut self, scheduled: u32) {
         let g = self.g;
-        for (s, _) in g.succs(scheduled) {
-            self.missing_preds[s as usize] -= 1;
-            if self.missing_preds[s as usize] == 0 {
-                self.enqueue_ready(s);
+        for (s, _) in g.succs(TaskId(scheduled as usize)) {
+            self.missing_preds[s.0] -= 1;
+            if self.missing_preds[s.0] == 0 {
+                self.enqueue_ready(s.0 as u32);
             }
         }
         self.stats.max_ready = self.stats.max_ready.max(self.ready_len());
@@ -369,10 +370,10 @@ impl<'g> KernelRun<'g> {
     fn enqueue_ready(&mut self, s: u32) {
         let g = self.g;
         // Scan 1: LMT and EP.
-        let mut best: Option<(Time, Reverse<u32>, Reverse<u32>)> = None;
-        for (q, w) in g.preds(s) {
-            let arrival = self.finish[q as usize] + w;
-            let cand = (arrival, Reverse(self.proc_of[q as usize]), Reverse(q));
+        let mut best: Option<(Time, Reverse<u32>, Reverse<TaskId>)> = None;
+        for (q, w) in g.preds(TaskId(s as usize)) {
+            let arrival = self.finish[q.0] + w;
+            let cand = (arrival, Reverse(self.proc_of[q.0]), Reverse(q));
             if best.is_none_or(|b| cand > b) {
                 best = Some(cand);
             }
@@ -389,13 +390,9 @@ impl<'g> KernelRun<'g> {
                 // Scan 2: EMT on the enabling processor (messages from
                 // predecessors already on `ep` are free).
                 let mut emt = 0;
-                for (q, w) in g.preds(s) {
-                    let ft = self.finish[q as usize];
-                    let arrives = if self.proc_of[q as usize] == ep {
-                        ft
-                    } else {
-                        ft + w
-                    };
+                for (q, w) in g.preds(TaskId(s as usize)) {
+                    let ft = self.finish[q.0];
+                    let arrives = if self.proc_of[q.0] == ep { ft } else { ft + w };
                     emt = emt.max(arrives);
                 }
                 self.ep[s as usize] = ep;
@@ -429,13 +426,12 @@ impl<'g> KernelRun<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::FlatGraph;
     use flb_graph::paper::fig1;
 
     /// The paper's Table 1 trace, decision for decision.
     #[test]
     fn fig1_reproduces_table1_decisions() {
-        let g = FlatGraph::from_task_graph(&fig1());
+        let g = fig1();
         let mut run = KernelRun::new(&g, &[1, 1], TieBreak::BottomLevel);
         let expected = [
             (0, 0, 0, 2),
@@ -462,7 +458,7 @@ mod tests {
 
     #[test]
     fn stats_match_the_reference_counts() {
-        let g = FlatGraph::from_task_graph(&fig1());
+        let g = fig1();
         let mut run = KernelRun::new(&g, &[1, 1], TieBreak::BottomLevel);
         run.run();
         let st = run.stats();
@@ -476,13 +472,13 @@ mod tests {
 
     #[test]
     fn related_machine_scales_execution_times() {
-        let g = FlatGraph::from_task_graph(&fig1());
+        let g = fig1();
         let mut run = KernelRun::new(&g, &[2, 3], TieBreak::BottomLevel);
         run.run();
-        for t in 0..g.num_tasks() as u32 {
-            let p = run.procs()[t as usize] as usize;
+        for t in g.tasks() {
+            let p = run.procs()[t.0] as usize;
             assert_eq!(
-                run.finishes()[t as usize] - run.starts()[t as usize],
+                run.finishes()[t.0] - run.starts()[t.0],
                 g.comp(t) * [2, 3][p]
             );
         }

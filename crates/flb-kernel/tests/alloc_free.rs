@@ -45,12 +45,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn steady_state_loop_never_allocates() {
-    use flb_kernel::{FlatGraph, KernelRun};
+    use flb_kernel::KernelRun;
     use flb_sched::TieBreak;
 
     // LU with m = 200 -> V = 20_100, E = 39_800: large enough to exercise
     // promotions, demotions, and deep heaps on several processors.
-    let g = FlatGraph::from_task_graph(&flb_graph::gen::lu(200));
+    let g = flb_graph::gen::lu(200);
     let slow = vec![1u64; 8];
     let mut run = KernelRun::new(&g, &slow, TieBreak::BottomLevel);
 

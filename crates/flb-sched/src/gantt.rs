@@ -192,7 +192,7 @@ mod tests {
         let g = fig1();
         let m = Machine::new(1);
         let mut b = ScheduleBuilder::new(&g, &m);
-        for &t in g.topological_order() {
+        for t in g.topological_order() {
             let start = b.est(t, ProcId(0));
             b.place(t, ProcId(0), start);
         }
@@ -208,7 +208,7 @@ mod tests {
         let m = Machine::new(1);
         let mut b = ScheduleBuilder::new(&g, &m);
         let mut clock = 0;
-        for &t in g.topological_order() {
+        for t in g.topological_order() {
             let start = b.est(t, ProcId(0)).max(clock);
             b.place(t, ProcId(0), start);
             clock = start + g.comp(t);

@@ -146,7 +146,7 @@ pub fn residual_graph(g: &TaskGraph, exec: &ExecState) -> Option<ResidualGraph> 
             continue;
         }
         any_residual = true;
-        for &(u, _) in g.preds(t) {
+        for (u, _) in g.preds(t) {
             if exec.completed[u.0] {
                 needs_pseudo[u.0] = true;
             }
@@ -170,7 +170,7 @@ pub fn residual_graph(g: &TaskGraph, exec: &ExecState) -> Option<ResidualGraph> 
     }
     for t in g.tasks().filter(|t| !exec.completed[t.0]) {
         let dst = to_res[t.0].expect("residual task mapped");
-        for &(u, c) in g.preds(t) {
+        for (u, c) in g.preds(t) {
             let src = to_res[u.0].expect("producer mapped (residual or pseudo)");
             b.add_edge(src, dst, c)
                 .expect("subgraph of a DAG stays acyclic");
@@ -374,7 +374,7 @@ pub fn validate_repaired(g: &TaskGraph, exec: &ExecState, s: &Schedule) -> Resul
     }
 
     for t in g.tasks() {
-        for &(pred, comm) in g.preds(t) {
+        for (pred, comm) in g.preds(t) {
             let delay = if s.proc(pred) == s.proc(t) { 0 } else { comm };
             let required = s.finish(pred) + delay;
             if s.start(t) < required {

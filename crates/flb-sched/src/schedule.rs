@@ -268,7 +268,7 @@ impl<'g> ScheduleBuilder<'g> {
     /// *ready*).
     #[must_use]
     pub fn is_ready(&self, t: TaskId) -> bool {
-        !self.is_placed(t) && self.graph.preds(t).iter().all(|&(p, _)| self.is_placed(p))
+        !self.is_placed(t) && self.graph.preds(t).all(|(p, _)| self.is_placed(p))
     }
 
     /// Last message arrival time
@@ -278,8 +278,7 @@ impl<'g> ScheduleBuilder<'g> {
     pub fn lmt(&self, t: TaskId) -> Time {
         self.graph
             .preds(t)
-            .iter()
-            .map(|&(p, c)| self.ft(p) + c)
+            .map(|(p, c)| self.ft(p) + c)
             .max()
             .unwrap_or(0)
     }
@@ -292,8 +291,7 @@ impl<'g> ScheduleBuilder<'g> {
     pub fn ep(&self, t: TaskId) -> Option<ProcId> {
         self.graph
             .preds(t)
-            .iter()
-            .map(|&(p, c)| {
+            .map(|(p, c)| {
                 let proc = self.proc_of(p).expect("predecessor placed");
                 (self.ft(p) + c, proc, p)
             })
@@ -315,8 +313,7 @@ impl<'g> ScheduleBuilder<'g> {
     pub fn emt(&self, t: TaskId, p: ProcId) -> Time {
         self.graph
             .preds(t)
-            .iter()
-            .map(|&(q, c)| {
+            .map(|(q, c)| {
                 let ft = self.ft(q);
                 if self.proc_of(q) == Some(p) {
                     ft

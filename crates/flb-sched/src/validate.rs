@@ -106,7 +106,7 @@ pub fn validate(g: &TaskGraph, s: &Schedule) -> Result<(), ScheduleError> {
 
     // Precedence + communication delays.
     for t in g.tasks() {
-        for &(pred, comm) in g.preds(t) {
+        for (pred, comm) in g.preds(t) {
             let delay = if s.proc(pred) == s.proc(t) { 0 } else { comm };
             let required = s.finish(pred) + delay;
             if s.start(t) < required {

@@ -239,7 +239,7 @@ pub fn request_fingerprint(alg: AlgorithmId, g: &TaskGraph, m: &Machine) -> u64 
         }
         h.write_u32(g.num_edges() as u32);
         for t in g.tasks() {
-            for &(s, c) in g.succs(t) {
+            for (s, c) in g.succs(t) {
                 h.write_u32(t.0 as u32);
                 h.write_u32(s.0 as u32);
                 h.write_u64(c);
@@ -290,9 +290,9 @@ pub fn peek_request_key(payload: &[u8]) -> Option<PeekedKey> {
 }
 
 /// A schedule-request payload split into its fields without decoding
-/// the machine or the graph: what the daemon keys, looks up and, on an
-/// FLB miss, builds the kernel's graph from
-/// ([`flat_request`](crate::proto::flat_request)).
+/// the machine or the graph: what the daemon keys, looks up and, on a
+/// miss, builds the request from
+/// ([`split_request`](crate::proto::split_request)).
 pub(crate) struct ScheduleFields<'a> {
     pub(crate) algorithm: AlgorithmId,
     pub(crate) deadline_ms: u64,
@@ -446,7 +446,7 @@ mod tests {
             named.add_task(a.comp(t));
         }
         for t in a.tasks() {
-            for &(s, c) in a.succs(t) {
+            for (s, c) in a.succs(t) {
                 named.add_edge(t, s, c).unwrap();
             }
         }

@@ -25,7 +25,7 @@ use crate::fingerprint::{edge_records, ScheduleFields};
 use crate::metrics::{StatsSnapshot, TenantStat};
 use crate::overload::{OverloadState, MAX_TENANT_NAME};
 use flb_core::{AlgorithmId, ScheduleRequest};
-use flb_kernel::FlatGraph;
+use flb_graph::TaskGraph;
 use flb_sched::io::wire::{self, Reader, WireError, Writer};
 use flb_sched::{Machine, Schedule};
 use std::io::{self, Read, Write};
@@ -217,9 +217,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
                     .max()
                     .unwrap_or(1),
                 graph.tasks().map(|t| graph.comp(t)),
-                graph
-                    .tasks()
-                    .flat_map(|t| graph.succs(t).iter().map(|&(_, c)| c)),
+                graph.tasks().flat_map(|t| graph.succs(t).map(|(_, c)| c)),
             )?;
             // The tenant field rides behind the graph; a frame from an
             // older encoder simply ends here and means "anonymous".
@@ -258,41 +256,15 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
     Ok(req)
 }
 
-/// An FLB schedule request decoded straight into the kernel's CSR form.
-#[derive(Clone, Debug)]
-pub struct FlatScheduleRequest {
-    /// The task graph, as the kernel schedules it.
-    pub graph: FlatGraph,
-    /// The target machine.
-    pub machine: Machine,
-    /// Give up when not finished within this budget (0 = none).
-    pub deadline_ms: u64,
-    /// Tenant name for quota accounting; empty means anonymous.
-    pub tenant: String,
-}
-
-/// Decodes an FLB schedule request into [`FlatGraph`] form, with no
-/// `TaskGraph` in between: `flat_request` of the payload's split.
-///
-/// Accepts exactly the FLB payloads [`decode_request`] accepts, in any
-/// edge order, and builds the same request. The fields around the
-/// machine and graph are checked as the cache-key peek checks them
-/// (`ScheduleFields::split`), the machine as `wire::get_machine` checks
-/// it, and the graph by [`FlatGraph::from_sorted_edges`], which rejects
-/// everything the graph builder rejects. Requests for other algorithms
-/// are declined.
-#[must_use]
-pub fn decode_flat_request(payload: &[u8]) -> Option<FlatScheduleRequest> {
-    flat_request(&ScheduleFields::split(payload)?)
-}
-
-/// Builds the FLB request a split payload holds, or `None` when it asks
-/// for another algorithm or does not decode. The daemon then answers
+/// Builds the schedule request a split payload holds, or `None` when it
+/// does not decode: the daemon's one way from bytes to a request, for
+/// every algorithm. The fields around the machine and graph were checked
+/// by the split as [`decode_request`] checks them; the machine is checked
+/// here as `wire::get_machine` checks it, the times against the ceiling,
+/// and the graph is built by [`TaskGraph::from_sorted_edges`], which
+/// rejects what the graph builder rejects. The daemon answers a `None`
 /// with [`decode_request`]'s error, so every error reply is its.
-pub(crate) fn flat_request(f: &ScheduleFields<'_>) -> Option<FlatScheduleRequest> {
-    if f.algorithm != AlgorithmId::Flb {
-        return None;
-    }
+pub(crate) fn split_request(f: &ScheduleFields<'_>) -> Option<ScheduleRequest> {
     let le_u64 = |b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?));
     let slowdowns: Vec<u64> = f.slowdowns.chunks_exact(8).map_while(le_u64).collect();
     if slowdowns.is_empty() || slowdowns.contains(&0) {
@@ -303,13 +275,12 @@ pub(crate) fn flat_request(f: &ScheduleFields<'_>) -> Option<FlatScheduleRequest
     let comm = edge_records(&f.edges).map(|x| (x >> 64) as u64);
     check_time_ceiling(slowdowns.len(), max_slowdown, comp.iter().copied(), comm).ok()?;
     let edges = edge_records(&f.edges).map(|x| (x as u32, (x >> 32) as u32, (x >> 64) as u64));
-    let graph = FlatGraph::from_sorted_edges(f.name, comp, f.edges.len() / 16, edges).ok()?;
-    Some(FlatScheduleRequest {
+    let graph = TaskGraph::from_sorted_edges(f.name, comp, f.edges.len() / 16, edges).ok()?;
+    Some(ScheduleRequest::new(
+        f.algorithm,
         graph,
-        machine: Machine::related(slowdowns),
-        deadline_ms: f.deadline_ms,
-        tenant: f.tenant.to_owned(),
-    })
+        Machine::related(slowdowns),
+    ))
 }
 
 fn put_stats(w: &mut Writer, s: &StatsSnapshot) {

@@ -13,21 +13,21 @@
 //!    path, and it keeps working even while the queue is saturated);
 //! 2. otherwise the miss is offered to the bounded queue; when the
 //!    queue is full the client gets a `busy` response with a retry hint
-//!    instead of blocking the daemon (backpressure, never a hang). An FLB
-//!    request is built straight into the kernel's CSR form from the same
-//!    split the key was read from (`proto::flat_request`); every other
-//!    algorithm goes through [`decode_request`] into a `TaskGraph`. A
-//!    payload that does not build gets `decode_request`'s error reply;
+//!    instead of blocking the daemon (backpressure, never a hang). The
+//!    request, whatever its algorithm, is built from the same split the
+//!    key was read from (`proto::split_request`), its graph straight into
+//!    the CSR arrays the schedulers read. A payload that does not build
+//!    gets [`decode_request`]'s error reply;
 //! 3. an admitted miss that finds the queue otherwise empty and fewer
 //!    than `workers` schedules running runs on the connection thread
 //!    itself; any other waits for a worker. Whichever thread runs the
 //!    job drops it with an `expired` response if its deadline passed
 //!    while it queued, otherwise runs the scheduler and populates the
 //!    cache; a worker then hands the schedule back to the connection
-//!    thread. A flat job runs on `flb-kernel`'s [`FlbKernel`]; every
-//!    other job runs through [`schedule_request`], whose FLB engine is
-//!    the same kernel. Pool and inline runs share one count of running
-//!    schedules, so never more than `workers` run at once.
+//!    thread. Every job runs through [`schedule_request`], whose FLB
+//!    engine is `flb-kernel`'s kernel. Pool and inline runs share one
+//!    count of running schedules, so never more than `workers` run at
+//!    once.
 //!
 //! Two concurrent misses on the same fingerprint may both run the
 //! scheduler; the algorithms are deterministic, so both compute the same
@@ -60,14 +60,13 @@ use crate::journal::{self, SyncPolicy};
 use crate::metrics::{Gauges, Metrics};
 use crate::overload::{Decision, OverloadConfig, OverloadCtl, Popped, ShedPolicy, TenantId};
 use crate::proto::{
-    decode_request, flat_request, read_frame, write_response, write_schedule_reply, Request,
+    decode_request, read_frame, split_request, write_response, write_schedule_reply, Request,
     Response, RESP_SCHEDULE,
 };
 use crate::snapshot::{self, SnapshotError};
 use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
-use flb_kernel::{FlatGraph, FlbKernel};
 use flb_sched::io::wire::WireError;
-use flb_sched::{Machine, Schedule};
+use flb_sched::Schedule;
 use parking_lot::{Condvar, Mutex};
 use std::io::{self, Read as _};
 use std::net::{TcpListener, TcpStream};
@@ -469,46 +468,9 @@ enum WorkerReply {
     Panicked(String),
 }
 
-/// What a job schedules.
-enum Work {
-    /// An FLB request built straight into the kernel's CSR form.
-    Flat {
-        graph: Box<FlatGraph>,
-        machine: Machine,
-    },
-    /// A request [`decode_request`] decoded into a `TaskGraph`: every
-    /// algorithm but FLB.
-    Graph(Box<ScheduleRequest>),
-}
-
-impl Work {
-    fn algorithm(&self) -> AlgorithmId {
-        match self {
-            Work::Flat { .. } => AlgorithmId::Flb,
-            Work::Graph(request) => request.algorithm,
-        }
-    }
-
-    fn graph_name(&self) -> &str {
-        match self {
-            Work::Flat { graph, .. } => graph.name(),
-            Work::Graph(request) => request.graph.name(),
-        }
-    }
-
-    /// Runs the scheduler. FLB always runs on the kernel: a flat job
-    /// directly, a graph job through [`schedule_request`].
-    fn schedule(&self) -> Schedule {
-        match self {
-            Work::Flat { graph, machine } => FlbKernel::new().schedule_flat(graph, machine),
-            Work::Graph(request) => schedule_request(request),
-        }
-    }
-}
-
 /// One queued scheduling job.
 struct Job {
-    work: Work,
+    request: Box<ScheduleRequest>,
     fingerprint: u64,
     accepted_at: Instant,
     deadline: Option<Duration>,
@@ -660,7 +622,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         let job = popped.item;
-        let hard_kill = is_hard_kill(shared, &job.work);
+        let hard_kill = is_hard_kill(shared, &job.request);
         // The client may have hung up while waiting; its problem.
         let _ = job.reply.send(run_job(shared, &popped.tenant, &job));
         if hard_kill {
@@ -671,10 +633,10 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Whether `work` asks its worker thread to die after replying
+/// Whether `request` asks its worker thread to die after replying
 /// ([`HARD_PANIC_MARKER`]). Such a job always runs on the pool.
-fn is_hard_kill(shared: &Shared, work: &Work) -> bool {
-    shared.cfg.panic_injection && work.graph_name() == HARD_PANIC_MARKER
+fn is_hard_kill(shared: &Shared, request: &ScheduleRequest) -> bool {
+    shared.cfg.panic_injection && request.graph.name() == HARD_PANIC_MARKER
 }
 
 /// Runs a started job on the calling thread: drops it as expired if its
@@ -693,11 +655,11 @@ fn run_job(shared: &Shared, tenant: &TenantId, job: &Job) -> WorkerReply {
     let inject = shared.cfg.panic_injection;
     Metrics::bump(&shared.metrics.scheduler_invocations);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if inject && job.work.graph_name() == PANIC_MARKER {
+        if inject && job.request.graph.name() == PANIC_MARKER {
             // flb-analyze: allow(no-panic-in-request-path, reason="chaos injection, gated by cfg.panic_injection and confined by the catch_unwind below")
             panic!("injected scheduler panic ({PANIC_MARKER})");
         }
-        job.work.schedule()
+        schedule_request(&job.request)
     }));
     match outcome {
         Ok(schedule) => {
@@ -850,9 +812,8 @@ fn tenant_id(tenant: &str, conn_id: u64) -> TenantId {
 }
 
 /// Answers a split schedule request whose service started at `t0`: from
-/// the cache on a hit, otherwise by building its work and queueing it.
-/// An FLB request is built from the split itself, every other algorithm
-/// by [`decode_request`]. `Err` is `decode_request`'s verdict on a payload
+/// the cache on a hit, otherwise by building its request from the split
+/// and queueing it. `Err` is [`decode_request`]'s verdict on a payload
 /// that splits but does not build; nothing is counted then.
 fn schedule_reply(
     shared: &Shared,
@@ -867,21 +828,21 @@ fn schedule_reply(
         count_schedule_request(shared, f.algorithm);
         return Ok(cache_hit(shared, schedule, t0));
     }
-    let work = match flat_request(f) {
-        Some(req) => Work::Flat {
-            graph: Box::new(req.graph),
-            machine: req.machine,
-        },
-        // A payload that splits is a schedule request, so decoding it
-        // either fails or yields one.
-        None => match decode_request(payload)? {
-            Request::Schedule { request, .. } => Work::Graph(request),
-            _ => return Err(WireError::Malformed("not a schedule request".into())),
-        },
+    let Some(request) = split_request(f) else {
+        // The build rejects what decoding rejects; decoding says why.
+        return Err(decode_request(payload)
+            .err()
+            .unwrap_or_else(|| WireError::Malformed("schedule request does not build".into())));
     };
     Metrics::bump(&shared.metrics.requests);
     let tenant = tenant_id(f.tenant, conn_id);
-    Ok(serve_schedule(shared, work, key, f.deadline_ms, &tenant))
+    Ok(serve_schedule(
+        shared,
+        Box::new(request),
+        key,
+        f.deadline_ms,
+        &tenant,
+    ))
 }
 
 /// Serves one cache miss end-to-end under cache key `key`.
@@ -891,22 +852,22 @@ fn schedule_reply(
 /// the expensive path.
 fn serve_schedule(
     shared: &Shared,
-    work: Work,
+    request: Box<ScheduleRequest>,
     key: u64,
     deadline_ms: u64,
     tenant: &TenantId,
 ) -> Reply {
     let t0 = Instant::now();
-    count_schedule_request(shared, work.algorithm());
+    count_schedule_request(shared, request.algorithm);
     Metrics::bump(&shared.metrics.cache_misses);
 
     let busy = Reply::Other(Response::Busy {
         retry_after_ms: shared.cfg.retry_after_ms,
     });
-    let hard_kill = is_hard_kill(shared, &work);
+    let hard_kill = is_hard_kill(shared, &request);
     let (tx, rx) = mpsc::channel();
     let job = Job {
-        work,
+        request,
         fingerprint: key,
         accepted_at: t0,
         deadline: (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms)),
@@ -1006,7 +967,7 @@ fn connection_loop(shared: &Arc<Shared>, conn: &mut DeadlineConn, conn_id: u64) 
         let t0 = Instant::now();
         let ts_us = shared.now_us();
         // A schedule request is split once: its key, the cache lookup
-        // and an FLB miss's CSR graph all come from that split.
+        // and a miss's request all come from that split.
         let (reply, journal_this) = match ScheduleFields::split(&payload) {
             Some(f) => match schedule_reply(shared, &f, &payload, conn_id, t0) {
                 Ok(reply) => (reply, true),
@@ -1422,6 +1383,7 @@ pub fn serve(endpoint: &Endpoint, cfg: ServiceConfig) -> io::Result<ServiceHandl
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flb_sched::Machine;
 
     #[test]
     fn endpoint_parse_and_display() {
@@ -1565,7 +1527,7 @@ mod tests {
             let request =
                 ScheduleRequest::new(AlgorithmId::Flb, flb_graph::paper::fig1(), Machine::new(2));
             let job = Job {
-                work: Work::Graph(Box::new(request)),
+                request: Box::new(request),
                 fingerprint: 1,
                 accepted_at: Instant::now(),
                 deadline: None,

@@ -1,138 +1,150 @@
-//! The flat decoder (`proto::decode_flat_request`) accepts exactly the
-//! FLB payloads `proto::decode_request` accepts, and what it decodes
-//! schedules exactly as the `flb_core` oracle does:
+//! The daemon builds every schedule request one way, from the payload's
+//! split (`proto::split_request`), and what it builds is what
+//! `proto::decode_request` decodes:
 //!
 //! * (a) over generated graphs (ids in any order), machines and tenants,
-//!   with edges in canonical and shuffled order: an FLB payload decodes
-//!   flat to the request `decode_request` makes of it, the peeked key is
-//!   `request_fingerprint` of that request, and the daemon's schedule
-//!   equals `schedule_request` of it;
-//! * (b) bit flips, truncations and extensions of valid payloads: whenever
-//!   the flat decode accepts one, `decode_request` accepts the same bytes
-//!   with the same costs, edges, machine, deadline and tenant;
-//! * (c) end to end, invalid FLB requests (a cycle, a self-loop, a
-//!   duplicate edge, an unknown task, an empty graph, zero processors, a
-//!   zero slowdown, an over-long tenant) get the error reply bytes of
-//!   `decode_request`'s error;
-//! * (d) end to end, a problem sent with its edges shuffled is the same
-//!   cache entry as the problem sent in canonical order;
-//! * (e) an FLB graph named with the panic marker, sent through the flat
-//!   path, answers `scheduler panicked`, and the pool respawns a worker
-//!   the hard marker kills;
+//!   with edges in canonical and shuffled order: the peeked key is
+//!   `request_fingerprint` of the decoded request, and the daemon's
+//!   schedule equals `schedule_request` of it;
+//! * (b) bit flips, truncations and extensions of valid payloads: the
+//!   daemon answers each with `decode_request`'s error reply bytes when
+//!   decoding rejects it, and with the decoded request's schedule when
+//!   decoding accepts it;
+//! * (c) end to end, for every algorithm, invalid requests (a cycle, a
+//!   self-loop, a duplicate edge, an unknown task, an empty graph, zero
+//!   processors, a zero slowdown, an over-long tenant) get the error
+//!   reply bytes of `decode_request`'s error;
+//! * (d) end to end, for every algorithm, a problem sent with its edges
+//!   shuffled is the same cache entry as the problem sent in canonical
+//!   order, whichever order comes first;
+//! * (e) a graph named with the panic marker answers `scheduler
+//!   panicked`, and the pool respawns a worker the hard marker kills;
 //! * (f) end to end, for every algorithm, a request at the time ceiling
 //!   is scheduled validly and one just past it (or whose cost sums
-//!   overflow) gets the one overflow error on both decode paths, with
-//!   nothing scheduled or cached.
+//!   overflow) gets the one overflow error, with nothing scheduled or
+//!   cached.
 
 mod common;
 
 use common::{duplicated_edge, mutate, payload_of, random_request, shuffled_edges};
 use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
 use flb_graph::TaskGraphBuilder;
-use flb_kernel::FlbKernel;
 use flb_sched::io::wire::Writer;
-use flb_sched::{Machine, Schedule};
+use flb_sched::Machine;
 use flb_service::fingerprint::{peek_request_key, request_fingerprint};
 use flb_service::proto::{
-    decode_flat_request, decode_request, decode_response, encode_response, read_frame, write_frame,
-    FlatScheduleRequest, Request, Response, TIME_OVERFLOW,
+    decode_request, decode_response, encode_response, read_frame, write_frame, Request, Response,
+    TIME_OVERFLOW,
 };
 use flb_service::{serve, Client, Endpoint, ServiceConfig, HARD_PANIC_MARKER, PANIC_MARKER};
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 /// The decoded schedule request behind `payload`, if `decode_request`
 /// accepts it as one.
-fn decoded(payload: &[u8]) -> Option<(ScheduleRequest, u64, String)> {
+fn decoded(payload: &[u8]) -> Option<ScheduleRequest> {
     match decode_request(payload).ok()? {
-        Request::Schedule {
-            request,
-            deadline_ms,
-            tenant,
-        } => Some((*request, deadline_ms, tenant)),
+        Request::Schedule { request, .. } => Some(*request),
         _ => None,
     }
 }
 
-/// Asserts that `flat` holds exactly the request `decode_request` makes
-/// of the same bytes.
-fn assert_same_request(flat: &FlatScheduleRequest, payload: &[u8]) -> ScheduleRequest {
-    let Some((req, deadline_ms, tenant)) = decoded(payload) else {
-        panic!("the flat decode accepted what decode_request rejects: {payload:?}");
-    };
-    assert_eq!(req.algorithm, AlgorithmId::Flb);
-    assert_eq!(flat.deadline_ms, deadline_ms);
-    assert_eq!(flat.tenant, tenant);
-    assert_eq!(flat.machine, req.machine);
-    let g = &req.graph;
-    let fg = &flat.graph;
-    assert_eq!(fg.name(), g.name());
-    assert_eq!(fg.num_tasks(), g.num_tasks());
-    assert_eq!(fg.num_edges(), g.num_edges());
-    for t in g.tasks() {
-        let v = t.0 as u32;
-        assert_eq!(fg.comp(v), g.comp(t));
-        let succs: Vec<(u32, u64)> = g.succs(t).iter().map(|&(s, c)| (s.0 as u32, c)).collect();
-        assert_eq!(fg.succs(v).collect::<Vec<_>>(), succs);
-        let preds: Vec<(u32, u64)> = g.preds(t).iter().map(|&(p, c)| (p.0 as u32, c)).collect();
-        assert_eq!(fg.preds(v).collect::<Vec<_>>(), preds);
-    }
-    req
-}
-
-/// What the daemon's worker runs on a flat-decoded request.
-fn daemon_schedule(flat: &FlatScheduleRequest) -> Schedule {
-    FlbKernel::new().schedule_flat(&flat.graph, &flat.machine)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn a_flat_decode_is_the_decoded_request(seed in any::<u64>(), perm in any::<u64>()) {
+#[test]
+fn a_flat_decode_is_the_decoded_request() {
+    let handle = local_server(ServiceConfig::default());
+    let endpoint = handle.endpoint();
+    let mut rng = StdRng::seed_from_u64(0xDEC0DE);
+    let mut shuffled_misses = 0;
+    for case in 0..256 {
+        let (seed, perm) = (rng.next_u64(), rng.next_u64());
         let (req, tenant) = random_request(seed);
-        let canonical = payload_of(&req, &tenant, seed % 1000);
+        let canonical = payload_of(&req, &tenant, 0);
         let shuffled = shuffled_edges(&canonical, req.graph.num_edges(), &tenant, perm);
-        for payload in [&canonical, &shuffled] {
-            let flat = decode_flat_request(payload);
-            if req.algorithm != AlgorithmId::Flb {
-                prop_assert!(flat.is_none(), "only FLB payloads decode flat");
-                continue;
-            }
-            prop_assert!(flat.is_some(), "an FLB payload decodes flat in any edge order");
-            let flat = flat.unwrap();
-            let request = assert_same_request(&flat, payload);
-            let peeked = peek_request_key(payload).expect("a flat payload is peeked");
-            prop_assert_eq!(
+        // Half the cases send the shuffled edges first, so the daemon
+        // builds its request from them.
+        let order = if case % 2 == 0 {
+            [&shuffled, &canonical]
+        } else {
+            [&canonical, &shuffled]
+        };
+        for payload in order {
+            let request = decoded(payload).expect("a generated payload decodes");
+            let peeked = peek_request_key(payload).expect("a decoded payload is peeked");
+            assert_eq!(
                 peeked.key,
                 request_fingerprint(request.algorithm, &request.graph, &request.machine)
             );
-            prop_assert_eq!(daemon_schedule(&flat), schedule_request(&request));
-        }
-    }
-
-    #[test]
-    fn a_mutated_flat_decode_is_the_decoded_request(
-        seed in any::<u64>(),
-        picks in proptest::collection::vec(any::<u64>(), 16..48)
-    ) {
-        let (mut req, tenant) = random_request(seed);
-        req.algorithm = AlgorithmId::Flb;
-        let original = payload_of(&req, &tenant, 3);
-        for &pick in &picks {
-            let m = mutate(&original, pick);
-            if let Some(flat) = decode_flat_request(&m) {
-                assert_same_request(&flat, &m);
+            match decode_response(&round_trip(&endpoint, payload)).unwrap() {
+                Response::Schedule {
+                    cached, schedule, ..
+                } => {
+                    assert_eq!(schedule, schedule_request(&request), "seed {seed}");
+                    shuffled_misses += usize::from(!cached && *payload != canonical);
+                }
+                other => panic!("seed {seed}: expected a schedule, got {other:?}"),
             }
         }
     }
+    assert!(shuffled_misses > 50, "{shuffled_misses}");
+    Client::connect(&endpoint).unwrap().shutdown().unwrap();
+    handle.join();
+}
+
+/// Sends `m` to the daemon and checks the reply against `decode_request`:
+/// its error reply bytes when decoding rejects `m`, the decoded request's
+/// schedule when decoding accepts it. Whether decoding accepted.
+fn assert_daemon_decodes_as_decode_request(endpoint: &Endpoint, m: &[u8]) -> bool {
+    let reply = match decode_request(m) {
+        Err(e) => {
+            let want = encode_response(&Response::Error(e.to_string()));
+            assert_eq!(round_trip(endpoint, m), want, "{m:?}");
+            return false;
+        }
+        Ok(Request::Schedule {
+            request,
+            deadline_ms,
+            ..
+        }) => match decode_response(&round_trip(endpoint, m)).unwrap() {
+            Response::Schedule { schedule, .. } => {
+                assert_eq!(schedule, schedule_request(&request), "{m:?}");
+                return true;
+            }
+            // A mutated deadline may be short enough to pass in the queue.
+            Response::Expired if deadline_ms > 0 => return true,
+            other => other,
+        },
+        // Not a schedule request: nothing the split build sees.
+        Ok(_) => return false,
+    };
+    panic!("{m:?} decodes, but the daemon answered {reply:?}");
+}
+
+#[test]
+fn a_mutated_flat_decode_is_the_decoded_request() {
+    let handle = local_server(ServiceConfig::default());
+    let endpoint = handle.endpoint();
+    let mut rng = StdRng::seed_from_u64(0x0D1F);
+    let mut accepted = 0;
+    for _ in 0..64 {
+        let (mut req, tenant) = random_request(rng.next_u64());
+        req.algorithm = AlgorithmId::ALL[rng.random_range(0..AlgorithmId::ALL.len())];
+        let original = payload_of(&req, &tenant, 3);
+        for _ in 0..rng.random_range(16..48) {
+            let m = mutate(&original, rng.next_u64());
+            accepted += usize::from(assert_daemon_decodes_as_decode_request(&endpoint, &m));
+        }
+    }
+    assert!(accepted > 100, "only {accepted} mutants decoded");
+    Client::connect(&endpoint).unwrap().shutdown().unwrap();
+    handle.join();
 }
 
 /// Every single-bit flip, every truncation and a few extensions of one
-/// payload, checked exhaustively. Flips in the deadline, name, costs and
-/// tenant bytes keep the payload valid, so the sweep exercises real
-/// accepts as well as rejects.
+/// payload, checked exhaustively against the daemon. Flips in the
+/// deadline, name, costs and tenant bytes keep the payload valid, so the
+/// sweep exercises real accepts as well as rejects.
 #[test]
 fn exhaustive_flips_truncations_and_extensions_of_one_payload() {
     let (mut req, tenant) = (42..)
@@ -155,24 +167,21 @@ fn exhaustive_flips_truncations_and_extensions_of_one_payload() {
         m.extend_from_slice(extra);
         variants.push(m);
     }
-    let mut accepted = 0;
-    for m in &variants {
-        if let Some(flat) = decode_flat_request(m) {
-            accepted += 1;
-            assert_same_request(&flat, m);
-        }
-    }
+    let handle = local_server(ServiceConfig::default());
+    let endpoint = handle.endpoint();
+    let accepted = variants
+        .iter()
+        .filter(|m| assert_daemon_decodes_as_decode_request(&endpoint, m))
+        .count();
     assert!(accepted > 100, "only {accepted} variants decoded");
+    Client::connect(&endpoint).unwrap().shutdown().unwrap();
+    handle.join();
 }
 
-/// A raw FLB schedule payload: `put_machine` of the slowdowns (as given,
-/// so zero processors and zero slowdowns can be written), then the graph.
-fn raw_flb_payload(slowdowns: &[u64], comp: &[u64], edges: &[(u32, u32, u64)]) -> Vec<u8> {
-    raw_payload(AlgorithmId::Flb, slowdowns, comp, edges)
-}
-
-/// [`raw_flb_payload`] for any algorithm. No `TaskGraph` is built, so
-/// costs whose sums overflow can be written.
+/// A raw schedule payload: `put_machine` of the slowdowns (as given, so
+/// zero processors and zero slowdowns can be written), then the graph.
+/// No `TaskGraph` is built, so invalid graphs and costs whose sums
+/// overflow can be written.
 fn raw_payload(
     alg: AlgorithmId,
     slowdowns: &[u64],
@@ -220,75 +229,83 @@ fn round_trip(endpoint: &Endpoint, payload: &[u8]) -> Vec<u8> {
 fn invalid_flb_requests_get_decode_requests_error_reply() {
     let handle = local_server(ServiceConfig::default());
     let endpoint = handle.endpoint();
-    // The "tenant" field (4-byte length, 6 bytes) swapped for 65 bytes.
-    let mut long_tenant = raw_flb_payload(&[1], &[1, 2], &[(0, 1, 1)]);
-    long_tenant.truncate(long_tenant.len() - 10);
-    long_tenant.extend_from_slice(&65u32.to_le_bytes());
-    long_tenant.extend_from_slice(&[b'x'; 65]);
-    let cases: [(&str, Vec<u8>, &str); 8] = [
-        (
-            "cycle",
-            raw_flb_payload(&[1, 1], &[1, 2, 3], &[(0, 1, 1), (1, 2, 1), (2, 0, 1)]),
-            "invalid graph: task graph contains a cycle",
-        ),
-        (
-            "self-loop",
-            raw_flb_payload(&[1], &[1, 2], &[(0, 1, 1), (1, 1, 1)]),
-            "invalid graph: self-loop on task t1",
-        ),
-        (
-            "duplicate edge",
-            raw_flb_payload(&[1], &[1, 2], &[(0, 1, 1), (0, 1, 2)]),
-            "invalid graph: duplicate edge t0 -> t1",
-        ),
-        (
-            "out-of-range id",
-            raw_flb_payload(&[1], &[1, 2], &[(0, 5, 1)]),
-            "invalid graph: edge references unknown task t5",
-        ),
-        (
-            "empty graph",
-            raw_flb_payload(&[1], &[], &[]),
-            "invalid graph: task graph has no tasks",
-        ),
-        (
-            "zero processors",
-            raw_flb_payload(&[], &[1, 2], &[(0, 1, 1)]),
-            "a machine needs at least one processor",
-        ),
-        (
-            "zero slowdown",
-            raw_flb_payload(&[1, 0], &[1, 2], &[(0, 1, 1)]),
-            "slowdown factors must be at least 1",
-        ),
-        (
-            "tenant too long",
-            long_tenant,
-            "tenant name of 65 bytes exceeds 64",
-        ),
-    ];
-    for (what, payload, reason) in &cases {
-        assert!(decode_flat_request(payload).is_none(), "{what}");
-        let message = format!("malformed wire data: {reason}");
-        let err = decode_request(payload).expect_err(what);
-        assert_eq!(err.to_string(), message, "{what}");
-        let reply = round_trip(&endpoint, payload);
-        assert_eq!(
-            reply,
-            encode_response(&Response::Error(message)),
-            "{what}: {:?}",
-            decode_response(&reply)
-        );
-    }
-    // The same shapes, made valid, are served.
-    let valid = raw_flb_payload(&[1, 2], &[1, 2, 3], &[(0, 1, 1), (1, 2, 1)]);
-    let flat = decode_flat_request(&valid).expect("valid payload decodes flat");
-    match decode_response(&round_trip(&endpoint, &valid)).unwrap() {
-        Response::Schedule { schedule, .. } => assert_eq!(schedule, daemon_schedule(&flat)),
-        other => panic!("expected a schedule, got {other:?}"),
+    let mut errors = 0;
+    for alg in AlgorithmId::ALL {
+        let raw = |slowdowns: &[u64], comp: &[u64], edges: &[(u32, u32, u64)]| {
+            raw_payload(alg, slowdowns, comp, edges)
+        };
+        // The "tenant" field (4-byte length, 6 bytes) swapped for 65 bytes.
+        let mut long_tenant = raw(&[1], &[1, 2], &[(0, 1, 1)]);
+        long_tenant.truncate(long_tenant.len() - 10);
+        long_tenant.extend_from_slice(&65u32.to_le_bytes());
+        long_tenant.extend_from_slice(&[b'x'; 65]);
+        let cases: [(&str, Vec<u8>, &str); 8] = [
+            (
+                "cycle",
+                raw(&[1, 1], &[1, 2, 3], &[(0, 1, 1), (1, 2, 1), (2, 0, 1)]),
+                "invalid graph: task graph contains a cycle",
+            ),
+            (
+                "self-loop",
+                raw(&[1], &[1, 2], &[(0, 1, 1), (1, 1, 1)]),
+                "invalid graph: self-loop on task t1",
+            ),
+            (
+                "duplicate edge",
+                raw(&[1], &[1, 2], &[(0, 1, 1), (0, 1, 2)]),
+                "invalid graph: duplicate edge t0 -> t1",
+            ),
+            (
+                "out-of-range id",
+                raw(&[1], &[1, 2], &[(0, 5, 1)]),
+                "invalid graph: edge references unknown task t5",
+            ),
+            (
+                "empty graph",
+                raw(&[1], &[], &[]),
+                "invalid graph: task graph has no tasks",
+            ),
+            (
+                "zero processors",
+                raw(&[], &[1, 2], &[(0, 1, 1)]),
+                "a machine needs at least one processor",
+            ),
+            (
+                "zero slowdown",
+                raw(&[1, 0], &[1, 2], &[(0, 1, 1)]),
+                "slowdown factors must be at least 1",
+            ),
+            (
+                "tenant too long",
+                long_tenant,
+                "tenant name of 65 bytes exceeds 64",
+            ),
+        ];
+        for (what, payload, reason) in &cases {
+            let message = format!("malformed wire data: {reason}");
+            let err = decode_request(payload).expect_err(what);
+            assert_eq!(err.to_string(), message, "{alg:?} {what}");
+            let reply = round_trip(&endpoint, payload);
+            assert_eq!(
+                reply,
+                encode_response(&Response::Error(message)),
+                "{alg:?} {what}: {:?}",
+                decode_response(&reply)
+            );
+        }
+        errors += cases.len() as u64;
+        // The same shapes, made valid, are served.
+        let valid = raw(&[1, 2], &[1, 2, 3], &[(0, 1, 1), (1, 2, 1)]);
+        let request = decoded(&valid).expect("valid payload decodes");
+        match decode_response(&round_trip(&endpoint, &valid)).unwrap() {
+            Response::Schedule { schedule, .. } => {
+                assert_eq!(schedule, schedule_request(&request), "{alg:?}");
+            }
+            other => panic!("{alg:?}: expected a schedule, got {other:?}"),
+        }
     }
     let mut client = Client::connect(&endpoint).unwrap();
-    assert_eq!(client.stats().unwrap().errors, cases.len() as u64);
+    assert_eq!(client.stats().unwrap().errors, errors);
     client.shutdown().unwrap();
     handle.join();
 }
@@ -301,7 +318,7 @@ fn the_daemon_serves_generated_requests_as_the_oracle_schedules_them() {
         panic!("loopback server is TCP");
     };
     let mut s = TcpStream::connect(addr).unwrap();
-    let (mut flat, mut shuffled_flat, mut graph) = (0, 0, 0);
+    let (mut shuffled, mut other_algorithms) = (0, 0);
     for seed in 0..48u64 {
         let (req, tenant) = random_request(seed);
         let canonical = payload_of(&req, &tenant, 0);
@@ -310,12 +327,8 @@ fn the_daemon_serves_generated_requests_as_the_oracle_schedules_them() {
         } else {
             canonical.clone()
         };
-        if decode_flat_request(&payload).is_some() {
-            flat += 1;
-            shuffled_flat += usize::from(payload != canonical);
-        } else {
-            graph += 1;
-        }
+        shuffled += usize::from(payload != canonical);
+        other_algorithms += usize::from(req.algorithm != AlgorithmId::Flb);
         write_frame(&mut s, &payload).unwrap();
         let reply = read_frame(&mut s).unwrap().expect("a reply frame");
         match decode_response(&reply).unwrap() {
@@ -326,8 +339,8 @@ fn the_daemon_serves_generated_requests_as_the_oracle_schedules_them() {
         }
     }
     assert!(
-        flat > 10 && shuffled_flat > 5 && graph > 5,
-        "{flat} flat ({shuffled_flat} shuffled), {graph} graph"
+        shuffled > 5 && other_algorithms > 5,
+        "{shuffled} shuffled, {other_algorithms} not FLB"
     );
     drop(s);
     let mut client = Client::connect(&endpoint).unwrap();
@@ -366,29 +379,32 @@ fn shuffled_edges_are_the_canonical_problem_on_the_daemon() {
         let duplicate = duplicated_edge(&shuffled, edges, &tenant);
         (canonical, shuffled, duplicate)
     };
-    let (flb, shuffled_flb, duplicate) = problem(AlgorithmId::Flb, 100);
-    let (etf, shuffled_etf, _) = problem(AlgorithmId::Etf, 200);
-    let (third, shuffled_third, _) = problem(AlgorithmId::Flb, 300);
     let mut client = Client::connect(&endpoint).unwrap();
-    for (first, second) in [
-        (&flb, &shuffled_flb),
-        (&etf, &shuffled_etf),
-        (&shuffled_third, &third),
-    ] {
+    let mut errors = 0;
+    for (i, alg) in AlgorithmId::ALL.into_iter().enumerate() {
+        let (canonical, shuffled, duplicate) = problem(alg, 100 * (i as u64 + 1));
+        // Either order may come first: the miss builds from it.
+        let (first, second) = if i % 2 == 0 {
+            (&canonical, &shuffled)
+        } else {
+            (&shuffled, &canonical)
+        };
         let before = client.stats().unwrap().scheduler_invocations;
         let (cached, schedule) = schedule_reply(&endpoint, first);
-        assert!(!cached, "the first sending is a miss");
+        assert!(!cached, "{alg:?}: the first sending is a miss");
         assert_eq!(schedule_reply(&endpoint, second), (true, schedule));
         assert_eq!(client.stats().unwrap().scheduler_invocations, before + 1);
+        let message = decode_request(&duplicate).unwrap_err().to_string();
+        assert!(message.contains("duplicate edge"), "{message}");
+        assert_eq!(
+            round_trip(&endpoint, &duplicate),
+            encode_response(&Response::Error(message))
+        );
+        errors += 1;
     }
-    let message = decode_request(&duplicate).unwrap_err().to_string();
-    assert!(message.contains("duplicate edge"), "{message}");
-    assert_eq!(
-        round_trip(&endpoint, &duplicate),
-        encode_response(&Response::Error(message))
-    );
     let stats = client.stats().unwrap();
-    assert_eq!(stats.cache_hits, 3);
+    assert_eq!(stats.cache_hits, AlgorithmId::ALL.len() as u64);
+    assert_eq!(stats.errors, errors);
     assert_eq!(
         stats.cache_hits + stats.cache_misses,
         stats.schedule_requests
@@ -415,10 +431,6 @@ fn a_panic_marker_on_the_flat_path_is_isolated_and_a_killed_worker_respawns() {
     };
 
     let soft = marker(PANIC_MARKER, 0);
-    assert!(
-        decode_flat_request(&soft).is_some(),
-        "the marker takes the flat path"
-    );
     let reply = decode_response(&round_trip(&endpoint, &soft)).unwrap();
     match reply {
         Response::Error(msg) => assert!(msg.starts_with("scheduler panicked"), "{msg}"),
@@ -426,10 +438,6 @@ fn a_panic_marker_on_the_flat_path_is_isolated_and_a_killed_worker_respawns() {
     }
 
     let hard = marker(HARD_PANIC_MARKER, 1);
-    assert!(
-        decode_flat_request(&hard).is_some(),
-        "the marker takes the flat path"
-    );
     let reply = decode_response(&round_trip(&endpoint, &hard)).unwrap();
     assert!(matches!(reply, Response::Schedule { .. }), "{reply:?}");
 
@@ -481,7 +489,6 @@ fn requests_past_the_time_ceiling_are_rejected_on_both_decode_paths() {
                 Ok(Request::Schedule { request, .. }) => request,
                 other => panic!("{alg:?} at the ceiling: {other:?}"),
             };
-            assert_eq!(decode_flat_request(&at).is_some(), alg == AlgorithmId::Flb);
             match decode_response(&round_trip(&endpoint, &at)).unwrap() {
                 Response::Schedule {
                     schedule, cached, ..
@@ -501,7 +508,6 @@ fn requests_past_the_time_ceiling_are_rejected_on_both_decode_paths() {
                 raw_payload(alg, &slowdowns, &over_comp, &over_edges),
                 raw_payload(alg, &slowdowns, &[half, half, 3], &[(0, 1, 5), (1, 2, 5)]),
             ] {
-                assert!(decode_flat_request(&past).is_none());
                 assert_eq!(decode_request(&past).unwrap_err().to_string(), overflow);
                 let before = client.stats().unwrap();
                 for _ in 0..2 {

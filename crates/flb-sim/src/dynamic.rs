@@ -85,8 +85,7 @@ pub fn dynamic_schedule(g: &TaskGraph, machine: &Machine, policy: DispatchPolicy
             // Among *currently idle* processors choose the cheapest fetch.
             let fetch_on = |q: usize| -> Time {
                 g.preds(task)
-                    .iter()
-                    .map(|&(pr, c)| {
+                    .map(|(pr, c)| {
                         let pl = placements[pr.0].expect("pred placed");
                         if pl.proc.0 == q {
                             0
@@ -118,7 +117,7 @@ pub fn dynamic_schedule(g: &TaskGraph, machine: &Machine, policy: DispatchPolicy
         };
         clock = t_done;
         remaining -= 1;
-        for &(s, _) in g.succs(task) {
+        for (s, _) in g.succs(task) {
             missing[s.0] -= 1;
             if missing[s.0] == 0 {
                 ready.push(s);
@@ -132,7 +131,7 @@ pub fn dynamic_schedule(g: &TaskGraph, machine: &Machine, policy: DispatchPolicy
             }
             let Reverse((_, task2)) = events.pop().expect("peeked");
             remaining -= 1;
-            for &(s, _) in g.succs(task2) {
+            for (s, _) in g.succs(task2) {
                 missing[s.0] -= 1;
                 if missing[s.0] == 0 {
                     ready.push(s);

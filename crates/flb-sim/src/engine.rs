@@ -189,7 +189,7 @@ pub(crate) fn diagnose_stall(
             continue;
         };
         let mut reasons = Vec::new();
-        for &(u, _) in g.preds(t) {
+        for (u, _) in g.preds(t) {
             // A lost input blocks even when its producer finished (the
             // message itself was abandoned), so check it before `done`.
             if input_lost(u, t) {
@@ -360,7 +360,7 @@ pub fn simulate_with(
                 proc_idle[p] = true;
                 proc_clock[p] = now;
                 // Emit messages to successors.
-                for &(s, c) in g.succs(t) {
+                for (s, c) in g.succs(t) {
                     let arrival = if schedule.proc(s) == schedule.proc(t) {
                         local_edges += 1;
                         now
@@ -701,7 +701,7 @@ mod tests {
             let g = flb_graph::costs::CostModel::paper_default(5.0).apply(&topo, seed);
             // Any feasible placement works: round-robin by topological
             // order, timed by a greedy replay under the free model first.
-            let order = g.topological_order().to_vec();
+            let order: Vec<_> = g.topological_order().collect();
             let mut placements = vec![
                 Placement {
                     proc: ProcId(0),

@@ -590,7 +590,7 @@ pub fn simulate_faulty(
                 proc_idle[p] = true;
                 running[p] = None;
                 proc_clock[p] = now;
-                for &(s, c) in g.succs(t) {
+                for (s, c) in g.succs(t) {
                     if schedule.proc(s) == schedule.proc(t) {
                         local_edges += 1;
                         heap.push(Reverse((now, FEvent::Arrival(s))));

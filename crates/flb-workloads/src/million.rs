@@ -2,24 +2,21 @@
 //!
 //! The suite generators in the crate root build [`flb_graph::TaskGraph`]s
 //! through the validating builder — fine at the paper's `V ≈ 2000`, but at a
-//! million tasks the builder's intermediate edge lists, cycle check and
-//! adjacency sort dominate. [`lu_flat`] streams the LU topology directly
-//! into [`flb_kernel::FlatGraph`] CSR arrays via
-//! [`FlatGraph::from_emitter`]: task ids are assigned in the natural
+//! million tasks the builder's intermediate edge list and sort dominate.
+//! [`lu_flat`] streams the LU topology straight into the CSR arrays via
+//! [`TaskGraph::from_sorted_edges`]: task ids are assigned in the natural
 //! construction order (which is topological), edge endpoints are computed
-//! arithmetically, and no per-task `Vec` of handles is ever materialised.
+//! arithmetically in ascending `(src, dst)` order, and no per-task `Vec`
+//! of handles and no edge list is ever materialised.
 //!
 //! Costs are drawn from a [`CostModel`] like [`CostModel::apply`] does:
 //! computation costs in task-id order from a generator seeded with `seed`,
-//! communication costs in edge-emission order from an independent stream
-//! (the emitter runs twice, so the communication generator is reseeded per
-//! pass). The topology is bit-identical to [`flb_graph::gen::lu`] — the
-//! tests check exactly that — while the cost *streams* are this module's
-//! own.
+//! communication costs in edge-emission order from an independent stream.
+//! The topology is bit-identical to [`flb_graph::gen::lu`] — the tests
+//! check exactly that — while the cost *streams* are this module's own.
 
 use flb_graph::costs::CostModel;
-use flb_graph::Time;
-use flb_kernel::FlatGraph;
+use flb_graph::{TaskGraph, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -47,44 +44,45 @@ pub fn lu_order_for_tasks(v: usize) -> usize {
 }
 
 /// Streams the LU-decomposition topology of [`flb_graph::gen::lu`] straight
-/// into a weighted [`FlatGraph`]. `V = m(m+1)/2`, `E = m(m-1)`.
+/// into a weighted [`TaskGraph`]. `V = m(m+1)/2`, `E = m(m-1)`.
 ///
 /// # Panics
 ///
 /// Panics if `m == 0`.
 #[must_use]
-pub fn lu_flat(m: usize, model: &CostModel, seed: u64) -> FlatGraph {
+pub fn lu_flat(m: usize, model: &CostModel, seed: u64) -> TaskGraph {
     assert!(m > 0, "LU needs at least a 1x1 matrix");
     let v = m * (m + 1) / 2;
     // id of task (k, j) for j >= k; j = k is the pivot task of step k.
     // Step k starts after sum_{s<k} (m - s) = k (2m - k + 1) / 2 tasks.
     let id = move |k: usize, j: usize| (k * (2 * m - k + 1) / 2 + (j - k)) as u32;
     let comm = model.comm_dist();
-    FlatGraph::from_emitter(
+    let mut rng = StdRng::seed_from_u64(comm_seed(seed));
+    // Step k's sources are P_k, then U_{k,j} by ascending j, and every
+    // target of step k lies past them: ascending (src, dst) order.
+    let edges = (0..m)
+        .flat_map(move |k| {
+            // P_k -> U_{k,j}
+            let pivot = ((k + 1)..m).map(move |j| (id(k, k), id(k, j)));
+            // U_{k,j} -> next task of column j at step k+1.
+            let updates = ((k + 1)..m).map(move |j| (id(k, j), id(k + 1, j)));
+            pivot.chain(updates)
+        })
+        .map(move |(src, dst)| (src, dst, comm.sample(&mut rng)));
+    TaskGraph::from_sorted_edges(
         format!("lu-{m}-ccr{}-s{seed}", model.ccr),
         sample_comps(model, seed, v),
         m * (m - 1),
-        move |sink| {
-            let mut rng = StdRng::seed_from_u64(comm_seed(seed));
-            for k in 0..m {
-                for j in (k + 1)..m {
-                    // P_k -> U_{k,j}
-                    sink(id(k, k), id(k, j), comm.sample(&mut rng));
-                }
-                for j in (k + 1)..m {
-                    // U_{k,j} -> next task of column j at step k+1.
-                    sink(id(k, j), id(k + 1, j), comm.sample(&mut rng));
-                }
-            }
-        },
+        edges,
     )
+    .expect("LU edges are sorted, distinct and go forward")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use flb_graph::costs::Dist;
-    use flb_graph::{gen, TaskGraph, TaskId};
+    use flb_graph::gen;
 
     fn model(ccr: f64) -> CostModel {
         CostModel {
@@ -93,20 +91,17 @@ mod tests {
         }
     }
 
-    /// Adjacency (ignoring weights) of a flat graph equals the reference
-    /// generator's, per task id.
-    fn assert_same_topology(flat: &FlatGraph, reference: &TaskGraph) {
+    /// Adjacency (ignoring weights) of a streamed graph equals the
+    /// reference generator's, per task id.
+    fn assert_same_topology(flat: &TaskGraph, reference: &TaskGraph) {
         assert_eq!(flat.num_tasks(), reference.num_tasks());
         assert_eq!(flat.num_edges(), reference.num_edges());
-        for t in 0..reference.num_tasks() {
-            let mut got: Vec<u32> = flat.succs(t as u32).map(|(s, _)| s).collect();
-            got.sort_unstable();
-            let want: Vec<u32> = reference
-                .succs(TaskId(t))
-                .iter()
-                .map(|&(s, _)| s.0 as u32)
-                .collect();
-            assert_eq!(got, want, "successors of task {t} differ");
+        for t in reference.tasks() {
+            let got = flat.succs(t).map(|(s, _)| s);
+            assert!(
+                got.eq(reference.succs(t).map(|(s, _)| s)),
+                "successors of {t} differ"
+            );
         }
     }
 

@@ -1,19 +1,19 @@
-//! End-to-end check of the kernel on CSR graphs: the streaming LU
-//! generator's graphs (identity topological order, emission-ordered CSR)
-//! and converted suite graphs, scheduled by the kernel, must match the
-//! reference FLB run on the `TaskGraph` exactly — placements, start times
-//! and makespan.
+//! End-to-end check of the kernel: the streaming LU generator's graphs
+//! and suite graphs, scheduled by the kernel, must match the reference
+//! FLB run on the same `TaskGraph` exactly — placements, start times and
+//! makespan.
 
 use flb_core::Flb;
 use flb_graph::costs::{CostModel, Dist};
 use flb_graph::gen::{self, RandomLayeredSpec};
-use flb_kernel::{FlatGraph, FlbKernel, KernelRun};
+use flb_graph::TaskGraph;
+use flb_kernel::{FlbKernel, KernelRun};
 use flb_sched::{Machine, RunStats, Scheduler, TieBreak};
 use flb_workloads::million::{lu_flat, lu_order_for_tasks};
 
-fn assert_kernel_matches_reference(flat: &FlatGraph, machine: &Machine) {
-    let kernel = FlbKernel::new().schedule_flat(flat, machine);
-    let reference = Flb::default().schedule(&flat.to_task_graph(), machine);
+fn assert_kernel_matches_reference(g: &TaskGraph, machine: &Machine) {
+    let kernel = FlbKernel::new().schedule(g, machine);
+    let reference = Flb::default().schedule(g, machine);
     assert_eq!(kernel.placements(), reference.placements());
 }
 
@@ -33,8 +33,8 @@ fn cholesky_flat_schedules_match_reference_on_related_machine() {
         comp: Dist::UniformMean(100),
         ccr: 0.2,
     };
-    let flat = FlatGraph::from_task_graph(&model.apply(&gen::cholesky(12), 7));
-    assert_kernel_matches_reference(&flat, &Machine::related(vec![1, 2, 2, 3]));
+    let g = model.apply(&gen::cholesky(12), 7);
+    assert_kernel_matches_reference(&g, &Machine::related(vec![1, 2, 2, 3]));
 }
 
 #[test]
@@ -49,8 +49,8 @@ fn random_layered_flat_schedules_match_reference() {
         edge_prob: 0.1,
         max_skip: 2,
     };
-    let flat = FlatGraph::from_task_graph(&model.apply(&gen::random_layered(&spec, 3), 3));
-    assert_kernel_matches_reference(&flat, &Machine::new(4));
+    let g = model.apply(&gen::random_layered(&spec, 3), 3);
+    assert_kernel_matches_reference(&g, &Machine::new(4));
 }
 
 /// FNV-1a over every task's `(proc, start, finish)`, little-endian.
