@@ -153,8 +153,9 @@ impl TaskGraphBuilder {
 ///
 /// Tasks are identified by dense [`TaskId`]s. Adjacency is stored in
 /// compressed sparse row form in both directions, as `u32` offsets and
-/// `u32` endpoints with the communication costs in separate arrays: 20
-/// bytes per task and 24 per edge, topological order included. Successor
+/// `u32` endpoints with the communication costs in separate arrays: 16
+/// bytes per task and 24 per edge, plus 4 bytes per task for a
+/// topological order unless the ids already are one. Successor
 /// rows ascend by target and predecessor rows by source, whatever
 /// constructor built the graph.
 #[derive(Clone, Debug)]
@@ -167,6 +168,8 @@ pub struct TaskGraph {
     pred_off: Vec<u32>,
     pred_src: Vec<u32>,
     pred_w: Vec<Cost>,
+    /// Kahn order, or empty when `0..V` is that order (every edge points
+    /// from a smaller to a larger id).
     topo: Vec<u32>,
 }
 
@@ -383,7 +386,9 @@ impl TaskGraph {
     pub fn topological_order(
         &self,
     ) -> impl ExactSizeIterator<Item = TaskId> + DoubleEndedIterator + Clone + '_ {
-        self.topo.iter().map(|&t| TaskId(t as usize))
+        // An empty stored order stands for the identity.
+        let stored = &self.topo;
+        (0..self.num_tasks()).map(|i| TaskId(stored.get(i).map_or(i, |&t| t as usize)))
     }
 
     /// Sum of all computation costs — the sequential execution time `T_seq`.
@@ -449,7 +454,8 @@ impl TaskGraph {
     /// Kahn's algorithm; `None` when a cycle exists. Deterministic: the
     /// smallest ready id goes first. When every edge points from a smaller
     /// to a larger id, that order is `0..V` itself (each task's
-    /// predecessors all precede it), so it is returned without a pass.
+    /// predecessors all precede it), so no pass runs and the empty order
+    /// that stands for it is returned.
     fn kahn_topo(&self) -> Option<Vec<u32>> {
         let v = self.num_tasks() as u32;
         // Successor rows are sorted, so the first entry is the smallest.
@@ -458,7 +464,7 @@ impl TaskGraph {
             self.succ_dst[r].first().is_none_or(|&s| s > t)
         });
         if forward {
-            return Some((0..v).collect());
+            return Some(Vec::new());
         }
         let mut indeg: Vec<usize> = self.tasks().map(|t| self.in_degree(t)).collect();
         let mut order = Vec::with_capacity(v as usize);
@@ -574,8 +580,16 @@ mod tests {
         let mut permuted_runs = 0;
         for g in graphs.iter().chain(&permuted) {
             let order: Vec<_> = g.topological_order().collect();
+            let mut reversed: Vec<_> = g.topological_order().rev().collect();
+            reversed.reverse();
+            assert_eq!(reversed, order);
             assert_eq!(Some(order), sorted_vec_kahn(g));
             let forward = g.tasks().all(|t| g.succs(t).all(|(s, _)| s > t));
+            assert_eq!(
+                g.topo.is_empty(),
+                forward,
+                "only the identity is not stored"
+            );
             permuted_runs += usize::from(!forward);
         }
         assert_eq!(permuted_runs, permuted.len());

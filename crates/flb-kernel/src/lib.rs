@@ -9,13 +9,17 @@
 //!
 //! * [`KernelRun`] — runs on [`flb_graph::TaskGraph`] itself, whose CSR
 //!   arrays (`u32` offsets and endpoints, weights apart) suit a
-//!   million-task graph. It keeps per-task state in SoA arenas and the
-//!   five FLB lists in preallocated flat structures ([`list::FlatHeap`], a binary heap
-//!   with inline keys and branch-free bottom-up sifts;
-//!   [`list::PairingForest`] for the EMT lists, with demoted tasks
-//!   deleted lazily; and [`list::RadixLists`], radix buckets for the LMT
-//!   lists, where a demotion costs no heap operation); zero heap
-//!   allocations after init;
+//!   million-task graph. It keeps 24 bytes per task (bottom level,
+//!   readiness countdown, processor, finish time) and the five FLB lists
+//!   in preallocated flat structures: [`list::FlatHeap`], a binary heap
+//!   with inline keys and branch-free bottom-up sifts, for the processor
+//!   lists; [`list::PlainHeap`], the same heap without a position map,
+//!   for the non-EP list; and, for the per-processor EP lists, one
+//!   48-byte [`list::Slot`] per queued task in a recycled
+//!   [`list::SlotArena`], linked by [`list::PairingForest`] (the EMT
+//!   lists, with demoted tasks deleted lazily) and [`list::RadixLists`]
+//!   (radix buckets for the LMT lists, where a demotion costs no heap
+//!   operation); zero heap allocations after init;
 //! * [`FlbKernel`] — a [`flb_sched::Scheduler`] adapter. It is the engine
 //!   behind `flb_core::AlgorithmId::Flb`, so `schedule_request`, the CLI,
 //!   the benches and the scheduler daemon all run FLB through it, on the
@@ -78,10 +82,11 @@ impl Scheduler for FlbKernel {
         let placements = run
             .procs()
             .iter()
-            .zip(run.starts().iter().zip(run.finishes()))
-            .map(|(&proc, (&start, &finish))| Placement {
+            .zip(run.finishes())
+            .enumerate()
+            .map(|(t, (&proc, &finish))| Placement {
                 proc: ProcId(proc as usize),
-                start,
+                start: run.start_of(t),
                 finish,
             })
             .collect();

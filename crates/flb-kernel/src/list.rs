@@ -1,11 +1,11 @@
 //! The five FLB lists as flat, preallocated, index-linked structures.
 //!
-//! Three shapes cover all of them:
+//! Two heaps hold entries by id; the per-processor EP lists link *slots*:
 //!
 //! * [`FlatHeap`] — an indexed binary min-heap over a fixed universe of
-//!   `u32` ids, every array sized once at construction. Each slot holds
-//!   its `(key, id)` pair inline, so a sift reads only the slots it
-//!   moves; comparisons fold to flag arithmetic (no data-dependent
+//!   `u32` ids, every array sized once at construction. Each heap entry
+//!   holds its `(key, id)` pair inline, so a sift reads only the entries
+//!   it moves; comparisons fold to flag arithmetic (no data-dependent
 //!   branch), and the minimum child is picked by index arithmetic. A
 //!   root replacement — a pop, or a key increase such as the `PRT` of the
 //!   processor just used — runs bottom-up: the hole walks the min-child
@@ -13,34 +13,41 @@
 //!   entry sifts up from there, which is short because it is usually
 //!   large. Semantically a `u32` twin of
 //!   `flb_ds::IndexedMinHeap` (ties on equal keys go to the smaller id),
-//!   but with the guarantee that no operation ever allocates. Backs the
-//!   global non-EP task list and both processor lists.
-//! * [`PairingForest`] — `P` pairing heaps sharing three per-task link
-//!   arrays (`child`/`sib`/`prev`). The per-processor `EMT_EP_task_l[p]`
-//!   lists cannot each own a `V`-capacity binary heap (that would be
+//!   but with the guarantee that no operation ever allocates. Backs both
+//!   processor lists, which update and remove entries by id.
+//! * [`PlainHeap`] — the same heap and sifts without the id-to-position
+//!   map: it only inserts, peeks and pops. Backs the global non-EP task
+//!   list, which never touches an entry below its root.
+//! * [`SlotArena`] — the state of every task in an EP list, one 48-byte
+//!   [`Slot`] each: both list keys (`EMT` and `LMT`), the bottom level
+//!   that breaks `EMT` ties, the task id and the links of both lists. A
+//!   task takes a slot from a free list when it enters an EP list and
+//!   gives it back when its node leaves the EMT heap, so the arena holds
+//!   as many slots as the EMT heaps ever held nodes at once, not one per
+//!   task.
+//! * [`PairingForest`] — the per-processor `EMT_EP_task_l[p]` lists as
+//!   `P` pairing heaps over the arena's slots (child and sibling links).
+//!   They cannot each own a `V`-capacity binary heap (that would be
 //!   `O(V·P)` memory), but a task is in at most one processor's list at a
-//!   time, so all `P` heaps fit in one shared set of links with a root
-//!   slot per processor. Keys are *not* stored: every operation takes the
-//!   key array and the tie-break array as arguments and compares
-//!   `(time[v], Reverse(bl[v]), v)` — a strict total order, so the
-//!   minimum is unique and the forest is deterministic. A caller may drop
-//!   a whole heap by forgetting its root: the dropped nodes keep stale
-//!   links, which is safe as long as none of them is inserted again (the
-//!   kernel's lazy EMT deletion relies on exactly this). Pairing heaps
-//!   give O(1) insert/meld and amortised `O(log n)` delete-min.
+//!   time, so all `P` heaps share the one arena. Nodes compare by
+//!   `(emt, Reverse(bl), task)` — a strict total order, so the minimum
+//!   is unique and the forest is deterministic. A pop releases the root's
+//!   slot, and a whole heap can be emptied at once, every slot released
+//!   (the kernel's lazy EMT deletion relies on this). Pairing heaps give
+//!   O(1) insert/meld and amortised `O(log n)` delete-min.
 //! * [`RadixLists`] — the per-processor `LMT_EP_task_l[p]` lists as radix
-//!   buckets (Ahuja, Mehlhorn, Orlin & Tarjan, J. ACM 1990), sharing two
-//!   per-task link arrays (`next`/`prev`). FLB asks those lists only
+//!   buckets (Ahuja, Mehlhorn, Orlin & Tarjan, J. ACM 1990) of slots,
+//!   doubly linked through the slots. FLB asks those lists only
 //!   which tasks fell below a threshold `PRT(p)` that never decreases,
-//!   and inserts only at keys at or above it. A task sits on the doubly
-//!   linked list of bucket `msb((LMT ^ floor[p]) | 1)`, a 64-bit mask per
+//!   and inserts only at keys at or above it. A slot sits on the list of
+//!   bucket `msb((LMT ^ floor[p]) | 1)`, a 64-bit mask per
 //!   processor marks the non-empty buckets, and a lower bound on the
 //!   queued keys settles most queries with one comparison. Insert and
 //!   remove are O(1). A query that demotes empties every bucket below the
 //!   threshold's bucket `k`, splits bucket `k` against the new floor
-//!   (its remaining tasks fall to lower buckets) and leaves the buckets
+//!   (its remaining slots fall to lower buckets) and leaves the buckets
 //!   above `k` alone, since their index against the new floor is the
-//!   same. A task only ever moves to a lower bucket, so it moves at most
+//!   same. A slot only ever moves to a lower bucket, so it moves at most
 //!   64 times: `O(V)` for all the lists over a whole run. Demoted tasks
 //!   come out in bucket order, not key order; the caller's non-EP heap
 //!   orders them.
@@ -51,22 +58,99 @@
 use crate::NONE;
 use flb_graph::Time;
 use std::cmp::Reverse;
+use std::ops::Index;
 
-/// One heap slot: the key stored next to its id.
+/// One heap entry: the key stored next to its id.
 #[derive(Clone, Copy, Debug)]
 struct Entry<K> {
     key: K,
     id: u32,
 }
 
+// flb-analyze: region(no-alloc)
+// The sifts both heaps share: they only move entries within the slice.
+
+/// `(a.key, a.id) < (b.key, b.id)` without short-circuit branches:
+/// the comparisons are evaluated as flags and combined with bit ops,
+/// so the compiler can lower a sift step to conditional moves.
+#[inline(always)]
+fn less<K: Ord>(a: &Entry<K>, b: &Entry<K>) -> bool {
+    (a.key < b.key) | ((a.key == b.key) & (a.id < b.id))
+}
+
+/// Seats `entry` at `slot` or above it, moving larger parents down.
+/// `seated(id, slot)` is told where every written entry now sits.
+#[inline(always)]
+fn sift_up<K: Copy + Ord>(
+    heap: &mut [Entry<K>],
+    mut slot: usize,
+    entry: Entry<K>,
+    mut seated: impl FnMut(u32, usize),
+) {
+    while slot > 0 {
+        let parent = (slot - 1) / 2;
+        let above = heap[parent];
+        if !less(&entry, &above) {
+            break;
+        }
+        heap[slot] = above;
+        seated(above.id, slot);
+        slot = parent;
+    }
+    heap[slot] = entry;
+    seated(entry.id, slot);
+}
+
+/// Seats `entry` at `slot` or below it, bottom-up: the hole first
+/// descends the min-child path to a leaf (one branch-free comparison
+/// per level), then `entry` sifts up from there, never above `slot`.
+/// `seated` as for [`sift_up`].
+#[inline(always)]
+fn sift_down<K: Copy + Ord>(
+    heap: &mut [Entry<K>],
+    slot: usize,
+    entry: Entry<K>,
+    mut seated: impl FnMut(u32, usize),
+) {
+    let n = heap.len();
+    let mut hole = slot;
+    let mut child = 2 * hole + 1;
+    while child + 1 < n {
+        child += usize::from(less(&heap[child + 1], &heap[child]));
+        heap[hole] = heap[child];
+        seated(heap[hole].id, hole);
+        hole = child;
+        child = 2 * hole + 1;
+    }
+    if child + 1 == n {
+        heap[hole] = heap[child];
+        seated(heap[hole].id, hole);
+        hole = child;
+    }
+    while hole > slot {
+        let parent = (hole - 1) / 2;
+        let above = heap[parent];
+        if !less(&entry, &above) {
+            break;
+        }
+        heap[hole] = above;
+        seated(above.id, hole);
+        hole = parent;
+    }
+    heap[hole] = entry;
+    seated(entry.id, hole);
+}
+
+// flb-analyze: region-end(no-alloc)
+
 /// An indexed binary min-heap over ids `0..universe`, ties to the smaller
 /// id. All storage is allocated in [`FlatHeap::new`]; no later operation
 /// allocates.
 #[derive(Clone, Debug)]
 pub struct FlatHeap<K> {
-    /// Heap slots, each holding its `(key, id)` inline.
+    /// Heap entries, each holding its `(key, id)` inline.
     heap: Vec<Entry<K>>,
-    /// id -> heap slot, or `NONE` when absent.
+    /// id -> heap position, or `NONE` when absent.
     pos: Vec<u32>,
 }
 
@@ -127,7 +211,10 @@ impl<K: Copy + Ord> FlatHeap<K> {
         let slot = self.heap.len();
         // flb-analyze: allow(no-alloc-in-hot-loop, reason="heap was built with Vec::with_capacity(universe) in new(), and the duplicate-insert debug_assert keeps len <= universe, so this push never reallocates")
         self.heap.push(entry);
-        self.sift_up(slot, entry);
+        let pos = &mut self.pos;
+        sift_up(&mut self.heap, slot, entry, |id, at| {
+            pos[id as usize] = at as u32
+        });
     }
 
     /// Inserts `id` or replaces its key.
@@ -153,20 +240,25 @@ impl<K: Copy + Ord> FlatHeap<K> {
             return;
         }
         let entry = Entry { key, id };
+        let pos = &mut self.pos;
+        let seated = |id: u32, at: usize| pos[id as usize] = at as u32;
         if key < old {
-            self.sift_up(slot, entry);
+            sift_up(&mut self.heap, slot, entry, seated);
         } else {
-            self.sift_down(slot, entry);
+            sift_down(&mut self.heap, slot, entry, seated);
         }
     }
 
-    /// Removes and returns the minimum entry; the last slot refills the
+    /// Removes and returns the minimum entry; the last entry refills the
     /// root bottom-up.
     pub fn pop(&mut self) -> Option<(u32, K)> {
         let &min = self.heap.first()?;
         let last = self.heap.pop()?;
         if !self.heap.is_empty() {
-            self.sift_down(0, last);
+            let pos = &mut self.pos;
+            sift_down(&mut self.heap, 0, last, |id, at| {
+                pos[id as usize] = at as u32
+            });
         }
         self.pos[min.id as usize] = NONE;
         Some((min.id, min.key))
@@ -183,194 +275,311 @@ impl<K: Copy + Ord> FlatHeap<K> {
         let last = self.heap.pop()?;
         self.pos[id as usize] = NONE;
         if slot < self.heap.len() {
-            // Re-seat the last entry in the vacated slot: it may belong
-            // either above or below it.
-            if Self::less(&last, &gone) {
-                self.sift_up(slot, last);
+            // Re-seat the last entry in the vacated position: it may
+            // belong either above or below it.
+            let pos = &mut self.pos;
+            let seated = |id: u32, at: usize| pos[id as usize] = at as u32;
+            if less(&last, &gone) {
+                sift_up(&mut self.heap, slot, last, seated);
             } else {
-                self.sift_down(slot, last);
+                sift_down(&mut self.heap, slot, last, seated);
             }
         }
         Some(gone.key)
     }
 
-    /// `(a.key, a.id) < (b.key, b.id)` without short-circuit branches:
-    /// the comparisons are evaluated as flags and combined with bit ops,
-    /// so the compiler can lower a sift step to conditional moves.
-    #[inline(always)]
-    fn less(a: &Entry<K>, b: &Entry<K>) -> bool {
-        (a.key < b.key) | ((a.key == b.key) & (a.id < b.id))
+    // flb-analyze: region-end(no-alloc)
+}
+
+/// A binary min-heap of `(key, id)` entries, ties to the smaller id, that
+/// only inserts, peeks and pops: [`FlatHeap`] without the position map.
+/// All storage is allocated in [`PlainHeap::new`]; no later operation
+/// allocates while the heap holds at most its capacity.
+#[derive(Clone, Debug)]
+pub struct PlainHeap<K> {
+    heap: Vec<Entry<K>>,
+}
+
+impl<K: Copy + Ord> PlainHeap<K> {
+    /// An empty heap with room for `capacity` entries. Its pages are
+    /// touched only up to the most entries it ever holds.
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
+        PlainHeap {
+            heap: Vec::with_capacity(capacity),
+        }
     }
 
-    /// Writes `entry` into `slot` and records its position.
-    #[inline(always)]
-    fn set(&mut self, slot: usize, entry: Entry<K>) {
-        self.heap[slot] = entry;
-        self.pos[entry.id as usize] = slot as u32;
+    // flb-analyze: region(no-alloc)
+
+    /// Number of entries in the heap.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.heap.len()
     }
 
-    /// Seats `entry` at `slot` or above it, moving larger parents down.
-    fn sift_up(&mut self, mut slot: usize, entry: Entry<K>) {
-        while slot > 0 {
-            let parent = (slot - 1) / 2;
-            let above = self.heap[parent];
-            if !Self::less(&entry, &above) {
-                break;
-            }
-            self.set(slot, above);
-            slot = parent;
-        }
-        self.set(slot, entry);
+    /// Whether the heap is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
     }
 
-    /// Seats `entry` at `slot` or below it, bottom-up: the hole first
-    /// descends the min-child path to a leaf (one branch-free comparison
-    /// per level), then `entry` sifts up from there, never above `slot`.
-    fn sift_down(&mut self, slot: usize, entry: Entry<K>) {
-        let n = self.heap.len();
-        let mut hole = slot;
-        let mut child = 2 * hole + 1;
-        while child + 1 < n {
-            child += usize::from(Self::less(&self.heap[child + 1], &self.heap[child]));
-            self.set(hole, self.heap[child]);
-            hole = child;
-            child = 2 * hole + 1;
+    /// Minimum entry `(id, key)` without removing it.
+    #[must_use]
+    pub fn peek(&self) -> Option<(u32, K)> {
+        self.heap.first().map(|e| (e.id, e.key))
+    }
+
+    /// Inserts `id` with `key`. An id may be in the heap more than once.
+    pub fn insert(&mut self, id: u32, key: K) {
+        let entry = Entry { key, id };
+        let slot = self.heap.len();
+        // flb-analyze: allow(no-alloc-in-hot-loop, reason="the kernel builds this heap with Vec::with_capacity(V) and inserts each task at most once, so this push never reallocates")
+        self.heap.push(entry);
+        sift_up(&mut self.heap, slot, entry, |_, _| {});
+    }
+
+    /// Removes and returns the minimum entry; the last entry refills the
+    /// root bottom-up.
+    pub fn pop(&mut self) -> Option<(u32, K)> {
+        let &min = self.heap.first()?;
+        let last = self.heap.pop()?;
+        if !self.heap.is_empty() {
+            sift_down(&mut self.heap, 0, last, |_, _| {});
         }
-        if child + 1 == n {
-            self.set(hole, self.heap[child]);
-            hole = child;
-        }
-        while hole > slot {
-            let parent = (hole - 1) / 2;
-            let above = self.heap[parent];
-            if !Self::less(&entry, &above) {
-                break;
-            }
-            self.set(hole, above);
-            hole = parent;
-        }
-        self.set(hole, entry);
+        Some((min.id, min.key))
     }
 
     // flb-analyze: region-end(no-alloc)
 }
 
-/// The comparison keys a [`PairingForest`] reads: `(time, bottom level)`
-/// per node, compared as `(time[a], Reverse(bl[a]), a)` — a strict total
-/// order. Keys must not change while a node is linked into a heap (the
-/// usual heap contract).
+/// The state of one task while it sits in an EP list: the keys of both
+/// lists, the EMT tie-break and the links of both lists. 48 bytes.
 #[derive(Clone, Copy, Debug)]
-pub struct SliceKeys<'a> {
-    /// Primary key per node.
-    pub time: &'a [Time],
-    /// Tie-break bottom level per node.
-    pub bl: &'a [Time],
+pub struct Slot {
+    /// `EMT(t, EP(t))`, the EMT heap's key.
+    pub emt: Time,
+    /// `LMT(t)`, the radix lists' key.
+    pub lmt: Time,
+    /// The task's bottom level: larger wins `emt` ties.
+    pub bl: Time,
+    /// The task.
+    pub task: u32,
+    /// Pairing heap: first child, or `NONE`.
+    child: u32,
+    /// Pairing heap: next sibling, or `NONE` for a root. Doubles as the
+    /// scratch stack link of the two-pass combine and as the way back to
+    /// the parent in [`PairingForest::clear`].
+    sib: u32,
+    /// Radix lists: next slot of the same bucket, or `NONE`. On the free
+    /// list, the next free slot.
+    next: u32,
+    /// Radix lists: previous slot of the same bucket, or `NONE` at the
+    /// head.
+    prev: u32,
 }
 
-/// `P` pairing heaps over a shared universe of `V` nodes.
+const _: () = assert!(std::mem::size_of::<Slot>() == 48);
+
+/// The slots of every task in an EP list, recycled through a free list.
 ///
-/// The caller owns the root of each heap (`NONE` = empty) and the key
-/// source; every operation returns the new root. Nodes must be in at most
-/// one heap of a forest at a time — exactly FLB's invariant that a task is
-/// enabled by one processor.
+/// [`take`](Self::take) reuses the most recently released slot and
+/// appends a new one only when none is free, so the arena's length is
+/// the most slots ever taken at once. Index it with a slot number to
+/// read a slot.
 #[derive(Clone, Debug)]
-pub struct PairingForest {
-    /// First child of a node, or `NONE`.
-    child: Vec<u32>,
-    /// Next sibling, or `NONE`. Doubles as the scratch stack link during
-    /// the two-pass combine, so no auxiliary storage is ever needed.
-    sib: Vec<u32>,
-    /// Previous sibling — or the parent when the node is a first child
-    /// (distinguished by `child[prev[v]] == v`). `NONE` for roots.
-    prev: Vec<u32>,
+pub struct SlotArena {
+    slots: Vec<Slot>,
+    /// First free slot, or `NONE`; the free list links through `next`.
+    free: u32,
 }
 
-/// `(time(a), Reverse(bl(a)), a) < (time(b), Reverse(bl(b)), b)` — the
-/// paper's task ordering: earlier time first, then larger bottom level,
-/// then smaller id.
-#[inline]
-fn task_less(keys: &SliceKeys<'_>, a: u32, b: u32) -> bool {
-    let (ai, bi) = (a as usize, b as usize);
-    (keys.time[ai], Reverse(keys.bl[ai]), a) < (keys.time[bi], Reverse(keys.bl[bi]), b)
-}
-
-impl PairingForest {
-    /// A forest over nodes `0..universe`, all heaps empty.
+impl SlotArena {
+    /// An empty arena with room for `capacity` slots. Its pages are
+    /// touched only up to the most slots ever taken at once.
     #[must_use]
-    pub fn new(universe: usize) -> Self {
-        PairingForest {
-            child: vec![NONE; universe],
-            sib: vec![NONE; universe],
-            prev: vec![NONE; universe],
+    pub fn new(capacity: usize) -> Self {
+        SlotArena {
+            slots: Vec::with_capacity(capacity),
+            free: NONE,
         }
     }
 
-    // flb-analyze: region(no-alloc)
-    // Pairing-heap links live in the three arrays sized at new();
-    // meld/insert/combine/pop only rewrite indices.
-    // Every operation is `#[inline]` so `KernelRun`'s loop, compiled in
-    // another codegen unit, can inline them.
+    /// The most slots ever taken at once.
+    #[must_use]
+    pub fn high_water(&self) -> usize {
+        self.slots.len()
+    }
 
-    /// Melds two non-`NONE` roots; returns the winner.
+    /// Number of slots on the free list (a walk of the list).
+    #[cfg(test)]
+    pub(crate) fn free_len(&self) -> usize {
+        let mut n = 0;
+        let mut s = self.free;
+        while s != NONE {
+            n += 1;
+            s = self.slots[s as usize].next;
+        }
+        n
+    }
+
+    // flb-analyze: region(no-alloc)
+
+    /// A slot for `task` with its keys, linked nowhere.
     #[inline]
-    fn meld(&mut self, keys: &SliceKeys<'_>, a: u32, b: u32) -> u32 {
-        let (top, bot) = if task_less(keys, a, b) {
+    #[must_use]
+    pub fn take(&mut self, task: u32, emt: Time, lmt: Time, bl: Time) -> u32 {
+        let slot = Slot {
+            emt,
+            lmt,
+            bl,
+            task,
+            child: NONE,
+            sib: NONE,
+            next: NONE,
+            prev: NONE,
+        };
+        let s = self.free;
+        if s == NONE {
+            // flb-analyze: allow(no-alloc-in-hot-loop, reason="the kernel builds the arena with Vec::with_capacity(V) and a task takes at most one slot, so this push never reallocates")
+            self.slots.push(slot);
+            return (self.slots.len() - 1) as u32;
+        }
+        self.free = self.slots[s as usize].next;
+        self.slots[s as usize] = slot;
+        s
+    }
+
+    /// Puts slot `s` back on the free list. It must be linked into no
+    /// list, and it must not be read again until [`take`](Self::take)
+    /// hands it out anew.
+    #[inline]
+    pub fn release(&mut self, s: u32) {
+        self.slots[s as usize].next = self.free;
+        self.free = s;
+    }
+
+    // flb-analyze: region-end(no-alloc)
+}
+
+impl Index<u32> for SlotArena {
+    type Output = Slot;
+
+    #[inline]
+    fn index(&self, s: u32) -> &Slot {
+        &self.slots[s as usize]
+    }
+}
+
+/// `(emt, Reverse(bl), task)` of `a` below that of `b` — the paper's task
+/// ordering: earlier time first, then larger bottom level, then smaller
+/// id.
+#[inline]
+fn task_less(a: &Slot, b: &Slot) -> bool {
+    (a.emt, Reverse(a.bl), a.task) < (b.emt, Reverse(b.bl), b.task)
+}
+
+/// `P` pairing heaps over the slots of one [`SlotArena`].
+///
+/// A slot must be in at most one heap of a forest at a time — exactly
+/// FLB's invariant that a task is enabled by one processor — and its
+/// `emt` and `bl` must not change while it is.
+#[derive(Clone, Debug)]
+pub struct PairingForest {
+    /// Root slot of each heap, or `NONE` when empty.
+    root: Vec<u32>,
+}
+
+impl PairingForest {
+    /// `heaps` empty heaps.
+    #[must_use]
+    pub fn new(heaps: usize) -> Self {
+        PairingForest {
+            root: vec![NONE; heaps],
+        }
+    }
+
+    /// Number of slots in heap `h`, walked with an explicit stack.
+    #[cfg(test)]
+    pub(crate) fn len_at(&self, arena: &SlotArena, h: u32) -> usize {
+        let mut stack = vec![self.root(h)];
+        let mut n = 0;
+        while let Some(s) = stack.pop() {
+            if s != NONE {
+                n += 1;
+                stack.push(arena[s].child);
+                stack.push(arena[s].sib);
+            }
+        }
+        n
+    }
+
+    // flb-analyze: region(no-alloc)
+    // Pairing-heap links live in the arena's slots; meld, insert,
+    // combine, pop and clear only rewrite indices. Every operation is
+    // `#[inline]` so `KernelRun`'s loop, compiled in another codegen
+    // unit, can inline them.
+
+    /// The minimum slot of heap `h`, or `NONE` when it is empty.
+    #[inline]
+    #[must_use]
+    pub fn root(&self, h: u32) -> u32 {
+        self.root[h as usize]
+    }
+
+    /// Melds two roots; returns the winner.
+    #[inline]
+    fn meld(slots: &mut [Slot], a: u32, b: u32) -> u32 {
+        let (top, bot) = if task_less(&slots[a as usize], &slots[b as usize]) {
             (a, b)
         } else {
             (b, a)
         };
-        let c = self.child[top as usize];
-        self.sib[bot as usize] = c;
-        if c != NONE {
-            self.prev[c as usize] = bot;
-        }
-        self.prev[bot as usize] = top;
-        self.child[top as usize] = bot;
+        slots[bot as usize].sib = slots[top as usize].child;
+        slots[top as usize].child = bot;
         top
     }
 
-    /// Inserts node `v` into the heap rooted at `root` (`NONE` = empty);
-    /// returns the new root. `v` must not be in any heap of the forest.
+    /// Inserts slot `s`, fresh from [`SlotArena::take`], into heap `h`.
+    /// Returns whether it became the heap's root.
     #[inline]
-    #[must_use]
-    pub fn insert(&mut self, keys: &SliceKeys<'_>, root: u32, v: u32) -> u32 {
+    pub fn insert(&mut self, arena: &mut SlotArena, h: u32, s: u32) -> bool {
+        let slots = &mut arena.slots[..];
         debug_assert!(
-            self.child[v as usize] == NONE
-                && self.sib[v as usize] == NONE
-                && self.prev[v as usize] == NONE,
-            "insert of linked node {v}"
+            slots[s as usize].child == NONE && slots[s as usize].sib == NONE,
+            "insert of linked slot {s}"
         );
-        if root == NONE {
-            v
+        let root = self.root[h as usize];
+        let top = if root == NONE {
+            s
         } else {
-            self.meld(keys, root, v)
-        }
+            Self::meld(slots, root, s)
+        };
+        self.root[h as usize] = top;
+        top == s
     }
 
-    /// Two-pass pairing combine of a sibling list starting at `first`
-    /// (whose `prev` must already be cleared); returns the resulting root.
+    /// Two-pass pairing combine of a sibling list starting at `first`;
+    /// returns the resulting root.
     #[inline]
-    fn combine_siblings(&mut self, keys: &SliceKeys<'_>, first: u32) -> u32 {
+    fn combine_siblings(slots: &mut [Slot], first: u32) -> u32 {
         // Pass 1: meld adjacent pairs left to right, stacking the winners
         // through their (now free) `sib` links.
         let mut stack = NONE;
         let mut cur = first;
         while cur != NONE {
             let a = cur;
-            let b = self.sib[a as usize];
+            let b = slots[a as usize].sib;
             if b == NONE {
-                self.prev[a as usize] = NONE;
-                self.sib[a as usize] = stack;
+                slots[a as usize].sib = stack;
                 stack = a;
                 break;
             }
-            let next = self.sib[b as usize];
-            self.sib[a as usize] = NONE;
-            self.prev[a as usize] = NONE;
-            self.sib[b as usize] = NONE;
-            self.prev[b as usize] = NONE;
-            let w = self.meld(keys, a, b);
-            self.sib[w as usize] = stack;
+            let next = slots[b as usize].sib;
+            slots[a as usize].sib = NONE;
+            slots[b as usize].sib = NONE;
+            let w = Self::meld(slots, a, b);
+            slots[w as usize].sib = stack;
             stack = w;
             cur = next;
         }
@@ -378,30 +587,52 @@ impl PairingForest {
         let mut root = NONE;
         let mut cur = stack;
         while cur != NONE {
-            let next = self.sib[cur as usize];
-            self.sib[cur as usize] = NONE;
+            let next = slots[cur as usize].sib;
+            slots[cur as usize].sib = NONE;
             root = if root == NONE {
                 cur
             } else {
-                self.meld(keys, root, cur)
+                Self::meld(slots, root, cur)
             };
             cur = next;
         }
         root
     }
 
-    /// Removes the minimum (the root itself); returns the new root.
+    /// Removes the root of the non-empty heap `h` and releases its slot.
     #[inline]
-    #[must_use]
-    pub fn pop_min(&mut self, keys: &SliceKeys<'_>, root: u32) -> u32 {
-        debug_assert_ne!(root, NONE, "pop from empty heap");
-        let c = self.child[root as usize];
-        self.child[root as usize] = NONE;
-        if c == NONE {
-            return NONE;
+    pub fn pop_min(&mut self, arena: &mut SlotArena, h: u32) {
+        let root = self.root[h as usize];
+        debug_assert_ne!(root, NONE, "pop from empty heap {h}");
+        let c = arena.slots[root as usize].child;
+        self.root[h as usize] = if c == NONE {
+            NONE
+        } else {
+            Self::combine_siblings(&mut arena.slots, c)
+        };
+        arena.release(root);
+    }
+
+    /// Empties heap `h`, releasing every slot in it once. The walk needs
+    /// no stack: it moves a node's first child in front of the node, with
+    /// the child's `sib` leading back to it, and releases a node once it
+    /// has no child left.
+    #[inline]
+    pub fn clear(&mut self, arena: &mut SlotArena, h: u32) {
+        let mut cur = self.root[h as usize];
+        self.root[h as usize] = NONE;
+        while cur != NONE {
+            let c = arena.slots[cur as usize].child;
+            if c == NONE {
+                let next = arena.slots[cur as usize].sib;
+                arena.release(cur);
+                cur = next;
+            } else {
+                arena.slots[cur as usize].child = arena.slots[c as usize].sib;
+                arena.slots[c as usize].sib = cur;
+                cur = c;
+            }
         }
-        self.prev[c as usize] = NONE;
-        self.combine_siblings(keys, c)
     }
 
     // flb-analyze: region-end(no-alloc)
@@ -422,24 +653,18 @@ fn bucket_floor(floor: Time, b: usize) -> Time {
     ((floor >> b) | Time::from(b != 0)) << b
 }
 
-/// `P` monotone priority queues over a shared universe of `V` nodes, as
-/// radix buckets (see the module docs).
+/// `P` monotone priority queues of the slots of one [`SlotArena`], keyed
+/// by each slot's `lmt`, as radix buckets (see the module docs).
 ///
 /// Each processor has a floor and 64 buckets: bucket `b ≥ 1` holds the
 /// keys that agree with the floor above bit `b` and have bit `b` set,
 /// bucket 0 the floor and its bit-0 neighbour, so every key of a bucket
 /// is below every key of a higher one. A mask marks the non-empty
 /// buckets, and a lower bound on the queued keys answers most queries
-/// with one comparison. Keys are
-/// not stored: [`insert`](Self::insert) and [`remove`](Self::remove) take
-/// the task's key, which must not change while it is queued, and
-/// [`demote_below`](Self::demote_below) takes the key array.
+/// with one comparison. A slot's `lmt` must not change while it is
+/// queued.
 #[derive(Clone, Debug)]
 pub struct RadixLists {
-    /// Next task on the same bucket list, or `NONE`.
-    next: Vec<u32>,
-    /// Previous task on the same bucket list, or `NONE` at the head.
-    prev: Vec<u32>,
     /// One set of buckets per processor.
     procs: Vec<Buckets>,
 }
@@ -455,23 +680,23 @@ struct Buckets {
     lo: Time,
     /// Bit `b` set when bucket `b` is non-empty.
     mask: u64,
-    /// First task of each bucket, or `NONE`.
+    /// First slot of each bucket, or `NONE`.
     head: [u32; 64],
 }
 
 impl Buckets {
     // flb-analyze: region(no-alloc)
 
-    /// Links task `v` in at the head of bucket `b`.
+    /// Links slot `s` in at the head of bucket `b`.
     #[inline(always)]
-    fn link(&mut self, next: &mut [u32], prev: &mut [u32], b: usize, v: u32) {
+    fn link(&mut self, slots: &mut [Slot], b: usize, s: u32) {
         let h = self.head[b];
-        self.head[b] = v;
+        self.head[b] = s;
         self.mask |= 1 << b;
-        next[v as usize] = h;
-        prev[v as usize] = NONE;
+        slots[s as usize].next = h;
+        slots[s as usize].prev = NONE;
         if h != NONE {
-            prev[h as usize] = v;
+            slots[h as usize].prev = s;
         }
     }
 
@@ -479,9 +704,9 @@ impl Buckets {
 }
 
 impl RadixLists {
-    /// Empty lists for `procs` processors over nodes `0..universe`.
+    /// Empty lists for `procs` processors.
     #[must_use]
-    pub fn new(universe: usize, procs: usize) -> Self {
+    pub fn new(procs: usize) -> Self {
         let empty = Buckets {
             floor: 0,
             lo: 0,
@@ -489,72 +714,76 @@ impl RadixLists {
             head: [NONE; 64],
         };
         RadixLists {
-            next: vec![NONE; universe],
-            prev: vec![NONE; universe],
             procs: vec![empty; procs],
         }
     }
 
     // flb-analyze: region(no-alloc)
-    // Bucket links live in the arrays sized at new(); insert, remove,
+    // Bucket links live in the arena's slots; insert, remove,
     // demote_below and split_below only rewrite indices, bounds and masks.
 
-    /// Whether processor `p` has no queued task.
+    /// Whether processor `p` has no queued slot.
     #[must_use]
     #[inline]
     pub fn is_empty_at(&self, p: u32) -> bool {
         self.procs[p as usize].mask == 0
     }
 
-    /// Queues task `v` on processor `p` with `key`, which must be no smaller
-    /// than the last threshold passed to [`demote_below`](Self::demote_below)
-    /// for `p`. `v` must not be queued anywhere.
-    pub fn insert(&mut self, p: u32, v: u32, key: Time) {
+    /// Queues slot `s` on processor `p`. Its `lmt` must be no smaller
+    /// than the last threshold passed to
+    /// [`demote_below`](Self::demote_below) for `p`, and `s` must not be
+    /// queued anywhere.
+    pub fn insert(&mut self, arena: &mut SlotArena, p: u32, s: u32) {
+        let key = arena.slots[s as usize].lmt;
         let buckets = &mut self.procs[p as usize];
-        debug_assert!(key >= buckets.floor, "insert of {v} below the floor");
+        debug_assert!(key >= buckets.floor, "insert of {s} below the floor");
         buckets.lo = if buckets.mask == 0 {
             key
         } else {
             buckets.lo.min(key)
         };
         let b = bucket_of(key ^ buckets.floor);
-        buckets.link(&mut self.next, &mut self.prev, b, v);
+        buckets.link(&mut arena.slots, b, s);
     }
 
-    /// Unlinks task `v`, queued on processor `p` with `key`.
-    pub fn remove(&mut self, p: u32, v: u32, key: Time) {
-        let (prev, next) = (self.prev[v as usize], self.next[v as usize]);
+    /// Unlinks slot `s`, queued on processor `p`.
+    pub fn remove(&mut self, arena: &mut SlotArena, p: u32, s: u32) {
+        let slots = &mut arena.slots[..];
+        let Slot {
+            prev, next, lmt, ..
+        } = slots[s as usize];
         if next != NONE {
-            self.prev[next as usize] = prev;
+            slots[next as usize].prev = prev;
         }
         if prev != NONE {
-            self.next[prev as usize] = next;
+            slots[prev as usize].next = next;
             return;
         }
         let buckets = &mut self.procs[p as usize];
-        let b = bucket_of(key ^ buckets.floor);
-        debug_assert_eq!(buckets.head[b], v, "{v} is not queued on {p}");
+        let b = bucket_of(lmt ^ buckets.floor);
+        debug_assert_eq!(buckets.head[b], s, "{s} is not queued on {p}");
         buckets.head[b] = next;
         if next == NONE {
             buckets.mask &= !(1 << b);
         }
     }
 
-    /// Dequeues every task of processor `p` whose key is below `threshold`,
-    /// handing each to `demote` in no particular order, and returns how
-    /// many there were. `threshold` must not decrease between calls for
-    /// the same `p`; `keys[v]` is the key task `v` was queued with.
+    /// Dequeues every slot of processor `p` whose `lmt` is below
+    /// `threshold`, handing each to `demote` in no particular order, and
+    /// returns how many there were. `threshold` must not decrease between
+    /// calls for the same `p`. A dequeued slot stays taken: its owner
+    /// releases it.
     ///
     /// Returns at once when `threshold` is at most the lower bound, and
-    /// demotes a lone queued task without touching the buckets. Otherwise
+    /// demotes a lone queued slot without touching the buckets. Otherwise
     /// it runs `split_below`.
     #[inline]
     pub fn demote_below(
         &mut self,
+        arena: &mut SlotArena,
         p: u32,
         threshold: Time,
-        keys: &[Time],
-        mut demote: impl FnMut(u32),
+        mut demote: impl FnMut(&Slot),
     ) -> usize {
         let buckets = &mut self.procs[p as usize];
         debug_assert!(threshold >= buckets.floor, "threshold fell on {p}");
@@ -570,33 +799,34 @@ impl RadixLists {
         }
         if mask.is_power_of_two() {
             let b = mask.trailing_zeros() as usize;
-            let v = buckets.head[b];
-            if self.next[v as usize] == NONE && keys[v as usize] < threshold {
+            let slot = &arena.slots[buckets.head[b] as usize];
+            if slot.next == NONE && slot.lmt < threshold {
                 buckets.head[b] = NONE;
                 buckets.mask = 0;
                 buckets.floor = threshold;
-                demote(v);
+                demote(slot);
                 return 1;
             }
         }
-        self.split_below(p, threshold, keys, demote)
+        self.split_below(arena, p, threshold, demote)
     }
 
     /// The general case of [`demote_below`](Self::demote_below), kept out of
     /// line so the common cases stay small. With `k` the bucket `threshold`
     /// falls in, it empties every bucket below `k` (all of their keys are
-    /// below `threshold`), splits bucket `k` into demoted tasks and tasks
+    /// below `threshold`), splits bucket `k` into demoted slots and slots
     /// re-bucketed against the new floor `threshold` (all in buckets below
     /// `k`), and leaves the buckets above `k` as they are (their index
     /// against `threshold` is their index against the old floor).
     #[inline(never)]
     fn split_below(
         &mut self,
+        arena: &mut SlotArena,
         p: u32,
         threshold: Time,
-        keys: &[Time],
-        mut demote: impl FnMut(u32),
+        mut demote: impl FnMut(&Slot),
     ) -> usize {
+        let slots = &mut arena.slots[..];
         let buckets = &mut self.procs[p as usize];
         let k = bucket_of(threshold ^ buckets.floor);
         buckets.floor = threshold;
@@ -607,16 +837,17 @@ impl RadixLists {
         while drain != 0 {
             let b = drain.trailing_zeros() as usize;
             drain &= drain - 1;
-            let mut v = buckets.head[b];
+            let mut s = buckets.head[b];
             buckets.head[b] = NONE;
-            while v != NONE {
-                demote(v);
+            while s != NONE {
+                let slot = &slots[s as usize];
+                demote(slot);
                 n += 1;
-                v = self.next[v as usize];
+                s = slot.next;
             }
         }
         // The lowest bucket above `k` bounds the keys it and the buckets
-        // over it hold; the tasks re-bucketed from `k` are bounded one by
+        // over it hold; the slots re-bucketed from `k` are bounded one by
         // one.
         let above = buckets.mask & !(1 << k);
         let mut lo = if above == 0 {
@@ -625,21 +856,21 @@ impl RadixLists {
             bucket_floor(threshold, above.trailing_zeros() as usize)
         };
         if buckets.mask & (1 << k) != 0 {
-            let mut v = buckets.head[k];
+            let mut s = buckets.head[k];
             buckets.head[k] = NONE;
             buckets.mask &= !(1 << k);
-            while v != NONE {
-                let next = self.next[v as usize];
-                let key = keys[v as usize];
+            while s != NONE {
+                let slot = &slots[s as usize];
+                let (next, key) = (slot.next, slot.lmt);
                 if key < threshold {
-                    demote(v);
+                    demote(slot);
                     n += 1;
                 } else {
                     lo = lo.min(key);
                     let b = bucket_of(key ^ threshold);
-                    buckets.link(&mut self.next, &mut self.prev, b, v);
+                    buckets.link(slots, b, s);
                 }
-                v = next;
+                s = next;
             }
         }
         buckets.lo = lo;
@@ -795,50 +1026,97 @@ mod tests {
         }
     }
 
-    /// A heap dropped by forgetting its root leaves stale links on its
-    /// nodes; the root slot must still take fresh nodes, and the stale
-    /// nodes must not disturb the other heap of the forest.
+    /// Insert/pop sequences against a `BTreeSet<(key, id)>` model, with
+    /// keys from a small range so that equal keys go to the smaller id.
+    #[test]
+    fn plain_heap_matches_model() {
+        use std::collections::BTreeSet;
+        let universe = 300;
+        let mut h: PlainHeap<(Time, Reverse<Time>)> = PlainHeap::new(universe);
+        let mut model = BTreeSet::new();
+        let mut present = vec![false; universe];
+        let mut rng = lcg(7);
+        for _ in 0..20_000 {
+            let id = (rng() % universe) as u32;
+            if rng() % 5 < 3 {
+                if !present[id as usize] {
+                    let r = rng();
+                    let key = ((r % 5) as Time, Reverse((r / 5 % 3) as Time));
+                    h.insert(id, key);
+                    model.insert((key, id));
+                    present[id as usize] = true;
+                }
+            } else {
+                let want = model.pop_first().map(|(k, id)| (id, k));
+                assert_eq!(h.pop(), want);
+                if let Some((id, _)) = want {
+                    present[id as usize] = false;
+                }
+            }
+            assert_eq!(h.len(), model.len());
+            assert_eq!(h.peek(), model.first().map(|&(k, id)| (id, k)));
+        }
+        while let Some(got) = h.pop() {
+            assert_eq!(Some(got), model.pop_first().map(|(k, id)| (id, k)));
+        }
+        assert!(h.is_empty() && model.is_empty());
+    }
+
+    /// A heap emptied wholesale gives every slot back once; its heap then
+    /// takes fresh tasks in the released slots, and neither the released
+    /// slots nor the fresh tasks disturb the other heap of the forest.
     #[test]
     fn pairing_forest_reuses_a_root_slot_after_a_wholesale_drop() {
         let n = 64usize;
         let time: Vec<Time> = (0..n).map(|i| ((i * 29) % 13) as Time).collect();
         let bl: Vec<Time> = (0..n).map(|i| (i % 3) as Time).collect();
-        let keys = SliceKeys {
-            time: &time,
-            bl: &bl,
-        };
         let key = |v: u32| (time[v as usize], Reverse(bl[v as usize]), v);
-        let mut f = PairingForest::new(n);
-        let (mut dropped, mut other) = (NONE, NONE);
+        let mut arena = SlotArena::new(n);
+        let mut f = PairingForest::new(2);
+        let add = |f: &mut PairingForest, arena: &mut SlotArena, h: u32, v: u32| {
+            let s = arena.take(v, time[v as usize], 0, bl[v as usize]);
+            f.insert(arena, h, s);
+        };
         // Build two heaps, pop a few to leave real structure behind.
         for v in 0..32u32 {
-            dropped = f.insert(&keys, dropped, v);
+            add(&mut f, &mut arena, 0, v);
         }
         for v in 32..48u32 {
-            other = f.insert(&keys, other, v);
+            add(&mut f, &mut arena, 1, v);
         }
         for _ in 0..5 {
-            dropped = f.pop_min(&keys, dropped);
+            f.pop_min(&mut arena, 0);
         }
-        // Drop the first heap wholesale, then reuse its slot.
-        let mut slot = NONE;
-        let model: std::collections::BTreeSet<_> = (48..n as u32).map(key).collect();
+        assert_eq!(f.len_at(&arena, 0), 27);
+        // Drop the first heap wholesale, then reuse its root and slots.
+        f.clear(&mut arena, 0);
+        assert_eq!(f.root(0), NONE);
+        assert_eq!(arena.free_len(), 32);
         for v in 48..n as u32 {
-            slot = f.insert(&keys, slot, v);
+            add(&mut f, &mut arena, 0, v);
         }
-        let other_model: std::collections::BTreeSet<_> = (32..48u32).map(key).collect();
-        for (mut root, m) in [(slot, model), (other, other_model)] {
+        assert_eq!(arena.high_water(), 48, "fresh tasks reuse released slots");
+        assert_eq!(arena.free_len(), 16);
+        let models = [
+            (48..n as u32).map(key).collect(),
+            (32..48u32).map(key).collect(),
+        ];
+        for (h, m) in [0, 1].into_iter().zip(models) {
             let mut drained = Vec::new();
-            while root != NONE {
-                drained.push(key(root));
-                root = f.pop_min(&keys, root);
+            while f.root(h) != NONE {
+                drained.push(key(arena[f.root(h)].task));
+                f.pop_min(&mut arena, h);
             }
+            let m: std::collections::BTreeSet<_> = m;
             assert_eq!(drained, m.into_iter().collect::<Vec<_>>());
         }
+        assert_eq!(arena.free_len(), 48);
     }
 
     /// Differential test: the forest agrees with a sorted-set model under
-    /// a long random-ish operation sequence, across two interleaved heaps.
+    /// a long random-ish sequence of inserts, pops and wholesale drops
+    /// across two interleaved heaps, and every slot not in a heap is on
+    /// the free list after every operation.
     #[test]
     fn pairing_forest_matches_model() {
         let n = 200usize;
@@ -846,90 +1124,86 @@ mod tests {
         let bl: Vec<Time> = (0..n).map(|i| ((i * 11) % 7) as Time).collect();
         let key = |v: u32| (time[v as usize], Reverse(bl[v as usize]), v);
 
-        let mut f = PairingForest::new(n);
-        let mut roots = [NONE, NONE];
+        let mut arena = SlotArena::new(n);
+        let mut f = PairingForest::new(2);
         let mut model: [std::collections::BTreeSet<_>; 2] = Default::default();
         let mut rng = lcg(12345);
         let mut present = vec![false; n];
         for _ in 0..5000 {
             let h = rng() % 2;
-            match rng() % 3 {
-                0 | 1 => {
+            match rng() % 40 {
+                0 => {
+                    f.clear(&mut arena, h as u32);
+                    for &(_, _, v) in &model[h] {
+                        present[v as usize] = false;
+                    }
+                    model[h].clear();
+                }
+                1..=26 => {
                     let v = (rng() % n) as u32;
                     if !present[v as usize] {
-                        roots[h] = f.insert(
-                            &SliceKeys {
-                                time: &time,
-                                bl: &bl,
-                            },
-                            roots[h],
-                            v,
-                        );
+                        let s = arena.take(v, time[v as usize], 0, bl[v as usize]);
+                        let became_root = f.insert(&mut arena, h as u32, s);
+                        let was_min = model[h].first().is_none_or(|&m| key(v) < m);
+                        assert_eq!(became_root, was_min);
                         model[h].insert(key(v));
                         present[v as usize] = true;
                     }
                 }
                 _ => {
-                    if roots[h] != NONE {
-                        let min = roots[h];
-                        assert_eq!(key(min), *model[h].iter().next().unwrap());
-                        roots[h] = f.pop_min(
-                            &SliceKeys {
-                                time: &time,
-                                bl: &bl,
-                            },
-                            roots[h],
-                        );
-                        model[h].remove(&key(min));
-                        present[min as usize] = false;
+                    if let Some(min) = model[h].pop_first() {
+                        assert_eq!(key(arena[f.root(h as u32)].task), min);
+                        f.pop_min(&mut arena, h as u32);
+                        present[min.2 as usize] = false;
                     }
                 }
             }
             // The root is always the model minimum.
-            for (r, m) in roots.iter().zip(&model) {
-                match m.iter().next() {
-                    None => assert_eq!(*r, NONE),
-                    Some(&k) => assert_eq!(key(*r), k),
+            for (h, m) in model.iter().enumerate() {
+                let root = f.root(h as u32);
+                match m.first() {
+                    None => assert_eq!(root, NONE),
+                    Some(&k) => assert_eq!(key(arena[root].task), k),
                 }
+                assert_eq!(f.len_at(&arena, h as u32), m.len());
             }
+            assert_eq!(
+                arena.free_len() + model[0].len() + model[1].len(),
+                arena.high_water()
+            );
         }
         // Drain both heaps fully in sorted order.
         for h in 0..2 {
             let mut drained = Vec::new();
-            while roots[h] != NONE {
-                drained.push(key(roots[h]));
-                roots[h] = f.pop_min(
-                    &SliceKeys {
-                        time: &time,
-                        bl: &bl,
-                    },
-                    roots[h],
-                );
+            while f.root(h) != NONE {
+                drained.push(key(arena[f.root(h)].task));
+                f.pop_min(&mut arena, h);
             }
-            let expect: Vec<_> = model[h].iter().copied().collect();
+            let expect: Vec<_> = model[h as usize].iter().copied().collect();
             assert_eq!(drained, expect);
         }
+        assert_eq!(arena.free_len(), arena.high_water());
     }
 
     /// Walks processor `p`'s buckets, checks the structure's invariants
-    /// (mask bits, back links, each task in the bucket its key and the
+    /// (mask bits, back links, each slot in the bucket its key and the
     /// floor give, the floor and the bound below every key) and returns
-    /// the queued `(key, id)` pairs.
-    fn radix_contents(rl: &RadixLists, p: usize, keys: &[Time]) -> Vec<(Time, u32)> {
+    /// the queued `(key, task)` pairs.
+    fn radix_contents(rl: &RadixLists, arena: &SlotArena, p: usize) -> Vec<(Time, u32)> {
         let buckets = &rl.procs[p];
         let mut out = Vec::new();
         for b in 0..64 {
-            let mut v = buckets.head[b];
-            assert_eq!(buckets.mask >> b & 1 == 1, v != NONE, "mask bit {b} of {p}");
+            let mut s = buckets.head[b];
+            assert_eq!(buckets.mask >> b & 1 == 1, s != NONE, "mask bit {b} of {p}");
             let mut prev = NONE;
-            while v != NONE {
-                let key = keys[v as usize];
-                assert_eq!(rl.prev[v as usize], prev, "back link of {v}");
-                assert_eq!(bucket_of(key ^ buckets.floor), b, "bucket of {v}");
-                assert!(key >= buckets.floor && key >= buckets.lo, "bound above {v}");
-                out.push((key, v));
-                prev = v;
-                v = rl.next[v as usize];
+            while s != NONE {
+                let key = arena[s].lmt;
+                assert_eq!(arena[s].prev, prev, "back link of {s}");
+                assert_eq!(bucket_of(key ^ buckets.floor), b, "bucket of {s}");
+                assert!(key >= buckets.floor && key >= buckets.lo, "bound above {s}");
+                out.push((key, arena[s].task));
+                prev = s;
+                s = arena[s].next;
             }
         }
         out.sort_unstable();
@@ -940,8 +1214,10 @@ mod tests {
     /// per processor: random inserts at keys no smaller than the
     /// processor's last threshold, removes of arbitrary queued tasks, and
     /// `demote_below` at thresholds that never decrease. Keys repeat, and
-    /// keys and thresholds cross bit 63 and reach `u64::MAX`. After every
-    /// call the demoted set and every processor's contents match the model.
+    /// keys and thresholds cross bit 63 and reach `u64::MAX`. A task's slot
+    /// is released when it leaves the lists, so slots are reused. After
+    /// every call the demoted set and every processor's contents match the
+    /// model.
     #[test]
     fn radix_lists_match_model() {
         use std::collections::BTreeSet;
@@ -955,9 +1231,9 @@ mod tests {
         ];
         for (seed, start) in starts.into_iter().enumerate() {
             let mut rng = lcg(seed as u64 + 99);
-            let mut rl = RadixLists::new(N, P);
-            let mut keys = vec![0; N];
-            let mut queued_on: Vec<Option<usize>> = vec![None; N];
+            let mut arena = SlotArena::new(N);
+            let mut rl = RadixLists::new(P);
+            let mut slot_of: Vec<Option<u32>> = vec![None; N];
             let mut model: Vec<BTreeSet<(Time, u32)>> = vec![BTreeSet::new(); P];
             let mut threshold = start;
             // A key or threshold at or above `base`: equal, a little above,
@@ -980,21 +1256,22 @@ mod tests {
                 match rng() % 9 {
                     0..=3 => {
                         let v = rng() % N;
-                        if queued_on[v].is_none() {
+                        if slot_of[v].is_none() {
                             let key = above(threshold[p], rng());
-                            keys[v] = key;
-                            rl.insert(p as u32, v as u32, key);
+                            let s = arena.take(v as u32, 0, key, 0);
+                            rl.insert(&mut arena, p as u32, s);
                             model[p].insert((key, v as u32));
-                            queued_on[v] = Some(p);
+                            slot_of[v] = Some(s);
                         }
                     }
                     4 | 5 => {
                         if !model[p].is_empty() {
                             let nth = rng() % model[p].len();
                             let (key, v) = *model[p].iter().nth(nth).unwrap();
-                            rl.remove(p as u32, v, key);
+                            let s = slot_of[v as usize].take().unwrap();
+                            rl.remove(&mut arena, p as u32, s);
+                            arena.release(s);
                             model[p].remove(&(key, v));
-                            queued_on[v as usize] = None;
                         }
                     }
                     _ => {
@@ -1008,7 +1285,9 @@ mod tests {
                         };
                         threshold[p] = threshold[p].max(target);
                         let mut got = Vec::new();
-                        let n = rl.demote_below(p as u32, threshold[p], &keys, |v| got.push(v));
+                        let n = rl.demote_below(&mut arena, p as u32, threshold[p], |s| {
+                            got.push(s.task);
+                        });
                         assert_eq!(n, got.len());
                         got.sort_unstable();
                         let keep = model[p].split_off(&(threshold[p], 0));
@@ -1016,14 +1295,14 @@ mod tests {
                         want.sort_unstable();
                         assert_eq!(got, want, "demoted set of {p} at {}", threshold[p]);
                         for &v in &got {
-                            queued_on[v as usize] = None;
+                            arena.release(slot_of[v as usize].take().unwrap());
                         }
                         model[p] = keep;
                     }
                 }
                 for (q, m) in model.iter().enumerate() {
                     assert_eq!(
-                        radix_contents(&rl, q, &keys),
+                        radix_contents(&rl, &arena, q),
                         m.iter().copied().collect::<Vec<_>>()
                     );
                     assert_eq!(rl.is_empty_at(q as u32), m.is_empty());

@@ -1,4 +1,4 @@
-//! The FLB inner loop over SoA arenas — allocation-free after construction.
+//! The FLB inner loop — allocation-free after construction.
 //!
 //! [`KernelRun`] is a re-implementation of `flb_core::FlbRun` (the paper's
 //! §4.1 pseudocode) designed for million-task graphs. It makes exactly the
@@ -6,12 +6,21 @@
 //! which the conformance registry and the bit-identity property tests
 //! enforce. What differs is the representation:
 //!
-//! * task and processor ids are `u32`; per-task state (`bl`, `LMT`,
-//!   `EMT(t, EP(t))`, `EP`, readiness countdown, placement) lives in
-//!   struct-of-arrays arenas indexed by id;
+//! * task and processor ids are `u32`. Four arrays indexed by id hold
+//!   what readiness and the output need: the bottom level, the readiness
+//!   countdown, the processor and the finish time, 24 bytes a task. A
+//!   start time is `finish − comp·slow`, so [`KernelRun::starts`]
+//!   computes the start array on its first call;
+//! * what a task needs only while it sits in an EP list — `EMT(t, EP(t))`,
+//!   `LMT(t)`, a copy of its bottom level and the links of both EP lists —
+//!   is one 48-byte slot of a [`SlotArena`]. A task takes a slot when it
+//!   enters an EP list and gives it back when its node leaves the EMT
+//!   heap, so the arena holds as many slots as the EMT heaps ever held
+//!   nodes at once ([`KernelRun::max_slots`]), not `V`; the enabling
+//!   processor `EP(t)` is where the slot is queued;
 //! * the per-processor `EMT_EP_task_l` lists are a [`PairingForest`] over
-//!   flat link arrays (a task is enabled by at most one processor, so all
-//!   `P` heaps fit one universe);
+//!   the slots (a task is enabled by at most one processor, so all `P`
+//!   heaps share the arena);
 //! * the per-processor `LMT_EP_task_l` lists are [`RadixLists`]: radix
 //!   buckets relative to a per-processor floor. They only ever answer
 //!   "which EP tasks of `p` now have `LMT < PRT(p)`?", with `PRT(p)`
@@ -26,11 +35,13 @@
 //! * a demoted task leaves only the LMT lists. Its EMT-heap node is
 //!   deleted lazily: a live EP task of `p` has `LMT >= PRT(p)`, so dead
 //!   nodes are recognised when they reach the root and popped there, and
-//!   when `p` has no live EP task left its whole EMT heap is dropped;
-//! * the non-EP list and both processor lists are [`FlatHeap`]s with
-//!   capacity fixed at init; the processor just used is re-seated
-//!   bottom-up after its `PRT` grows;
-//! * there is no `ScheduleBuilder`: placements are three flat arrays, and
+//!   when `p` has no live EP task left its whole EMT heap is emptied; a
+//!   slot is released by the pop or with its heap;
+//! * the non-EP list is a [`PlainHeap`], which only inserts and pops, and
+//!   both processor lists are [`FlatHeap`]s, each with its capacity fixed
+//!   at init; the processor just used is re-seated bottom-up after its
+//!   `PRT` grows;
+//! * there is no `ScheduleBuilder`: placements are two flat arrays, and
 //!   every quantity (`LMT`, `EP`, `EMT`) is computed by a direct CSR scan.
 //!
 //! Each task still enters and leaves each list at most once — a lazily
@@ -38,20 +49,23 @@
 //! and a bucket move is not a list entry — so the count of list
 //! operations behind the `O(V (log W + log P) + E)` bound is unchanged,
 //! and the LMT lists now contribute `O(V)` to it rather than
-//! `O(V log W)`. One caveat on the log factor: a dead node can stay in
-//! its EMT heap after its task has been scheduled, so that heap's size is
-//! bounded by the tasks `p` enabled since the heap was last empty, not by
-//! the ready-set width `W`.
+//! `O(V log W)`; a slot is taken and released once per EP-list entry.
+//! One caveat on the log factor: a dead node can stay in its EMT heap
+//! after its task has been scheduled, so that heap's size is bounded by
+//! the tasks `p` enabled since the heap was last empty, not by the
+//! ready-set width `W`. DESIGN.md records how many nodes the heaps held
+//! against `W` on the measured graphs.
 //!
 //! Everything is sized once from `V`, `E` and `P` in [`KernelRun::new`];
 //! the steady-state loop performs **zero heap allocations** (verified by a
 //! counting-allocator integration test).
 
-use crate::list::{FlatHeap, PairingForest, RadixLists, SliceKeys};
+use crate::list::{FlatHeap, PairingForest, PlainHeap, RadixLists, SlotArena};
 use crate::NONE;
 use flb_graph::levels::bottom_levels;
 use flb_graph::{TaskGraph, TaskId, Time};
 use flb_sched::{RunStats, TieBreak};
+use std::cell::OnceCell;
 use std::cmp::Reverse;
 
 /// Heap key of the non-EP list: `(LMT, Reverse(bottom level))`; the heap
@@ -83,29 +97,25 @@ pub struct KernelRun<'g> {
     bl: Vec<Time>,
     /// Remaining unplaced predecessors per task.
     missing_preds: Vec<u32>,
-    /// `LMT(t)` for ready tasks.
-    lmt: Vec<Time>,
-    /// `EMT(t, EP(t))` for ready tasks.
-    emt_on_ep: Vec<Time>,
-    /// `EP(t)` for ready tasks (`NONE` = entry task).
-    ep: Vec<u32>,
-    /// Placement arenas (`proc_of[t] == NONE` = unplaced).
+    /// Placement arrays (`proc_of[t] == NONE` = unplaced).
     proc_of: Vec<u32>,
-    start: Vec<Time>,
     finish: Vec<Time>,
+    /// Start times, computed from `finish` by the first `starts()` call.
+    start: OnceCell<Vec<Time>>,
     /// Processor ready times `PRT(p)`.
     prt: Vec<Time>,
     n_placed: usize,
+    /// The state of every task in an EP list, linked by both EP lists.
+    slots: SlotArena,
     /// Per-processor EP lists keyed by `EMT(t, EP(t))` / by `LMT(t)`. The
     /// LMT lists hold exactly the live EP tasks; the EMT heap may also
     /// hold demoted ones below a live root (lazy deletion).
-    emt_forest: PairingForest,
-    emt_root: Vec<u32>,
+    emt_lists: PairingForest,
     lmt_lists: RadixLists,
     /// Total tasks across all EP lists (for the `max_ready` counter).
     ep_in_lists: usize,
     /// Non-EP ready tasks keyed by `(LMT, ⁻bl)`.
-    non_ep: FlatHeap<TaskKey>,
+    non_ep: PlainHeap<TaskKey>,
     /// Active processors keyed by the minimum EST of their EP tasks.
     active: FlatHeap<Time>,
     /// All processors keyed by `PRT(p)`.
@@ -114,7 +124,7 @@ pub struct KernelRun<'g> {
 }
 
 impl<'g> KernelRun<'g> {
-    /// Initialises every arena and list from `V`, `E` and `P`. This is the
+    /// Initialises every array and list from `V`, `E` and `P`. This is the
     /// only allocating phase; `slow[p]` is processor `p`'s slowdown factor
     /// (use `&[1; P]`-style vectors for the paper's homogeneous machines).
     ///
@@ -136,19 +146,16 @@ impl<'g> KernelRun<'g> {
             tie_break,
             bl,
             missing_preds: g.tasks().map(|t| g.in_degree(t) as u32).collect(),
-            lmt: vec![0; v],
-            emt_on_ep: vec![0; v],
-            ep: vec![NONE; v],
             proc_of: vec![NONE; v],
-            start: vec![0; v],
             finish: vec![0; v],
+            start: OnceCell::new(),
             prt: vec![0; p],
             n_placed: 0,
-            emt_forest: PairingForest::new(v),
-            emt_root: vec![NONE; p],
-            lmt_lists: RadixLists::new(v, p),
+            slots: SlotArena::new(v),
+            emt_lists: PairingForest::new(p),
+            lmt_lists: RadixLists::new(p),
             ep_in_lists: 0,
-            non_ep: FlatHeap::new(v),
+            non_ep: PlainHeap::new(v),
             active: FlatHeap::new(p),
             all_procs: FlatHeap::new(p),
             stats: RunStats::default(),
@@ -171,6 +178,13 @@ impl<'g> KernelRun<'g> {
         self.stats
     }
 
+    /// The most nodes the EMT heaps held at once so far, live and lazily
+    /// deleted: the high-water mark of the slot arena.
+    #[must_use]
+    pub fn max_slots(&self) -> usize {
+        self.slots.high_water()
+    }
+
     /// The tie-break rule this run uses.
     #[must_use]
     pub fn tie_break(&self) -> TieBreak {
@@ -189,10 +203,24 @@ impl<'g> KernelRun<'g> {
         &self.proc_of
     }
 
-    /// Start time of each task (valid once placed).
+    /// Start time of each task, computed from the finish times on the
+    /// first call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is not complete: the array is computed once.
     #[must_use]
     pub fn starts(&self) -> &[Time] {
-        &self.start
+        assert!(self.is_complete(), "starts() of an incomplete run");
+        self.start
+            .get_or_init(|| (0..self.g.num_tasks()).map(|t| self.start_of(t)).collect())
+    }
+
+    /// Start time of the placed task `t`: its finish time less its
+    /// execution time on its processor.
+    pub(crate) fn start_of(&self, t: usize) -> Time {
+        let p = self.proc_of[t] as usize;
+        self.finish[t] - self.g.comp(TaskId(t)) * self.slow[p]
     }
 
     /// Finish time of each task (valid once placed).
@@ -235,14 +263,14 @@ impl<'g> KernelRun<'g> {
         // Candidate (a): EP-type task with minimum EST on its enabling
         // processor — head of the head-of-active-processors' EMT list.
         let ep_pair = self.active.peek().map(|(p, est)| {
-            let t = self.emt_root[p as usize];
-            debug_assert_ne!(t, NONE, "active processor has EP tasks");
+            let s = self.emt_lists.root(p);
+            debug_assert_ne!(s, NONE, "active processor has EP tasks");
             debug_assert_eq!(
                 est,
-                self.emt_on_ep[t as usize].max(self.prt[p as usize]),
+                self.slots[s].emt.max(self.prt[p as usize]),
                 "stale active-processor key"
             );
-            (t, p, est)
+            (self.slots[s].task, p, est)
         });
 
         // Candidate (b): non-EP-type task with minimum LMT on the
@@ -261,15 +289,12 @@ impl<'g> KernelRun<'g> {
         };
 
         // Remove the winner from its lists. An EP winner is the root of
-        // its processor's EMT heap; a non-EP winner is the non-EP root.
+        // its processor's EMT heap: it leaves its bucket, then the heap,
+        // which releases its slot. A non-EP winner is the non-EP root.
         if from_ep_list {
-            let keys = SliceKeys {
-                time: &self.emt_on_ep,
-                bl: &self.bl,
-            };
-            debug_assert_eq!(self.emt_root[proc as usize], task);
-            self.emt_root[proc as usize] = self.emt_forest.pop_min(&keys, task);
-            self.lmt_lists.remove(proc, task, self.lmt[task as usize]);
+            let s = self.emt_lists.root(proc);
+            self.lmt_lists.remove(&mut self.slots, proc, s);
+            self.emt_lists.pop_min(&mut self.slots, proc);
             self.ep_in_lists -= 1;
             self.stats.ep_selections += 1;
         } else {
@@ -282,7 +307,6 @@ impl<'g> KernelRun<'g> {
         debug_assert!(start >= self.prt[proc as usize], "append before PRT");
         let finish = start + self.g.comp(TaskId(task as usize)) * self.slow[proc as usize];
         self.proc_of[task as usize] = proc;
-        self.start[task as usize] = start;
         self.finish[task as usize] = finish;
         self.prt[proc as usize] = finish;
         self.n_placed += 1;
@@ -310,41 +334,32 @@ impl<'g> KernelRun<'g> {
     /// deleted lazily: live tasks of `p` are exactly those with
     /// `LMT >= PRT(p)`, so dead heads are popped until the EMT root is
     /// live, and once the LMT lists of `p` are empty the whole EMT heap is
-    /// dead and is dropped by forgetting its root. Safe because a task
-    /// never re-enters the EP lists, so no stale link is ever read again.
+    /// dead and is emptied. Either way the node's slot is released.
     fn update_task_lists(&mut self, p: u32) {
         let prt = self.prt[p as usize];
-        let (lmt, bl, non_ep) = (&self.lmt, &self.bl, &mut self.non_ep);
-        let demoted = self.lmt_lists.demote_below(p, prt, lmt, |t| {
-            non_ep.insert(t, (lmt[t as usize], Reverse(bl[t as usize])));
+        let non_ep = &mut self.non_ep;
+        let demoted = self.lmt_lists.demote_below(&mut self.slots, p, prt, |s| {
+            non_ep.insert(s.task, (s.lmt, Reverse(s.bl)));
         });
         self.ep_in_lists -= demoted;
         self.stats.demotions += demoted;
         if self.lmt_lists.is_empty_at(p) {
-            self.emt_root[p as usize] = NONE;
+            self.emt_lists.clear(&mut self.slots, p);
             return;
         }
-        let keys = SliceKeys {
-            time: &self.emt_on_ep,
-            bl: &self.bl,
-        };
-        loop {
-            let head = self.emt_root[p as usize];
-            if self.lmt[head as usize] >= prt {
-                break;
-            }
-            self.emt_root[p as usize] = self.emt_forest.pop_min(&keys, head);
+        while self.slots[self.emt_lists.root(p)].lmt < prt {
+            self.emt_lists.pop_min(&mut self.slots, p);
         }
     }
 
     /// Paper's `UpdateProcLists`: refresh `p`'s priority in the active
     /// list (minimum EST of its EP tasks) or drop it when empty.
     fn update_proc_lists(&mut self, p: u32) {
-        let head = self.emt_root[p as usize];
+        let head = self.emt_lists.root(p);
         if head == NONE {
             self.active.remove(p);
         } else {
-            let est = self.emt_on_ep[head as usize].max(self.prt[p as usize]);
+            let est = self.slots[head].emt.max(self.prt[p as usize]);
             self.active.insert_or_update(p, est);
         }
     }
@@ -369,6 +384,7 @@ impl<'g> KernelRun<'g> {
     /// processor id then the smallest predecessor id.
     fn enqueue_ready(&mut self, s: u32) {
         let g = self.g;
+        let bl = self.bl[s as usize];
         // Scan 1: LMT and EP.
         let mut best: Option<(Time, Reverse<u32>, Reverse<TaskId>)> = None;
         for (q, w) in g.preds(TaskId(s as usize)) {
@@ -381,12 +397,14 @@ impl<'g> KernelRun<'g> {
         match best {
             // Entry task: no enabling processor, LMT = 0.
             None => {
-                self.lmt[s as usize] = 0;
-                self.non_ep.insert(s, (0, Reverse(self.bl[s as usize])));
+                self.non_ep.insert(s, (0, Reverse(bl)));
+                self.stats.non_ep_promotions += 1;
+            }
+            Some((lmt, Reverse(ep), _)) if lmt < self.prt[ep as usize] => {
+                self.non_ep.insert(s, (lmt, Reverse(bl)));
                 self.stats.non_ep_promotions += 1;
             }
             Some((lmt, Reverse(ep), _)) => {
-                self.lmt[s as usize] = lmt;
                 // Scan 2: EMT on the enabling processor (messages from
                 // predecessors already on `ep` are free).
                 let mut emt = 0;
@@ -395,27 +413,16 @@ impl<'g> KernelRun<'g> {
                     let arrives = if self.proc_of[q.0] == ep { ft } else { ft + w };
                     emt = emt.max(arrives);
                 }
-                self.ep[s as usize] = ep;
-                self.emt_on_ep[s as usize] = emt;
-                if lmt < self.prt[ep as usize] {
-                    self.non_ep.insert(s, (lmt, Reverse(self.bl[s as usize])));
-                    self.stats.non_ep_promotions += 1;
-                } else {
-                    let keys = SliceKeys {
-                        time: &self.emt_on_ep,
-                        bl: &self.bl,
-                    };
-                    let head = self.emt_root[ep as usize];
-                    self.emt_root[ep as usize] = self.emt_forest.insert(&keys, head, s);
-                    self.lmt_lists.insert(ep, s, lmt);
-                    self.ep_in_lists += 1;
-                    // `PRT(ep)` is unchanged, so the processor's key moves
-                    // only if `s` became the new EMT head.
-                    if self.emt_root[ep as usize] != head {
-                        self.update_proc_lists(ep);
-                    }
-                    self.stats.ep_promotions += 1;
+                let slot = self.slots.take(s, emt, lmt, bl);
+                let became_root = self.emt_lists.insert(&mut self.slots, ep, slot);
+                self.lmt_lists.insert(&mut self.slots, ep, slot);
+                self.ep_in_lists += 1;
+                // `PRT(ep)` is unchanged, so the processor's key moves
+                // only if `s` became the new EMT head.
+                if became_root {
+                    self.update_proc_lists(ep);
                 }
+                self.stats.ep_promotions += 1;
             }
         }
     }
@@ -481,6 +488,32 @@ mod tests {
                 run.finishes()[t.0] - run.starts()[t.0],
                 g.comp(t) * [2, 3][p]
             );
+        }
+    }
+
+    /// Every slot not holding an EMT-heap node is on the free list after
+    /// every step, so after every wholesale drop too, and every slot is
+    /// free once the run is complete. The graphs empty EP lists mid-run
+    /// (P = 64 on a narrow LU) and keep them long (P = 2).
+    #[test]
+    fn every_slot_is_released_once() {
+        use flb_graph::costs::CostModel;
+        let lu = flb_graph::gen::lu(40);
+        for (ccr, slow, tie) in [
+            (0.2, vec![1; 64], TieBreak::BottomLevel),
+            (5.0, vec![1; 2], TieBreak::BottomLevel),
+            (1.0, vec![1, 2, 2, 3], TieBreak::TaskId),
+        ] {
+            let g = CostModel::paper_default(ccr).apply(&lu, 3);
+            let mut run = KernelRun::new(&g, &slow, tie);
+            while run.step().is_some() {
+                let in_heaps: usize = (0..slow.len() as u32)
+                    .map(|p| run.emt_lists.len_at(&run.slots, p))
+                    .sum();
+                assert_eq!(run.slots.free_len() + in_heaps, run.max_slots());
+            }
+            assert!(run.max_slots() > 0);
+            assert_eq!(run.slots.free_len(), run.max_slots());
         }
     }
 }

@@ -85,9 +85,9 @@ fn steady_state_loop_never_allocates() {
 
     // The static fences cover exactly what this test just measured.
     // `run.run()` drives `step`, the three update procedures and
-    // `enqueue_ready` through the FlatHeap, PairingForest and RadixLists
-    // operations; constructors stay outside the fences because `new` is
-    // the allocating phase by design.
+    // `enqueue_ready` through the FlatHeap, PlainHeap, SlotArena,
+    // PairingForest and RadixLists operations; constructors stay outside
+    // the fences because `new` is the allocating phase by design.
     let fenced = flb_analyze::fenced_functions(include_str!("../src/run.rs"), "no-alloc");
     assert_eq!(
         fenced,
@@ -114,7 +114,6 @@ fn steady_state_loop_never_allocates() {
         "key_of",
         "peek",
         "less",
-        "set",
         "insert",
         "insert_or_update",
         "update",
@@ -122,9 +121,13 @@ fn steady_state_loop_never_allocates() {
         "remove",
         "sift_up",
         "sift_down",
+        "take",
+        "release",
+        "root",
         "meld",
         "combine_siblings",
         "pop_min",
+        "clear",
         "link",
         "is_empty_at",
         "demote_below",

@@ -127,3 +127,40 @@ fn lu_flat_1m_counters_and_placements_are_pinned() {
     assert_eq!(run.makespan(), 1_643_017);
     assert_eq!(placement_digest(&run), 0x7cbb_6034_45ff_7057);
 }
+
+/// How many nodes the lazily deleted EMT heaps hold at once, live and
+/// dead (`max_slots`), against the ready-set width (`max_ready`), on the
+/// 20k LU pin and on the paper families at V≈1000, P 2–32, both CCRs.
+/// Both are deterministic, so the counts and the worst case are pinned.
+/// The bound of twice the width is measured, not proven: DESIGN.md "The
+/// kernel's lists" records the worst ratios of larger sweeps.
+#[test]
+fn emt_heap_nodes_stay_within_twice_the_ready_width() {
+    let model = CostModel {
+        comp: Dist::UniformMean(100),
+        ccr: 1.0,
+    };
+    let g = lu_flat(200, &model, 1999);
+    let mut run = KernelRun::new(&g, &[1; 64], TieBreak::BottomLevel);
+    run.run();
+    assert_eq!((run.max_slots(), run.stats().max_ready), (272, 199));
+
+    let mut worst = (0, 1, "", 0.0, 0);
+    for family in gen::Family::ALL {
+        let topology = family.topology(1000);
+        for ccr in [0.2, 5.0] {
+            let g = CostModel::paper_default(ccr).apply(&topology, 1999);
+            for procs in [2, 3, 4, 6, 8, 12, 16, 32] {
+                let mut run = KernelRun::new(&g, &vec![1; procs], TieBreak::BottomLevel);
+                run.run();
+                let (slots, ready) = (run.max_slots(), run.stats().max_ready);
+                let case = (family.name(), ccr, procs);
+                assert!(slots <= 2 * ready, "{case:?}: {slots} slots, width {ready}");
+                if slots * worst.1 > worst.0 * ready {
+                    worst = (slots, ready, case.0, ccr, procs);
+                }
+            }
+        }
+    }
+    assert_eq!(worst, (66, 43, "LU", 5.0, 6));
+}
