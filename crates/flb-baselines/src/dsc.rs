@@ -121,7 +121,7 @@ pub fn cluster(graph: &TaskGraph) -> Clustering {
             }
         }
 
-        for (s, _) in graph.succs(t) {
+        for s in graph.succ_ids(t) {
             missing[s.0] -= 1;
             if missing[s.0] == 0 {
                 // Priority with the now-final tlevels of all predecessors

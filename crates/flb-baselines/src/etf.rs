@@ -52,7 +52,7 @@ impl Scheduler for Etf {
 
             builder.place(task, proc, est);
             ready.swap_remove(ready.iter().position(|&t| t == task).expect("in ready"));
-            for (s, _) in graph.succs(task) {
+            for s in graph.succ_ids(task) {
                 missing[s.0] -= 1;
                 if missing[s.0] == 0 {
                     ready.push(s);

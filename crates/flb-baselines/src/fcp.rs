@@ -60,7 +60,7 @@ impl Scheduler for Fcp {
             };
             builder.place(t, proc, start);
             procs.update(proc.0, builder.prt(proc));
-            for (s, _) in graph.succs(t) {
+            for s in graph.succ_ids(t) {
                 missing[s.0] -= 1;
                 if missing[s.0] == 0 {
                     ready.insert(s.0, Reverse(bl[s.0]));

@@ -101,7 +101,7 @@ mod tests {
         for m in [Machine::new(3), Machine::related(vec![1, 2, 4])] {
             let rank = Heft::upward_ranks(&g, &m);
             for t in g.tasks() {
-                for (s, _) in g.succs(t) {
+                for s in g.succ_ids(t) {
                     assert!(rank[t.0] > rank[s.0], "edge {t} -> {s} rank order");
                 }
             }

@@ -44,7 +44,7 @@ impl Scheduler for Hlfet {
             }
             let (est, proc) = best.expect("machine has processors");
             builder.place(t, proc, est);
-            for (s, _) in graph.succs(t) {
+            for s in graph.succ_ids(t) {
                 missing[s.0] -= 1;
                 if missing[s.0] == 0 {
                     ready.insert(s.0, Reverse(sl[s.0]));

@@ -161,7 +161,7 @@ pub fn map_clusters(
         placed += 1;
         procs.update(dest.0, builder.prt(dest));
 
-        for (s, _) in graph.succs(task) {
+        for s in graph.succ_ids(task) {
             missing[s.0] -= 1;
             if missing[s.0] == 0 {
                 enqueue(

@@ -112,7 +112,7 @@ impl Mcp {
 /// All strict descendants of `t`, by DFS.
 fn descendants(graph: &TaskGraph, t: TaskId) -> Vec<TaskId> {
     let mut seen = vec![false; graph.num_tasks()];
-    let mut stack: Vec<TaskId> = graph.succs(t).map(|(s, _)| s).collect();
+    let mut stack: Vec<TaskId> = graph.succ_ids(t).collect();
     let mut out = Vec::new();
     while let Some(u) = stack.pop() {
         if seen[u.0] {
@@ -120,7 +120,7 @@ fn descendants(graph: &TaskGraph, t: TaskId) -> Vec<TaskId> {
         }
         seen[u.0] = true;
         out.push(u);
-        stack.extend(graph.succs(u).map(|(s, _)| s));
+        stack.extend(graph.succ_ids(u));
     }
     out
 }
@@ -186,7 +186,7 @@ mod tests {
                 pos[t.0] = i;
             }
             for t in g.tasks() {
-                for (s, _) in g.succs(t) {
+                for s in g.succ_ids(t) {
                     assert!(pos[t.0] < pos[s.0], "{tb:?}: edge {t}->{s} out of order");
                 }
             }

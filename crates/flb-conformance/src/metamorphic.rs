@@ -156,7 +156,7 @@ fn insert_transitive_edges(g: &TaskGraph, seed: u64, want: usize) -> Option<Task
     for s in g.tasks() {
         let mut stack = vec![s];
         while let Some(u) = stack.pop() {
-            for (w, _) in g.succs(u) {
+            for w in g.succ_ids(u) {
                 if !reach[s.0][w.0] {
                     reach[s.0][w.0] = true;
                     stack.push(w);

@@ -91,7 +91,7 @@ fn with_costs(g: &TaskGraph, comp: &[u64], comm: &[u64]) -> TaskGraph {
     }
     let mut idx = 0usize;
     for t in g.tasks() {
-        for (s, _) in g.succs(t) {
+        for s in g.succ_ids(t) {
             b.add_edge(t, s, comm[idx]).expect("same edge, new cost");
             idx += 1;
         }

@@ -382,7 +382,7 @@ impl<'g> FlbRun<'g> {
     /// processors (possibly newly active) get their priorities refreshed.
     fn update_ready_tasks(&mut self, scheduled: TaskId) {
         let graph = self.builder.graph();
-        for (s, _) in graph.succs(scheduled) {
+        for s in graph.succ_ids(scheduled) {
             self.missing_preds[s.0] -= 1;
             if self.missing_preds[s.0] > 0 {
                 continue;

@@ -79,7 +79,7 @@ pub fn stats(g: &TaskGraph, exact_width: bool) -> GraphStats {
         ready_width
     };
     let min_comp = g.tasks().map(|t| g.comp(t)).min().unwrap_or(0);
-    let max_comm = g.tasks().flat_map(|t| g.succs(t).map(|(_, c)| c)).max();
+    let max_comm = g.tasks().flat_map(|t| g.preds(t).map(|(_, c)| c)).max();
     let cp_comp = critical_path_comp_only(g);
 
     GraphStats {
@@ -118,7 +118,7 @@ pub fn parallelism_profile(g: &TaskGraph) -> Vec<usize> {
         profile.push(layer.len());
         let mut next = Vec::new();
         for t in layer {
-            for (s, _) in g.succs(t) {
+            for s in g.succ_ids(t) {
                 indeg[s.0] -= 1;
                 if indeg[s.0] == 0 {
                     next.push(s);

@@ -138,7 +138,7 @@ impl CostModel {
             b.add_task(self.comp.sample(&mut rng));
         }
         for t in topology.tasks() {
-            for (s, _) in topology.succs(t) {
+            for s in topology.succ_ids(t) {
                 b.add_edge(t, s, comm_dist.sample(&mut rng))
                     .expect("copying edges of a valid graph");
             }
@@ -252,8 +252,8 @@ mod tests {
             assert_eq!(a.comp(t), b.comp(t));
             assert!(a.succs(t).eq(b.succs(t)));
             // Same adjacency as the topology (costs aside).
-            let succ_a: Vec<_> = a.succs(t).map(|(s, _)| s).collect();
-            let succ_t: Vec<_> = topo.succs(t).map(|(s, _)| s).collect();
+            let succ_a: Vec<_> = a.succ_ids(t).collect();
+            let succ_t: Vec<_> = topo.succ_ids(t).collect();
             assert_eq!(succ_a, succ_t);
         }
         let c = model.apply(&topo, 100);

@@ -141,11 +141,8 @@ impl TaskGraphBuilder {
     pub fn build(self) -> Result<TaskGraph, GraphError> {
         let mut edges = self.edges;
         edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        let e = edges.len();
-        let edges = edges
-            .into_iter()
-            .map(|(s, d, c)| (s.0 as u32, d.0 as u32, c));
-        TaskGraph::from_sorted_edges(self.name, self.comp, e, edges)
+        let sorted = edges.iter().map(|&(s, d, c)| (s.0 as u32, d.0 as u32, c));
+        TaskGraph::from_sorted_edges(self.name, self.comp, edges.len(), sorted)
     }
 }
 
@@ -153,42 +150,38 @@ impl TaskGraphBuilder {
 ///
 /// Tasks are identified by dense [`TaskId`]s. Adjacency is stored in
 /// compressed sparse row form in both directions, as `u32` offsets and
-/// `u32` endpoints with the communication costs in separate arrays: 16
-/// bytes per task and 24 per edge, plus 4 bytes per task for a
-/// topological order unless the ids already are one. Successor
-/// rows ascend by target and predecessor rows by source, whatever
-/// constructor built the graph.
+/// `u32` endpoints. Each communication cost is stored once, beside its
+/// predecessor entry: 16 bytes per task and 16 per edge, plus 4 bytes
+/// per task for a topological order unless the ids already are one.
+/// Successor rows ascend by target and predecessor rows by source,
+/// whatever constructor built the graph, so [`succs`](Self::succs) finds
+/// each cost by a binary search of the target's predecessor row, in
+/// O(log in-degree); [`succ_ids`](Self::succ_ids) is the successor row
+/// without the costs.
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
     name: String,
     comp: Vec<Cost>,
     succ_off: Vec<u32>,
     succ_dst: Vec<u32>,
-    succ_w: Vec<Cost>,
     pred_off: Vec<u32>,
     pred_src: Vec<u32>,
+    /// `pred_w[i]` is the cost of the edge `pred_src[i] -> t` for the `t`
+    /// whose predecessor row holds `i`.
     pred_w: Vec<Cost>,
     /// Kahn order, or empty when `0..V` is that order (every edge points
     /// from a smaller to a larger id).
     topo: Vec<u32>,
 }
 
-/// One adjacency row as `(neighbour, communication cost)` pairs.
-fn row<'a>(
-    ids: &'a [u32],
-    costs: &'a [Cost],
-) -> impl ExactSizeIterator<Item = (TaskId, Cost)> + DoubleEndedIterator + Clone + 'a {
-    ids.iter()
-        .zip(costs)
-        .map(|(&id, &c)| (TaskId(id as usize), c))
-}
-
 impl TaskGraph {
     /// The one CSR constructor, over `edges` in strictly ascending
-    /// `(src, dst)` order. The successor rows are filled as the edges
-    /// stream by, the predecessor rows by a counting sort over them.
-    /// `num_edges` sizes the arrays and should be the number of edges
-    /// `edges` yields.
+    /// `(src, dst)` order, which it walks twice. The first pass checks the
+    /// edges and fills the successor rows and the in-degrees; the second
+    /// fills the predecessor rows and their costs through one cursor per
+    /// task, so the costs are never held in successor order. A clone of
+    /// `edges` must yield the same edges as `edges`. `num_edges` sizes
+    /// the arrays and should be the number of edges `edges` yields.
     ///
     /// Rejects what [`TaskGraphBuilder`] rejects, in its order of
     /// precedence: an edge naming an unknown task or a self-loop (the
@@ -200,22 +193,26 @@ impl TaskGraph {
     /// Panics on an edge that comes before its predecessor in the list in
     /// `(src, dst)` order (the caller sorts), and when the graph does not
     /// fit `u32` ids and offsets.
-    pub fn from_sorted_edges(
+    pub fn from_sorted_edges<I>(
         name: impl Into<String>,
         comp: Vec<Cost>,
         num_edges: usize,
-        edges: impl IntoIterator<Item = (u32, u32, Cost)>,
-    ) -> Result<Self, GraphError> {
+        edges: I,
+    ) -> Result<Self, GraphError>
+    where
+        I: IntoIterator<Item = (u32, u32, Cost)>,
+        I::IntoIter: Clone,
+    {
         let v = comp.len();
         assert!(v < u32::MAX as usize, "graph too large for u32 ids");
+        let edges = edges.into_iter();
         let mut succ_off = Vec::with_capacity(v + 1);
         let mut succ_dst = Vec::with_capacity(num_edges);
-        let mut succ_w = Vec::with_capacity(num_edges);
         // In-degrees, shifted by one for the prefix sum below.
         let mut pred_off = vec![0u32; v + 1];
         let mut duplicate = None;
         let mut prev = None;
-        for (src, dst, w) in edges {
+        for (src, dst, _) in edges.clone() {
             for id in [src, dst] {
                 if id as usize >= v {
                     return Err(GraphError::UnknownTask(TaskId(id as usize)));
@@ -240,7 +237,6 @@ impl TaskGraph {
                 succ_off.push(succ_dst.len() as u32);
             }
             succ_dst.push(dst);
-            succ_w.push(w);
             pred_off[dst as usize + 1] += 1;
         }
         if v == 0 {
@@ -258,17 +254,17 @@ impl TaskGraph {
         for i in 0..v {
             pred_off[i + 1] += pred_off[i];
         }
+        // The first pass checked every edge, so the second only places
+        // them; sources arrive in ascending order, so each predecessor
+        // row ascends by source.
         let mut pred_src = vec![0u32; e];
         let mut pred_w = vec![0; e];
         let mut cursor = pred_off[..v].to_vec();
-        for s in 0..v {
-            let out = succ_off[s] as usize..succ_off[s + 1] as usize;
-            for (&d, &w) in succ_dst[out.clone()].iter().zip(&succ_w[out]) {
-                let at = cursor[d as usize] as usize;
-                pred_src[at] = s as u32;
-                pred_w[at] = w;
-                cursor[d as usize] += 1;
-            }
+        for (s, d, w) in edges {
+            let at = cursor[d as usize] as usize;
+            pred_src[at] = s;
+            pred_w[at] = w;
+            cursor[d as usize] += 1;
         }
         // Freed before the topological order is allocated: at a million
         // tasks this keeps the peak at the graph's own arrays.
@@ -278,7 +274,6 @@ impl TaskGraph {
             comp,
             succ_off,
             succ_dst,
-            succ_w,
             pred_off,
             pred_src,
             pred_w,
@@ -326,15 +321,33 @@ impl TaskGraph {
         self.pred_off[t.0] as usize..self.pred_off[t.0 + 1] as usize
     }
 
+    /// Successors of `t`, in ascending id order, without the
+    /// communication costs.
+    #[inline]
+    pub fn succ_ids(
+        &self,
+        t: TaskId,
+    ) -> impl ExactSizeIterator<Item = TaskId> + DoubleEndedIterator + Clone + '_ {
+        self.succ_dst[self.succ_row(t)]
+            .iter()
+            .map(|&s| TaskId(s as usize))
+    }
+
     /// Successors of `t` with the communication cost of each edge, in
-    /// ascending id order.
+    /// ascending id order. Each cost is found in the successor's
+    /// predecessor row, in O(log in-degree); callers that discard it
+    /// read [`succ_ids`](Self::succ_ids).
     #[inline]
     pub fn succs(
         &self,
         t: TaskId,
     ) -> impl ExactSizeIterator<Item = (TaskId, Cost)> + DoubleEndedIterator + Clone + '_ {
-        let r = self.succ_row(t);
-        row(&self.succ_dst[r.clone()], &self.succ_w[r])
+        self.succ_ids(t).map(move |s| {
+            let c = self
+                .pred_cost(t, s)
+                .expect("every successor has a predecessor entry");
+            (s, c)
+        })
     }
 
     /// Predecessors of `t` with the communication cost of each edge, in
@@ -345,7 +358,21 @@ impl TaskGraph {
         t: TaskId,
     ) -> impl ExactSizeIterator<Item = (TaskId, Cost)> + DoubleEndedIterator + Clone + '_ {
         let r = self.pred_row(t);
-        row(&self.pred_src[r.clone()], &self.pred_w[r])
+        self.pred_src[r.clone()]
+            .iter()
+            .zip(&self.pred_w[r])
+            .map(|(&id, &c)| (TaskId(id as usize), c))
+    }
+
+    /// The cost of `src -> dst`, searched in `dst`'s predecessor row.
+    #[inline]
+    fn pred_cost(&self, src: TaskId, dst: TaskId) -> Option<Cost> {
+        let r = self.pred_row(dst);
+        let i = u32::try_from(src.0).ok()?;
+        self.pred_src[r.clone()]
+            .binary_search(&i)
+            .ok()
+            .map(|k| self.pred_w[r.start + k])
     }
 
     /// Number of incoming edges of `t`.
@@ -363,12 +390,10 @@ impl TaskGraph {
     /// Communication cost of edge `src -> dst`, if the edge exists.
     #[must_use]
     pub fn edge_comm(&self, src: TaskId, dst: TaskId) -> Option<Cost> {
-        let r = self.succ_row(src);
-        let i = u32::try_from(dst.0).ok()?;
-        self.succ_dst[r.clone()]
-            .binary_search(&i)
-            .ok()
-            .map(|k| self.succ_w[r.start + k])
+        if dst.0 >= self.num_tasks() {
+            return None;
+        }
+        self.pred_cost(src, dst)
     }
 
     /// Tasks with no predecessors (§2: *entry tasks*).
@@ -400,7 +425,7 @@ impl TaskGraph {
     /// Sum of all communication costs.
     #[must_use]
     pub fn total_comm(&self) -> Cost {
-        self.succ_w.iter().sum()
+        self.pred_w.iter().sum()
     }
 
     /// Average computation cost over tasks, as `f64`.
@@ -459,10 +484,9 @@ impl TaskGraph {
     fn kahn_topo(&self) -> Option<Vec<u32>> {
         let v = self.num_tasks() as u32;
         // Successor rows are sorted, so the first entry is the smallest.
-        let forward = (0..v).all(|t| {
-            let r = self.succ_row(TaskId(t as usize));
-            self.succ_dst[r].first().is_none_or(|&s| s > t)
-        });
+        let forward = self
+            .tasks()
+            .all(|t| self.succ_ids(t).next().is_none_or(|s| s > t));
         if forward {
             return Some(Vec::new());
         }
@@ -474,7 +498,7 @@ impl TaskGraph {
             .collect();
         while let Some(Reverse(i)) = ready.pop() {
             order.push(i);
-            for (s, _) in self.succs(TaskId(i as usize)) {
+            for s in self.succ_ids(TaskId(i as usize)) {
                 indeg[s.0] -= 1;
                 if indeg[s.0] == 0 {
                     ready.push(Reverse(s.0 as u32));
@@ -543,7 +567,7 @@ mod tests {
         ready.sort_unstable_by(|a, b| b.cmp(a));
         while let Some(i) = ready.pop() {
             order.push(TaskId(i));
-            for (s, _) in g.succs(TaskId(i)) {
+            for s in g.succ_ids(TaskId(i)) {
                 indeg[s.0] -= 1;
                 if indeg[s.0] == 0 {
                     let pos = ready.partition_point(|&x| x > s.0);
@@ -584,7 +608,7 @@ mod tests {
             reversed.reverse();
             assert_eq!(reversed, order);
             assert_eq!(Some(order), sorted_vec_kahn(g));
-            let forward = g.tasks().all(|t| g.succs(t).all(|(s, _)| s > t));
+            let forward = g.tasks().all(|t| g.succ_ids(t).all(|s| s > t));
             assert_eq!(
                 g.topo.is_empty(),
                 forward,

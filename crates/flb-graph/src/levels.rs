@@ -28,12 +28,20 @@ use crate::{TaskGraph, TaskId, Time};
 /// assert_eq!(bl[3], 12);
 /// assert_eq!(bl[7], 2);
 /// ```
+///
+/// The sweep pushes rather than pulls: in reverse topological order, a
+/// task's entry holds the largest `comm + bl(s)` its successors pushed,
+/// gains `comp(t)`, and pushes `comm + bl(t)` to each predecessor. It
+/// reads only the predecessor rows, where the graph keeps its costs.
 #[must_use]
 pub fn bottom_levels(g: &TaskGraph) -> Vec<Time> {
     let mut bl = vec![0; g.num_tasks()];
     for t in g.topological_order().rev() {
-        let tail = g.succs(t).map(|(s, c)| c + bl[s.0]).max().unwrap_or(0);
-        bl[t.0] = g.comp(t) + tail;
+        let level = bl[t.0] + g.comp(t);
+        bl[t.0] = level;
+        for (p, c) in g.preds(t) {
+            bl[p.0] = bl[p.0].max(c + level);
+        }
     }
     bl
 }
@@ -44,7 +52,7 @@ pub fn bottom_levels(g: &TaskGraph) -> Vec<Time> {
 pub fn bottom_levels_comp_only(g: &TaskGraph) -> Vec<Time> {
     let mut bl = vec![0; g.num_tasks()];
     for t in g.topological_order().rev() {
-        let tail = g.succs(t).map(|(s, _)| bl[s.0]).max().unwrap_or(0);
+        let tail = g.succ_ids(t).map(|s| bl[s.0]).max().unwrap_or(0);
         bl[t.0] = g.comp(t) + tail;
     }
     bl

@@ -51,7 +51,7 @@ pub fn transitive_reduction(g: &TaskGraph) -> TaskGraph {
     for t in g.topological_order().rev() {
         // reach[t] = union over succs s of ({s} ∪ reach[s]).
         let mut row = std::mem::take(&mut reach[t.0]);
-        for (s, _) in g.succs(t) {
+        for s in g.succ_ids(t) {
             row[s.0 / 64] |= 1 << (s.0 % 64);
             for (a, b) in row.iter_mut().zip(&reach[s.0]) {
                 *a |= *b;
@@ -69,8 +69,8 @@ pub fn transitive_reduction(g: &TaskGraph) -> TaskGraph {
         for (s, c) in g.succs(t) {
             // Redundant iff some *other* direct successor of t reaches s.
             let redundant = g
-                .succs(t)
-                .any(|(mid, _)| mid != s && (reach[mid.0][s.0 / 64] >> (s.0 % 64)) & 1 == 1);
+                .succ_ids(t)
+                .any(|mid| mid != s && (reach[mid.0][s.0 / 64] >> (s.0 % 64)) & 1 == 1);
             if !redundant {
                 b.add_edge(t, s, c).expect("copying edges of a valid graph");
             }
@@ -113,7 +113,7 @@ pub fn coarsen_chains(g: &TaskGraph) -> Coarsening {
         let mut members = vec![t];
         let mut cur = t;
         // `chains_to` holds only for a task's one successor.
-        while let Some((next, _)) = g.succs(cur).next().filter(|&(s, _)| chains_to(cur, s)) {
+        while let Some(next) = g.succ_ids(cur).next().filter(|&s| chains_to(cur, s)) {
             comp += g.comp(next);
             members.push(next);
             cur = next;

@@ -58,7 +58,7 @@ fn reachability(g: &TaskGraph) -> Vec<BitRow> {
     for t in g.topological_order().rev() {
         // Split borrow: take the row out, OR successors in, put it back.
         let mut row = std::mem::replace(&mut reach[t.0], BitRow::zeros(0));
-        for (s, _) in g.succs(t) {
+        for s in g.succ_ids(t) {
             row.set(s.0);
             row.or_with(&reach[s.0]);
         }
@@ -167,7 +167,7 @@ pub fn max_ready_width(g: &TaskGraph) -> usize {
     while !ready.is_empty() {
         let layer = std::mem::take(&mut ready);
         for t in layer {
-            for (s, _) in g.succs(t) {
+            for s in g.succ_ids(t) {
                 indeg[s.0] -= 1;
                 if indeg[s.0] == 0 {
                     ready.push(s);

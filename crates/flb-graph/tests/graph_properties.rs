@@ -51,7 +51,7 @@ fn assert_topological(g: &TaskGraph, order: &[TaskId]) {
     }
     for t in g.tasks() {
         assert_ne!(pos[t.0], usize::MAX, "task {t} missing from order");
-        for (s, _) in g.succs(t) {
+        for s in g.succ_ids(t) {
             assert!(pos[t.0] < pos[s.0], "edge {t} -> {s} violates order");
         }
     }
@@ -131,7 +131,7 @@ proptest! {
         for s in g.tasks() {
             let mut stack = vec![s];
             while let Some(u) = stack.pop() {
-                for (w, _) in g.succs(u) {
+                for w in g.succ_ids(u) {
                     if !reach[s.0][w.0] {
                         reach[s.0][w.0] = true;
                         stack.push(w);
@@ -174,7 +174,7 @@ proptest! {
         prop_assert_eq!(g.num_edges(), topo.num_edges());
         for t in g.tasks() {
             prop_assert!(g.comp(t) >= 1);
-            for ((s, c), (s0, _)) in g.succs(t).zip(topo.succs(t)) {
+            for ((s, c), s0) in g.succs(t).zip(topo.succ_ids(t)) {
                 prop_assert_eq!(s, s0);
                 prop_assert!(c >= 1);
             }
@@ -201,7 +201,7 @@ proptest! {
         prop_assert_eq!(max_antichain(&r), max_antichain(&g));
         let d = depths(&r);
         for t in g.tasks() {
-            for (s, _) in g.succs(t) {
+            for s in g.succ_ids(t) {
                 prop_assert!(d[s.0] > d[t.0], "original edge {t} -> {s} lost");
             }
         }
@@ -220,7 +220,7 @@ proptest! {
         prop_assert_eq!(c.new_of.len(), g.num_tasks());
         let d = depths(&c.graph);
         for t in g.tasks() {
-            for (s, _) in g.succs(t) {
+            for s in g.succ_ids(t) {
                 let (a, b) = (c.new_of[t.0], c.new_of[s.0]);
                 if a != b {
                     prop_assert!(d[b.0] > d[a.0], "cross-chain edge order lost");
@@ -249,7 +249,7 @@ proptest! {
 /// Successor rows ascend by target and predecessor rows by source.
 fn assert_rows_ascend(g: &TaskGraph, what: &str) -> Result<(), TestCaseError> {
     for t in g.tasks() {
-        let succs: Vec<TaskId> = g.succs(t).map(|(s, _)| s).collect();
+        let succs: Vec<TaskId> = g.succ_ids(t).collect();
         prop_assert!(
             succs.windows(2).all(|w| w[0] < w[1]),
             "{what}: succs of {t}"
@@ -260,6 +260,107 @@ fn assert_rows_ascend(g: &TaskGraph, what: &str) -> Result<(), TestCaseError> {
             "{what}: preds of {t}"
         );
     }
+    Ok(())
+}
+
+/// An edge list as `(source, target, cost)` triples.
+type Edges = Vec<(u32, u32, Cost)>;
+
+/// The graphs every constructor builds from `g`'s edges, each with the
+/// edge list it was given: the builder fed shuffled edges, the
+/// sorted-edge constructor, a wire round trip and the streaming LU
+/// generator. `lu_flat` draws its own weights, so its list is the stored
+/// predecessor copy.
+fn constructed(g: &TaskGraph, seed: u64, m: usize) -> Vec<(&'static str, TaskGraph, Edges)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = g.num_tasks();
+    let mut perm: Vec<TaskId> = (0..n).map(TaskId).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, rng.random_range(0..i + 1));
+    }
+    let g = transform::permute(g, &perm);
+    let mut edges: Vec<(u32, u32, Cost)> = g
+        .tasks()
+        .flat_map(|t| g.succs(t).map(move |(s, c)| (t.0 as u32, s.0 as u32, c)))
+        .collect();
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, rng.random_range(0..i + 1));
+    }
+
+    let mut b = TaskGraphBuilder::named(g.name());
+    for t in g.tasks() {
+        b.add_task(g.comp(t));
+    }
+    for &(s, d, c) in &edges {
+        b.add_edge(TaskId(s as usize), TaskId(d as usize), c)
+            .unwrap();
+    }
+    let built = b.build().unwrap();
+
+    let mut sorted = edges.clone();
+    sorted.sort_unstable_by_key(|&(s, d, _)| (s, d));
+    let comp = g.tasks().map(|t| g.comp(t)).collect();
+    let direct = TaskGraph::from_sorted_edges(g.name(), comp, sorted.len(), sorted).unwrap();
+
+    let mut w = Writer::new();
+    wire::put_graph(&mut w, &g);
+    let bytes = w.into_bytes();
+    let decoded = wire::get_graph(&mut Reader::new(&bytes)).unwrap();
+
+    let model = CostModel {
+        comp: Dist::UniformMean(10),
+        ccr: 1.0,
+    };
+    let lu = lu_flat(m, &model, seed);
+    let lu_edges = lu
+        .tasks()
+        .flat_map(|t| lu.preds(t).map(move |(p, c)| (p.0 as u32, t.0 as u32, c)))
+        .collect();
+    vec![
+        ("builder", built, edges.clone()),
+        ("sorted edges", direct, edges.clone()),
+        ("wire", decoded, edges),
+        ("lu_flat", lu, lu_edges),
+    ]
+}
+
+/// Each edge's weight is stored once, and every accessor reports it:
+/// `succs`, `preds` and `edge_comm` give each input edge its weight,
+/// `succ_ids` is `succs` without the weights, and `total_comm` is the
+/// input's sum.
+fn assert_single_copy(
+    g: &TaskGraph,
+    edges: &[(u32, u32, Cost)],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.num_edges(), edges.len(), "{}", what);
+    for &(s, d, c) in edges {
+        let (s, d) = (TaskId(s as usize), TaskId(d as usize));
+        prop_assert_eq!(
+            g.edge_comm(s, d),
+            Some(c),
+            "{}: edge_comm {} -> {}",
+            what,
+            s,
+            d
+        );
+        prop_assert!(g.succs(s).any(|x| x == (d, c)), "{}: succs of {}", what, s);
+        prop_assert!(g.preds(d).any(|x| x == (s, c)), "{}: preds of {}", what, d);
+    }
+    for t in g.tasks() {
+        prop_assert!(
+            g.succ_ids(t).eq(g.succs(t).map(|(s, _)| s)),
+            "{}: succ_ids of {}",
+            what,
+            t
+        );
+    }
+    prop_assert_eq!(
+        g.total_comm(),
+        edges.iter().map(|e| e.2).sum::<Cost>(),
+        "{}",
+        what
+    );
     Ok(())
 }
 
@@ -274,41 +375,73 @@ proptest! {
         seed in any::<u64>(),
         m in 1usize..30,
     ) {
+        for (what, built, _) in constructed(&g, seed, m) {
+            assert_rows_ascend(&built, what)?;
+        }
+    }
+
+    /// The same constructors, over weighted graphs: each weight is stored
+    /// once, in predecessor order, and read back from either direction.
+    #[test]
+    fn every_constructor_stores_each_weight_once(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        ccr in 0.2f64..5.0,
+        m in 1usize..30,
+    ) {
+        let g = CostModel::paper_default(ccr).apply(&g, seed);
+        for (what, built, edges) in constructed(&g, seed, m) {
+            assert_single_copy(&built, &edges, what)?;
+        }
+    }
+}
+
+/// `bl(t) = comp(t) + max over successors (c + bl(s))`, by memoised
+/// recursion over `succs`.
+fn pull_bottom_level(g: &TaskGraph, t: TaskId, memo: &mut [Option<u64>]) -> u64 {
+    if let Some(bl) = memo[t.0] {
+        return bl;
+    }
+    let tail = g
+        .succs(t)
+        .map(|(s, c)| c + pull_bottom_level(g, s, memo))
+        .max()
+        .unwrap_or(0);
+    let bl = g.comp(t) + tail;
+    memo[t.0] = Some(bl);
+    bl
+}
+
+/// `bottom_levels` pushes over the predecessor rows; the definition pulls
+/// over the successors. They agree on seeded random DAGs, both on ids
+/// that are a topological order and on shuffled ids, whose order Kahn's
+/// pass stores.
+#[test]
+fn bottom_levels_match_the_pull_definition() {
+    let mut shuffled_runs = 0;
+    for seed in 0..300u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let n = g.num_tasks();
-        let mut perm: Vec<TaskId> = (0..n).map(TaskId).collect();
-        for i in (1..n).rev() {
+        let v = rng.random_range(1..60);
+        let density = [0.05, 0.2, 0.5][seed as usize % 3];
+        let ccr = [0.2, 1.0, 5.0][seed as usize / 3 % 3];
+        let g = CostModel::paper_default(ccr).apply(&gen::random_dag(v, density, seed), seed);
+        let mut perm: Vec<TaskId> = (0..v).map(TaskId).collect();
+        for i in (1..v).rev() {
             perm.swap(i, rng.random_range(0..i + 1));
         }
-        let g = transform::permute(&g, &perm);
-        let mut edges: Vec<(u32, u32, Cost)> = g
-            .tasks()
-            .flat_map(|t| g.succs(t).map(move |(s, c)| (t.0 as u32, s.0 as u32, c)))
-            .collect();
-        for i in (1..edges.len()).rev() {
-            edges.swap(i, rng.random_range(0..i + 1));
+        let shuffled = transform::permute(&g, &perm);
+        for h in [&g, &shuffled] {
+            let mut memo = vec![None; v];
+            let pulled: Vec<u64> = h
+                .tasks()
+                .map(|t| pull_bottom_level(h, t, &mut memo))
+                .collect();
+            assert_eq!(bottom_levels(h), pulled, "{} (seed {seed})", h.name());
+            shuffled_runs += usize::from(!h.topological_order().eq(h.tasks()));
         }
-
-        let mut b = TaskGraphBuilder::named(g.name());
-        for t in g.tasks() {
-            b.add_task(g.comp(t));
-        }
-        for &(s, d, c) in &edges {
-            b.add_edge(TaskId(s as usize), TaskId(d as usize), c).unwrap();
-        }
-        assert_rows_ascend(&b.build().unwrap(), "builder")?;
-
-        edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        let comp = g.tasks().map(|t| g.comp(t)).collect();
-        let direct = TaskGraph::from_sorted_edges(g.name(), comp, edges.len(), edges).unwrap();
-        assert_rows_ascend(&direct, "sorted edges")?;
-
-        let mut w = Writer::new();
-        wire::put_graph(&mut w, &g);
-        let bytes = w.into_bytes();
-        assert_rows_ascend(&wire::get_graph(&mut Reader::new(&bytes)).unwrap(), "wire")?;
-
-        let model = CostModel { comp: Dist::UniformMean(10), ccr: 1.0 };
-        assert_rows_ascend(&lu_flat(m, &model, seed), "lu_flat")?;
     }
+    assert!(
+        shuffled_runs > 100,
+        "{shuffled_runs} runs took the stored Kahn order"
+    );
 }

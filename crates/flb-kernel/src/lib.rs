@@ -8,9 +8,10 @@
 //! different substrate:
 //!
 //! * [`KernelRun`] — runs on [`flb_graph::TaskGraph`] itself, whose CSR
-//!   arrays (`u32` offsets and endpoints, weights apart) suit a
-//!   million-task graph. It keeps 24 bytes per task (bottom level,
-//!   readiness countdown, processor, finish time) and the five FLB lists
+//!   arrays (`u32` offsets and endpoints, each weight once beside its
+//!   predecessor entry) suit a million-task graph. It keeps 12 bytes per
+//!   task (bottom level then finish time, readiness countdown then
+//!   processor) and the five FLB lists
 //!   in preallocated flat structures: [`list::FlatHeap`], a binary heap
 //!   with inline keys and branch-free bottom-up sifts, for the processor
 //!   lists; [`list::PlainHeap`], the same heap without a position map,

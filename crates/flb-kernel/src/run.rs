@@ -6,9 +6,14 @@
 //! which the conformance registry and the bit-identity property tests
 //! enforce. What differs is the representation:
 //!
-//! * task and processor ids are `u32`. Four arrays indexed by id hold
-//!   what readiness and the output need: the bottom level, the readiness
-//!   countdown, the processor and the finish time, 24 bytes a task. A
+//! * task and processor ids are `u32`. Two arrays indexed by id hold
+//!   what readiness and the output need, 12 bytes a task, each entry
+//!   serving two lifetimes: a `u64` holds the bottom level until the task
+//!   is placed and its finish time after, and a `u32` holds the count of
+//!   unplaced predecessors until the task is ready, [`NONE`] while it
+//!   waits in a list, and its processor once placed. A bottom level is
+//!   read only when its task becomes ready (it is copied into the task's
+//!   list key) and a finish time or processor only for placed tasks. A
 //!   start time is `finish − comp·slow`, so [`KernelRun::starts`]
 //!   computes the start array on its first call;
 //! * what a task needs only while it sits in an EP list — `EMT(t, EP(t))`,
@@ -93,14 +98,14 @@ pub struct KernelRun<'g> {
     /// Per-processor slowdown factors (all 1 on homogeneous machines).
     slow: Vec<Time>,
     tie_break: TieBreak,
-    /// Static bottom levels (tie-break priority).
-    bl: Vec<Time>,
-    /// Remaining unplaced predecessors per task.
-    missing_preds: Vec<u32>,
-    /// Placement arrays (`proc_of[t] == NONE` = unplaced).
-    proc_of: Vec<u32>,
-    finish: Vec<Time>,
-    /// Start times, computed from `finish` by the first `starts()` call.
+    /// Per task: its static bottom level (the tie-break priority) until
+    /// it is placed, its finish time after.
+    level: Vec<Time>,
+    /// Per task: its count of unplaced predecessors until it is ready,
+    /// `NONE` while it is in a list, its processor once placed.
+    state: Vec<u32>,
+    /// Start times, computed from the finish times by the first
+    /// `starts()` call.
     start: OnceCell<Vec<Time>>,
     /// Processor ready times `PRT(p)`.
     prt: Vec<Time>,
@@ -136,7 +141,7 @@ impl<'g> KernelRun<'g> {
         let v = g.num_tasks();
         let p = slow.len();
         assert!(p > 0, "a machine needs at least one processor");
-        let bl = match tie_break {
+        let level = match tie_break {
             TieBreak::BottomLevel => bottom_levels(g),
             TieBreak::TaskId => vec![0; v],
         };
@@ -144,10 +149,8 @@ impl<'g> KernelRun<'g> {
             g,
             slow: slow.to_vec(),
             tie_break,
-            bl,
-            missing_preds: g.tasks().map(|t| g.in_degree(t) as u32).collect(),
-            proc_of: vec![NONE; v],
-            finish: vec![0; v],
+            level,
+            state: g.tasks().map(|t| g.in_degree(t) as u32).collect(),
             start: OnceCell::new(),
             prt: vec![0; p],
             n_placed: 0,
@@ -161,7 +164,7 @@ impl<'g> KernelRun<'g> {
             stats: RunStats::default(),
         };
         for t in 0..v as u32 {
-            if run.missing_preds[t as usize] == 0 {
+            if run.state[t as usize] == 0 {
                 run.enqueue_ready(t);
             }
         }
@@ -197,10 +200,16 @@ impl<'g> KernelRun<'g> {
         self.n_placed == self.g.num_tasks()
     }
 
-    /// Processor of each task (`NONE` while unplaced).
+    /// Processor of each task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is not complete: until a task is placed, its
+    /// entry holds its readiness countdown.
     #[must_use]
     pub fn procs(&self) -> &[u32] {
-        &self.proc_of
+        assert!(self.is_complete(), "procs() of an incomplete run");
+        &self.state
     }
 
     /// Start time of each task, computed from the finish times on the
@@ -219,14 +228,20 @@ impl<'g> KernelRun<'g> {
     /// Start time of the placed task `t`: its finish time less its
     /// execution time on its processor.
     pub(crate) fn start_of(&self, t: usize) -> Time {
-        let p = self.proc_of[t] as usize;
-        self.finish[t] - self.g.comp(TaskId(t)) * self.slow[p]
+        let p = self.state[t] as usize;
+        self.level[t] - self.g.comp(TaskId(t)) * self.slow[p]
     }
 
-    /// Finish time of each task (valid once placed).
+    /// Finish time of each task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is not complete: until a task is placed, its
+    /// entry holds its bottom level.
     #[must_use]
     pub fn finishes(&self) -> &[Time] {
-        &self.finish
+        assert!(self.is_complete(), "finishes() of an incomplete run");
+        &self.level
     }
 
     /// Parallel completion time of the (complete) run.
@@ -306,8 +321,9 @@ impl<'g> KernelRun<'g> {
         // Place: append on `proc` (FLB never inserts into gaps).
         debug_assert!(start >= self.prt[proc as usize], "append before PRT");
         let finish = start + self.g.comp(TaskId(task as usize)) * self.slow[proc as usize];
-        self.proc_of[task as usize] = proc;
-        self.finish[task as usize] = finish;
+        debug_assert_eq!(self.state[task as usize], NONE, "placed task was ready");
+        self.state[task as usize] = proc;
+        self.level[task as usize] = finish;
         self.prt[proc as usize] = finish;
         self.n_placed += 1;
 
@@ -368,9 +384,9 @@ impl<'g> KernelRun<'g> {
     /// classified EP / non-EP and enqueued.
     fn update_ready_tasks(&mut self, scheduled: u32) {
         let g = self.g;
-        for (s, _) in g.succs(TaskId(scheduled as usize)) {
-            self.missing_preds[s.0] -= 1;
-            if self.missing_preds[s.0] == 0 {
+        for s in g.succ_ids(TaskId(scheduled as usize)) {
+            self.state[s.0] -= 1;
+            if self.state[s.0] == 0 {
                 self.enqueue_ready(s.0 as u32);
             }
         }
@@ -381,15 +397,18 @@ impl<'g> KernelRun<'g> {
     /// computed by two predecessor CSR scans (the reference computes the
     /// same quantities through its `ScheduleBuilder`): the EP is the
     /// processor of the maximum arrival, ties toward the smallest
-    /// processor id then the smallest predecessor id.
+    /// processor id then the smallest predecessor id. The task's bottom
+    /// level is read here, the last time before its placement overwrites
+    /// it, and copied into its list key or slot.
     fn enqueue_ready(&mut self, s: u32) {
         let g = self.g;
-        let bl = self.bl[s as usize];
+        let bl = self.level[s as usize];
+        self.state[s as usize] = NONE;
         // Scan 1: LMT and EP.
         let mut best: Option<(Time, Reverse<u32>, Reverse<TaskId>)> = None;
         for (q, w) in g.preds(TaskId(s as usize)) {
-            let arrival = self.finish[q.0] + w;
-            let cand = (arrival, Reverse(self.proc_of[q.0]), Reverse(q));
+            let arrival = self.level[q.0] + w;
+            let cand = (arrival, Reverse(self.state[q.0]), Reverse(q));
             if best.is_none_or(|b| cand > b) {
                 best = Some(cand);
             }
@@ -409,8 +428,8 @@ impl<'g> KernelRun<'g> {
                 // predecessors already on `ep` are free).
                 let mut emt = 0;
                 for (q, w) in g.preds(TaskId(s as usize)) {
-                    let ft = self.finish[q.0];
-                    let arrives = if self.proc_of[q.0] == ep { ft } else { ft + w };
+                    let ft = self.level[q.0];
+                    let arrives = if self.state[q.0] == ep { ft } else { ft + w };
                     emt = emt.max(arrives);
                 }
                 let slot = self.slots.take(s, emt, lmt, bl);
@@ -489,6 +508,28 @@ mod tests {
                 g.comp(t) * [2, 3][p]
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "procs() of an incomplete run")]
+    fn procs_of_a_half_run_panics() {
+        let g = fig1();
+        let mut run = KernelRun::new(&g, &[1, 1], TieBreak::BottomLevel);
+        for _ in 0..4 {
+            run.step();
+        }
+        let _ = run.procs();
+    }
+
+    #[test]
+    #[should_panic(expected = "finishes() of an incomplete run")]
+    fn finishes_of_a_half_run_panics() {
+        let g = fig1();
+        let mut run = KernelRun::new(&g, &[1, 1], TieBreak::BottomLevel);
+        for _ in 0..4 {
+            run.step();
+        }
+        let _ = run.finishes();
     }
 
     /// Every slot not holding an EMT-heap node is on the free list after

@@ -370,7 +370,7 @@ impl<'a> ScheduleFields<'a> {
 
 /// 16-byte edge records (source u32, target u32, cost u64), each read
 /// as one little-endian `u128`.
-pub(crate) fn edge_records(edges: &[u8]) -> impl Iterator<Item = u128> + '_ {
+pub(crate) fn edge_records(edges: &[u8]) -> impl Iterator<Item = u128> + Clone + '_ {
     edges
         .chunks_exact(16)
         .map_while(|rec| Some(u128::from_le_bytes(rec.try_into().ok()?)))

@@ -217,7 +217,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
                     .max()
                     .unwrap_or(1),
                 graph.tasks().map(|t| graph.comp(t)),
-                graph.tasks().flat_map(|t| graph.succs(t).map(|(_, c)| c)),
+                graph.tasks().flat_map(|t| graph.preds(t).map(|(_, c)| c)),
             )?;
             // The tenant field rides behind the graph; a frame from an
             // older encoder simply ends here and means "anonymous".

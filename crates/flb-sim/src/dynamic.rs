@@ -117,7 +117,7 @@ pub fn dynamic_schedule(g: &TaskGraph, machine: &Machine, policy: DispatchPolicy
         };
         clock = t_done;
         remaining -= 1;
-        for (s, _) in g.succs(task) {
+        for s in g.succ_ids(task) {
             missing[s.0] -= 1;
             if missing[s.0] == 0 {
                 ready.push(s);
@@ -131,7 +131,7 @@ pub fn dynamic_schedule(g: &TaskGraph, machine: &Machine, policy: DispatchPolicy
             }
             let Reverse((_, task2)) = events.pop().expect("peeked");
             remaining -= 1;
-            for (s, _) in g.succs(task2) {
+            for s in g.succ_ids(task2) {
                 missing[s.0] -= 1;
                 if missing[s.0] == 0 {
                     ready.push(s);

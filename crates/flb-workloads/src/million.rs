@@ -97,11 +97,8 @@ mod tests {
         assert_eq!(flat.num_tasks(), reference.num_tasks());
         assert_eq!(flat.num_edges(), reference.num_edges());
         for t in reference.tasks() {
-            let got = flat.succs(t).map(|(s, _)| s);
-            assert!(
-                got.eq(reference.succs(t).map(|(s, _)| s)),
-                "successors of {t} differ"
-            );
+            let got = flat.succ_ids(t);
+            assert!(got.eq(reference.succ_ids(t)), "successors of {t} differ");
         }
     }
 
@@ -110,6 +107,23 @@ mod tests {
         for m in [1usize, 2, 3, 8, 20] {
             let flat = lu_flat(m, &model(1.0), 7);
             assert_same_topology(&flat, &gen::lu(m));
+        }
+    }
+
+    /// The graph builder walks the edge stream twice and stores the
+    /// weights from the second walk, on a clone of the generator: they
+    /// must still be the communication stream's draws in edge-emission
+    /// order, which is `(src, dst)` order.
+    #[test]
+    fn lu_flat_draws_comm_costs_in_edge_order() {
+        let model = model(1.0);
+        let g = lu_flat(25, &model, 3);
+        let comm = model.comm_dist();
+        let mut rng = StdRng::seed_from_u64(comm_seed(3));
+        for t in g.tasks() {
+            for (s, c) in g.succs(t) {
+                assert_eq!(c, comm.sample(&mut rng), "edge {t} -> {s}");
+            }
         }
     }
 
