@@ -45,6 +45,7 @@
 //! so a recovered journal is never appended to in place.
 
 use crate::fingerprint::Fnv64;
+use crate::packed::PackedSchedule;
 use crate::proto::MAX_FRAME;
 use flb_sched::io::wire;
 use flb_sched::Schedule;
@@ -558,10 +559,33 @@ pub fn write_trace(dir: &Path, records: &[JournalRecord], segment_bytes: u64) ->
     Ok(segments + 1)
 }
 
+/// A reply the journal records: the writer takes a record's reply
+/// digest from it.
+pub trait ReplyDigest {
+    /// [`schedule_digest`] of the schedule the reply carried.
+    fn reply_digest(&self) -> u64;
+}
+
+/// The daemon's replies: the digest is computed once per cache entry,
+/// however many records carry it.
+impl ReplyDigest for Arc<PackedSchedule> {
+    fn reply_digest(&self) -> u64 {
+        self.digest()
+    }
+}
+
+/// A plain schedule, digested per record.
+impl ReplyDigest for Arc<Schedule> {
+    fn reply_digest(&self) -> u64 {
+        schedule_digest(self)
+    }
+}
+
 /// One event handed from a connection thread to the writer thread. The
-/// schedule rides as an `Arc` so the digest is computed off the request
-/// path, by the writer.
-pub struct JournalEvent {
+/// reply rides as an `Arc` so the digest is computed off the request
+/// path, by the writer. The daemon sends its cache entries
+/// (`R = Arc<PackedSchedule>`).
+pub struct JournalEvent<R = Arc<Schedule>> {
     /// Microseconds since service start when the request arrived.
     pub ts_us: u64,
     /// Id of the connection that carried it.
@@ -569,22 +593,22 @@ pub struct JournalEvent {
     /// Wire kind code of the response that was sent.
     pub reply_kind: u8,
     /// The schedule the reply carried, if any.
-    pub reply: Option<Arc<Schedule>>,
+    pub reply: Option<R>,
     /// The raw request payload bytes, as read off the wire.
     pub request: Vec<u8>,
 }
 
 /// The connection threads' handle to the journal: a bounded, never-
 /// blocking hand-off to the writer thread.
-pub struct Appender {
-    tx: SyncSender<JournalEvent>,
+pub struct Appender<R = Arc<Schedule>> {
+    tx: SyncSender<JournalEvent<R>>,
     counters: Arc<JournalCounters>,
 }
 
-impl Appender {
+impl<R> Appender<R> {
     /// Offers one event to the writer. When the queue is full (stalled
     /// or slow disk) the event is dropped and counted — never blocks.
-    pub fn append(&self, event: JournalEvent) {
+    pub fn append(&self, event: JournalEvent<R>) {
         if self.tx.try_send(event).is_err() {
             self.counters.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -593,10 +617,10 @@ impl Appender {
 
 /// Creates the bounded hand-off queue between connections and writer.
 #[must_use]
-pub fn channel(
+pub fn channel<R>(
     capacity: usize,
     counters: Arc<JournalCounters>,
-) -> (Appender, Receiver<JournalEvent>) {
+) -> (Appender<R>, Receiver<JournalEvent<R>>) {
     let (tx, rx) = std::sync::mpsc::sync_channel(capacity.max(1));
     (Appender { tx, counters }, rx)
 }
@@ -663,7 +687,7 @@ impl SegmentWriter<'_> {
     /// Encodes one event into the buffer, first writing out the buffer
     /// and rotating when the record would push the segment past the cap
     /// (an empty segment never rotates: an oversized record still lands).
-    fn push(&mut self, ev: JournalEvent) {
+    fn push<R: ReplyDigest>(&mut self, ev: JournalEvent<R>) {
         if self.cfg.stall_ms > 0 {
             // Chaos hook: a disk that takes this long per record makes the
             // bounded queue fill, exercising the real drop path.
@@ -673,7 +697,7 @@ impl SegmentWriter<'_> {
             ts_us: ev.ts_us,
             conn_id: ev.conn_id,
             reply_kind: ev.reply_kind,
-            reply_digest: ev.reply.as_deref().map_or(0, schedule_digest),
+            reply_digest: ev.reply.as_ref().map_or(0, ReplyDigest::reply_digest),
             request: ev.request,
         };
         let len = frame_len(&rec) as u64;
@@ -717,7 +741,7 @@ impl SegmentWriter<'_> {
     /// Returns whether the queue ran empty. The time bound keeps a
     /// writer that cannot catch up (a stalled disk under steady
     /// traffic) writing as it goes.
-    fn drain(&mut self, rx: &Receiver<JournalEvent>) -> bool {
+    fn drain<R: ReplyDigest>(&mut self, rx: &Receiver<JournalEvent<R>>) -> bool {
         let t0 = Instant::now();
         let emptied = loop {
             match rx.try_recv() {
@@ -771,9 +795,9 @@ impl SegmentWriter<'_> {
 /// at the size cap and fsyncs per policy. Returns once `shutdown` reads
 /// true (after draining what is queued) or every `Appender` is gone. A
 /// failing disk costs records (counted as dropped), never progress.
-pub fn writer_loop(
+pub fn writer_loop<R: ReplyDigest>(
     cfg: &WriterConfig,
-    rx: &Receiver<JournalEvent>,
+    rx: &Receiver<JournalEvent<R>>,
     counters: &JournalCounters,
     start_index: u64,
     shutdown: &dyn Fn() -> bool,
@@ -1015,7 +1039,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let counters = Arc::new(JournalCounters::default());
-        let (appender, rx) = channel(4, Arc::clone(&counters));
+        let (appender, rx) = channel::<Arc<Schedule>>(4, Arc::clone(&counters));
         let cfg = WriterConfig {
             dir: dir.clone(),
             sync: SyncPolicy::Always,
@@ -1054,7 +1078,7 @@ mod tests {
         // A stalled writer with a tiny queue must shed, not block: the
         // appends below return immediately and some are counted dropped.
         let counters2 = Arc::new(JournalCounters::default());
-        let (appender2, rx2) = channel(2, Arc::clone(&counters2));
+        let (appender2, rx2) = channel::<Arc<Schedule>>(2, Arc::clone(&counters2));
         let cfg2 = WriterConfig {
             dir: dir.clone(),
             sync: SyncPolicy::None,
@@ -1140,7 +1164,11 @@ mod tests {
     /// Runs a writer over `events` in `dir`: handed over one at a time,
     /// each written before the next is sent, or all queued before the
     /// writer starts, so its first drain takes them all.
-    fn write_with(dir: &Path, events: Vec<JournalEvent>, one_by_one: bool) -> Arc<JournalCounters> {
+    fn write_with<R: ReplyDigest + Send + 'static>(
+        dir: &Path,
+        events: Vec<JournalEvent<R>>,
+        one_by_one: bool,
+    ) -> Arc<JournalCounters> {
         let counters = Arc::new(JournalCounters::default());
         let (appender, rx) = channel(events.len(), Arc::clone(&counters));
         let cfg = WriterConfig {
@@ -1211,6 +1239,39 @@ mod tests {
         assert!(dir_bytes(&drained) == want, "drained segments differ");
         assert_eq!(read_trace(&drained).unwrap(), records);
         for dir in [single, drained, offline] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    /// Events carrying the daemon's packed cache entries, one entry
+    /// shared by many records, write the segments that events carrying
+    /// the schedules write.
+    #[test]
+    fn packed_replies_write_the_same_segments() {
+        let schedule = fig1_schedule();
+        let packed = Arc::new(PackedSchedule::from_schedule(&schedule));
+        let events = (0..24).map(|i| event_and_record(i, &schedule).0);
+        let packed_events: Vec<JournalEvent<Arc<PackedSchedule>>> = events
+            .clone()
+            .map(|ev| JournalEvent {
+                reply: ev.reply.map(|_| Arc::clone(&packed)),
+                ts_us: ev.ts_us,
+                conn_id: ev.conn_id,
+                reply_kind: ev.reply_kind,
+                request: ev.request,
+            })
+            .collect();
+        let (plain, packed_dir) = (scratch_dir("plain"), scratch_dir("packed"));
+        write_with(&plain, events.collect(), false);
+        write_with(&packed_dir, packed_events, false);
+        let want = dir_bytes(&plain);
+        assert!(want.len() > 2, "expected rotations, got {}", want.len());
+        assert!(
+            dir_bytes(&packed_dir) == want,
+            "packed replies wrote other segments"
+        );
+        assert_eq!(packed.digest(), schedule_digest(&schedule));
+        for dir in [plain, packed_dir] {
             let _ = std::fs::remove_dir_all(dir);
         }
     }

@@ -8,7 +8,8 @@
 //! TCP or Unix-domain socket, dispatches them to a fixed worker pool behind
 //! a bounded queue (full queue ⇒ a `busy` backpressure response, never a
 //! hang), and answers repeated workloads from a sharded LRU cache
-//! ([`cache`]) keyed by a canonical graph fingerprint ([`fingerprint`]).
+//! ([`cache`]) of packed schedules ([`packed`]) keyed by a canonical
+//! graph fingerprint ([`fingerprint`]).
 //! Live counters ([`metrics`]) — request totals, hit rate, p50/p99 latency,
 //! queue depth, per-algorithm counts — are served by a `stats` request.
 //!
@@ -49,6 +50,7 @@ pub mod fingerprint;
 pub mod journal;
 pub mod metrics;
 pub mod overload;
+pub mod packed;
 pub mod proto;
 pub mod replay;
 pub mod server;
@@ -64,6 +66,7 @@ pub use overload::{
     Breaker, Decision, OverloadConfig, OverloadCtl, OverloadState, ShedPolicy, TenantId,
     TokenBucket,
 };
+pub use packed::PackedSchedule;
 pub use proto::{Request, Response};
 pub use replay::{replay_trace, ReplayConfig, ReplayReport};
 pub use server::{serve, Endpoint, ServiceConfig, ServiceHandle, HARD_PANIC_MARKER, PANIC_MARKER};

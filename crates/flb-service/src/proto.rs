@@ -24,6 +24,7 @@
 use crate::fingerprint::{edge_records, ScheduleFields};
 use crate::metrics::{StatsSnapshot, TenantStat};
 use crate::overload::{OverloadState, MAX_TENANT_NAME};
+use crate::packed::PackedSchedule;
 use flb_core::{AlgorithmId, ScheduleRequest};
 use flb_graph::TaskGraph;
 use flb_sched::io::wire::{self, Reader, WireError, Writer};
@@ -444,12 +445,15 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Appends a schedule reply's payload.
-fn put_schedule_reply(w: &mut Writer, cached: bool, micros: u64, schedule: &Schedule) {
+/// Bytes of a schedule reply's payload before the schedule: the kind,
+/// `cached` and `micros`.
+const SCHEDULE_REPLY_HEAD: usize = 10;
+
+/// Appends a schedule reply's payload up to the schedule.
+fn put_schedule_head(w: &mut Writer, cached: bool, micros: u64) {
     w.put_u8(RESP_SCHEDULE);
     w.put_u8(u8::from(cached));
     w.put_u64(micros);
-    wire::put_schedule(w, schedule);
 }
 
 fn put_response(w: &mut Writer, resp: &Response) {
@@ -458,7 +462,10 @@ fn put_response(w: &mut Writer, resp: &Response) {
             cached,
             micros,
             schedule,
-        } => put_schedule_reply(w, *cached, *micros, schedule),
+        } => {
+            put_schedule_head(w, *cached, *micros);
+            wire::put_schedule(w, schedule);
+        }
         Response::Busy { retry_after_ms } => {
             w.put_u8(RESP_BUSY);
             w.put_u64(*retry_after_ms);
@@ -594,18 +601,21 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     // Grow with the bytes actually received instead of trusting the
     // header: a hostile 8-byte header claiming MAX_FRAME then costs its
     // sender the bytes, not this process 64 MiB up front. Each read goes
-    // straight into the payload, at most READ_STEP past what arrived.
+    // straight into the payload, at most READ_STEP past what arrived;
+    // the buffer grows only once the bytes before fill it, so each byte
+    // is zeroed once however many reads the frame takes.
     let len = len as usize;
     let mut payload = Vec::new();
-    while payload.len() < len {
-        let filled = payload.len();
-        payload.resize(filled + (len - filled).min(READ_STEP), 0);
-        // flb-analyze: allow(no-panic-in-request-path, reason="the resize on the previous line makes payload.len() > filled")
-        let n = r.read(&mut payload[filled..])?;
+    let mut filled = 0;
+    while filled < len {
+        if filled == payload.len() {
+            payload.resize(filled + (len - filled).min(READ_STEP), 0);
+        }
+        let n = r.read(payload.get_mut(filled..).unwrap_or_default())?;
         if n == 0 {
             return Err(invalid("EOF inside frame payload"));
         }
-        payload.truncate(filled + n);
+        filled += n;
     }
     Ok(Some(payload))
 }
@@ -631,19 +641,23 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
     send_frame(w, &build_frame(0, |f| put_response(f, resp))?)
 }
 
-/// Writes a schedule reply from a borrowed schedule: the same bytes as
+/// Writes a schedule reply from a cached entry: the same bytes as
 /// [`write_response`] of `Response::Schedule { cached, micros, schedule }`
-/// without cloning the schedule into a [`Response`].
+/// for the schedule the entry was packed from, unpacked straight into
+/// the frame buffer and sent with a single write.
 pub fn write_schedule_reply(
     w: &mut impl Write,
     cached: bool,
     micros: u64,
-    schedule: &Schedule,
+    schedule: &PackedSchedule,
 ) -> io::Result<()> {
-    let size = 10 + wire::schedule_len(schedule);
+    let size = SCHEDULE_REPLY_HEAD + schedule.wire_len();
     send_frame(
         w,
-        &build_frame(size, |f| put_schedule_reply(f, cached, micros, schedule))?,
+        &build_frame(size, |f| {
+            put_schedule_head(f, cached, micros);
+            schedule.put_wire(f);
+        })?,
     )
 }
 
@@ -883,6 +897,54 @@ mod tests {
             Some(Request::Stats)
         ));
         assert!(read_request(&mut r).unwrap().is_none()); // clean EOF
+    }
+
+    /// Hands out 1, 2, ..., `max` bytes per call, cycling, and records
+    /// the largest buffer it was offered.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        next: usize,
+        max: usize,
+        widest: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.next = self.next % self.max + 1;
+            let n = self.next.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Frames split over reads of every size up to 40 KB and past
+    /// `READ_STEP` come out whole, and no read is offered more than
+    /// `READ_STEP` bytes of payload buffer.
+    #[test]
+    fn chunked_reads_yield_the_same_payloads() {
+        let payloads: Vec<Vec<u8>> = [0usize, 1, 7, 4096, 40 * 1024, READ_STEP + 3, 3 * READ_STEP]
+            .iter()
+            .map(|&n| (0..n).map(|i| (i * 31 + n) as u8).collect())
+            .collect();
+        let mut wire = Vec::new();
+        for p in &payloads {
+            write_frame(&mut wire, p).unwrap();
+        }
+        for max in [1, 2, 3, 1000, 40 * 1024, 2 * READ_STEP] {
+            let mut r = Chunked {
+                data: &wire,
+                next: 0,
+                max,
+                widest: 0,
+            };
+            for p in &payloads {
+                assert_eq!(read_frame(&mut r).unwrap().as_ref(), Some(p), "max {max}");
+            }
+            assert!(read_frame(&mut r).unwrap().is_none());
+            assert!(r.widest <= READ_STEP, "max {max}: offered {}", r.widest);
+        }
     }
 
     #[test]

@@ -59,6 +59,7 @@ use crate::fingerprint::ScheduleFields;
 use crate::journal::{self, SyncPolicy};
 use crate::metrics::{Gauges, Metrics};
 use crate::overload::{Decision, OverloadConfig, OverloadCtl, Popped, ShedPolicy, TenantId};
+use crate::packed::PackedSchedule;
 use crate::proto::{
     decode_request, read_frame, split_request, write_response, write_schedule_reply, Request,
     Response, RESP_SCHEDULE,
@@ -66,7 +67,6 @@ use crate::proto::{
 use crate::snapshot::{self, SnapshotError};
 use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
 use flb_sched::io::wire::WireError;
-use flb_sched::Schedule;
 use parking_lot::{Condvar, Mutex};
 use std::io::{self, Read as _};
 use std::net::{TcpListener, TcpStream};
@@ -314,9 +314,12 @@ const READ_AHEAD: usize = 8 * 1024;
 ///
 /// A socket timeout is set only when its value changes: outside the last
 /// per-call window of a frame's budget, a connection's reads and writes
-/// run under the same values from one request to the next. Reads go
-/// through a [`READ_AHEAD`] buffer, so bytes of the next frame that arrive
-/// with this one are kept for it.
+/// run under the same values from one request to the next. That holds
+/// between frames too: a connection waiting for a frame's first byte
+/// reads under the in-frame per-call timeout whenever the idle timeout
+/// is none or longer, and retries on its expiry until the idle budget,
+/// if any, is spent. Reads go through a [`READ_AHEAD`] buffer, so bytes
+/// of the next frame that arrive with this one are kept for it.
 struct DeadlineConn {
     inner: Stream,
     read_timeout: Option<Duration>,
@@ -335,6 +338,9 @@ struct DeadlineConn {
     ahead: Box<[u8; READ_AHEAD]>,
     pos: usize,
     filled: usize,
+    /// `set_read_timeout` calls so far.
+    #[cfg(test)]
+    read_arms: usize,
 }
 
 impl DeadlineConn {
@@ -352,6 +358,8 @@ impl DeadlineConn {
             ahead: Box::new([0; READ_AHEAD]),
             pos: 0,
             filled: 0,
+            #[cfg(test)]
+            read_arms: 0,
         }
     }
 
@@ -386,39 +394,72 @@ impl DeadlineConn {
         Ok(Some(per_call.map_or(remaining, |p| p.min(remaining))))
     }
 
-    /// Sets the socket's read timeout for the next `read(2)`: only the
-    /// idle timeout while waiting for a frame to start, otherwise the
-    /// frame's remaining per-call budget.
-    fn arm_read(&mut self) -> io::Result<()> {
+    /// The read timeout while waiting `waited` for a frame's first byte:
+    /// the per-call timeout a frame starts under, unless what is left of
+    /// the idle budget is shorter.
+    fn wait_timeout(&self, waited: Duration) -> Option<Duration> {
+        let window = [self.read_timeout, self.frame_deadline]
+            .into_iter()
+            .flatten()
+            .min();
+        // A well-behaved client may sit here forever.
+        let Some(idle) = self.idle_timeout else {
+            return window;
+        };
+        let left = idle.saturating_sub(waited);
+        Some(window.filter(|&w| w <= left).unwrap_or(left))
+    }
+
+    /// Sets the socket's read timeout for the next `read(2)`: while
+    /// waiting for a frame to start, [`wait_timeout`](Self::wait_timeout),
+    /// otherwise the frame's remaining per-call budget.
+    fn arm_read(&mut self, waited: Duration) -> io::Result<()> {
         let t = match self.read_start {
-            // A well-behaved client may sit here forever.
-            None => self.idle_timeout,
+            None => self.wait_timeout(waited),
             Some(t0) => self.call_budget(t0, self.read_timeout, "read frame")?,
         };
         if t != self.armed_read {
             self.inner.set_read_timeout(t)?;
             self.armed_read = t;
+            #[cfg(test)]
+            {
+                self.read_arms += 1;
+            }
         }
         Ok(())
     }
 
     /// One `read(2)`, into `buf` or, when `buf` is None, into the
     /// emptied read-ahead buffer; the frame clock starts at its first
-    /// byte.
-    fn read_socket(&mut self, buf: Option<&mut [u8]>) -> io::Result<usize> {
-        self.arm_read()?;
-        let n = match buf {
-            Some(buf) => self.inner.read(buf)?,
-            None => {
-                let n = self.inner.read(self.ahead.as_mut_slice())?;
-                (self.pos, self.filled) = (0, n);
-                n
+    /// byte. While no byte of the frame has arrived, a timeout is retried
+    /// until the idle budget, if any, is spent.
+    fn read_socket(&mut self, mut buf: Option<&mut [u8]>) -> io::Result<usize> {
+        let since = Instant::now();
+        let mut waited = Duration::ZERO;
+        loop {
+            self.arm_read(waited)?;
+            let got = match buf.as_deref_mut() {
+                Some(buf) => self.inner.read(buf),
+                None => self.inner.read(self.ahead.as_mut_slice()).inspect(|&n| {
+                    (self.pos, self.filled) = (0, n);
+                }),
+            };
+            match got {
+                Err(e) if self.read_start.is_none() && is_timeout(&e) => {
+                    waited = since.elapsed();
+                    if self.idle_timeout.is_some_and(|idle| waited >= idle) {
+                        return Err(e);
+                    }
+                }
+                Err(e) => return Err(e),
+                Ok(n) => {
+                    if n > 0 && self.read_start.is_none() {
+                        self.read_start = Some(Instant::now());
+                    }
+                    return Ok(n);
+                }
             }
-        };
-        if n > 0 && self.read_start.is_none() {
-            self.read_start = Some(Instant::now());
         }
-        Ok(n)
     }
 }
 
@@ -460,7 +501,7 @@ impl io::Write for DeadlineConn {
 /// connection thread) or inline on the connection thread itself.
 enum WorkerReply {
     Done {
-        schedule: Arc<Schedule>,
+        schedule: Arc<PackedSchedule>,
         micros: u64,
     },
     Expired,
@@ -510,7 +551,7 @@ struct Shared {
     /// The resolved endpoint (actual port for TCP binds of port 0); used
     /// to nudge the blocking accept loop awake on shutdown.
     endpoint: Endpoint,
-    cache: ShardedLru<Arc<Schedule>>,
+    cache: ShardedLru<Arc<PackedSchedule>>,
     metrics: Metrics,
     /// Admission control + tenant-fair queue (replaces the old FIFO),
     /// with the count of running schedules.
@@ -529,7 +570,7 @@ struct Shared {
     /// Join handles of every worker ever spawned (original + respawned).
     worker_handles: Mutex<Vec<JoinHandle<()>>>,
     /// Bounded hand-off to the journal writer thread (`--record`).
-    journal: Option<journal::Appender>,
+    journal: Option<journal::Appender<Arc<PackedSchedule>>>,
 }
 
 impl Shared {
@@ -663,7 +704,7 @@ fn run_job(shared: &Shared, tenant: &TenantId, job: &Job) -> WorkerReply {
     }));
     match outcome {
         Ok(schedule) => {
-            let schedule = Arc::new(schedule);
+            let schedule = Arc::new(PackedSchedule::from_schedule(&schedule));
             shared.cache.insert(job.fingerprint, Arc::clone(&schedule));
             let micros = job.accepted_at.elapsed().as_micros() as u64;
             shared.metrics.latency.record(micros);
@@ -743,11 +784,12 @@ fn snapshot_loop(shared: &Arc<Shared>) {
 /// A connection's answer to one request.
 enum Reply {
     /// A schedule, still shared with the cache and the journal: it is
-    /// encoded straight from the `Arc`, never cloned.
+    /// unpacked straight from the cache entry into the frame, never
+    /// cloned.
     Schedule {
         cached: bool,
         micros: u64,
-        schedule: Arc<Schedule>,
+        schedule: Arc<PackedSchedule>,
     },
     /// Any other response.
     Other(Response),
@@ -763,7 +805,7 @@ impl Reply {
     }
 
     /// The schedule the journal digests, if any.
-    fn schedule(&self) -> Option<Arc<Schedule>> {
+    fn schedule(&self) -> Option<Arc<PackedSchedule>> {
         match self {
             Reply::Schedule { schedule, .. } => Some(Arc::clone(schedule)),
             Reply::Other(_) => None,
@@ -790,7 +832,7 @@ fn count_schedule_request(shared: &Shared, alg: AlgorithmId) {
 }
 
 /// Answers a cache hit on a request whose service started at `t0`.
-fn cache_hit(shared: &Shared, schedule: Arc<Schedule>, t0: Instant) -> Reply {
+fn cache_hit(shared: &Shared, schedule: Arc<PackedSchedule>, t0: Instant) -> Reply {
     Metrics::bump(&shared.metrics.cache_hits);
     let micros = t0.elapsed().as_micros() as u64;
     shared.metrics.latency.record(micros);
@@ -1417,6 +1459,68 @@ mod tests {
         assert!(!is_timeout(&io::Error::from(io::ErrorKind::BrokenPipe)));
         assert_eq!(ms(0), None);
         assert_eq!(ms(250), Some(Duration::from_millis(250)));
+    }
+
+    /// Under the default timeouts a connection's socket keeps one read
+    /// timeout from frame to frame: ten 40 KB frames, each larger than
+    /// the read-ahead buffer, cost at most one `set_read_timeout`.
+    #[test]
+    fn large_frames_keep_one_read_timeout() {
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let mut conn = DeadlineConn::new(Stream::Unix(a), &ServiceConfig::default());
+        let payload: Vec<u8> = (0..40 * 1024).map(|i| (i % 251) as u8).collect();
+        let writer = {
+            let payload = payload.clone();
+            thread::spawn(move || {
+                for _ in 0..10 {
+                    crate::proto::write_frame(&mut b, &payload).unwrap();
+                }
+            })
+        };
+        for _ in 0..10 {
+            conn.begin_read();
+            assert_eq!(read_frame(&mut conn).unwrap(), Some(payload.clone()));
+        }
+        writer.join().unwrap();
+        assert!(conn.read_arms <= 1, "{} read timeouts set", conn.read_arms);
+    }
+
+    /// Waiting for a frame under a per-call timeout shorter than the
+    /// wait: with no idle timeout the connection is kept and the late
+    /// frame read; with one, the wait ends once the idle budget is spent.
+    #[test]
+    fn idle_waits_outlast_the_per_call_timeout() {
+        let cfg = ServiceConfig {
+            read_timeout_ms: 20,
+            ..ServiceConfig::default()
+        };
+        let (a, mut b) = UnixStream::pair().unwrap();
+        let mut conn = DeadlineConn::new(Stream::Unix(a), &cfg);
+        let writer = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(120));
+            crate::proto::write_frame(&mut b, b"late").unwrap();
+        });
+        conn.begin_read();
+        assert_eq!(read_frame(&mut conn).unwrap(), Some(b"late".to_vec()));
+        writer.join().unwrap();
+
+        let (a, _b) = UnixStream::pair().unwrap();
+        let mut conn = DeadlineConn::new(
+            Stream::Unix(a),
+            &ServiceConfig {
+                idle_timeout_ms: 90,
+                ..cfg
+            },
+        );
+        let t0 = Instant::now();
+        conn.begin_read();
+        let err = read_frame(&mut conn).unwrap_err();
+        assert!(is_timeout(&err), "{err}");
+        assert!(
+            t0.elapsed() >= Duration::from_millis(90),
+            "{:?}",
+            t0.elapsed()
+        );
     }
 
     /// More concurrent slow misses than workers: runs on the pool and on

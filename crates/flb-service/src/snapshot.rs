@@ -18,9 +18,9 @@
 //! so the server can quarantine the file instead of dying on it.
 
 use crate::fingerprint::Fnv64;
+use crate::packed::PackedSchedule;
 use crate::proto::MAX_FRAME;
 use flb_sched::io::wire;
-use flb_sched::Schedule;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -60,27 +60,30 @@ fn corrupt(msg: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(msg.into())
 }
 
-/// Serialises cache entries into the snapshot byte format.
+/// Serialises cache entries into the snapshot byte format: each entry's
+/// schedule as its wire bytes, unpacked from the cache entry.
 #[must_use]
-pub fn encode(entries: &[(u64, Arc<Schedule>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+pub fn encode(entries: &[(u64, Arc<PackedSchedule>)]) -> Vec<u8> {
+    let body: usize = entries.iter().map(|(_, s)| 12 + s.wire_len()).sum();
+    let mut w = wire::Writer::with_capacity(12 + body + 8);
+    w.put_u32(SNAPSHOT_MAGIC);
+    w.put_u32(SNAPSHOT_VERSION);
+    w.put_u32(entries.len() as u32);
     for (fp, schedule) in entries {
-        let bytes = wire::encode_schedule(schedule);
-        out.extend_from_slice(&fp.to_le_bytes());
-        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        w.put_u64(*fp);
+        w.put_u32(schedule.wire_len() as u32);
+        schedule.put_wire(&mut w);
     }
+    let mut out = w.into_bytes();
     let mut h = Fnv64::new();
     h.write(&out);
     out.extend_from_slice(&h.finish().to_le_bytes());
     out
 }
 
-/// Parses and validates snapshot bytes.
-pub fn decode(bytes: &[u8]) -> Result<Vec<(u64, Schedule)>, SnapshotError> {
+/// Parses and validates snapshot bytes, packing each schedule as it is
+/// decoded.
+pub fn decode(bytes: &[u8]) -> Result<Vec<(u64, PackedSchedule)>, SnapshotError> {
     let Some((body, stored)) = bytes.split_last_chunk::<8>() else {
         return Err(corrupt(format!("{} bytes is too short", bytes.len())));
     };
@@ -121,7 +124,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(u64, Schedule)>, SnapshotError> {
         let raw = r.bytes(len).map_err(truncated)?;
         let schedule = wire::decode_schedule(raw)
             .map_err(|e| corrupt(format!("entry {i} does not decode: {e}")))?;
-        entries.push((fp, schedule));
+        entries.push((fp, PackedSchedule::from_schedule(&schedule)));
     }
     if r.remaining() != 0 {
         return Err(corrupt(format!(
@@ -134,7 +137,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(u64, Schedule)>, SnapshotError> {
 
 /// Writes a snapshot via write-to-temp + atomic rename, so readers (and a
 /// crash mid-write) only ever observe complete snapshots.
-pub fn save_atomic(path: &Path, entries: &[(u64, Arc<Schedule>)]) -> io::Result<()> {
+pub fn save_atomic(path: &Path, entries: &[(u64, Arc<PackedSchedule>)]) -> io::Result<()> {
     let bytes = encode(entries);
     let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
     let result = (|| {
@@ -150,7 +153,7 @@ pub fn save_atomic(path: &Path, entries: &[(u64, Arc<Schedule>)]) -> io::Result<
 }
 
 /// Reads and validates a snapshot file.
-pub fn load(path: &Path) -> Result<Vec<(u64, Schedule)>, SnapshotError> {
+pub fn load(path: &Path) -> Result<Vec<(u64, PackedSchedule)>, SnapshotError> {
     let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
     decode(&bytes)
 }
@@ -248,17 +251,53 @@ mod tests {
     use super::*;
     use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
     use flb_graph::paper::fig1;
-    use flb_sched::Machine;
+    use flb_sched::{Machine, Schedule};
 
-    fn sample_entries() -> Vec<(u64, Arc<Schedule>)> {
+    fn sample_schedules() -> Vec<(u64, Schedule)> {
         [(AlgorithmId::Flb, 2usize), (AlgorithmId::Mcp, 3)]
             .into_iter()
             .enumerate()
             .map(|(i, (alg, procs))| {
                 let s = schedule_request(&ScheduleRequest::new(alg, fig1(), Machine::new(procs)));
-                (0x1000 + i as u64, Arc::new(s))
+                (0x1000 + i as u64, s)
             })
             .collect()
+    }
+
+    fn sample_entries() -> Vec<(u64, Arc<PackedSchedule>)> {
+        sample_schedules()
+            .iter()
+            .map(|(fp, s)| (*fp, Arc::new(PackedSchedule::from_schedule(s))))
+            .collect()
+    }
+
+    /// Packed entries encode to the v3 layout built field by field from
+    /// the schedules they were packed from.
+    #[test]
+    fn encode_is_the_v3_layout_of_the_source_schedules() {
+        let schedules = sample_schedules();
+        let mut want = Vec::new();
+        want.extend_from_slice(&SNAPSHOT_MAGIC.to_le_bytes());
+        want.extend_from_slice(&3u32.to_le_bytes());
+        want.extend_from_slice(&(schedules.len() as u32).to_le_bytes());
+        for (fp, s) in &schedules {
+            let bytes = wire::encode_schedule(s);
+            want.extend_from_slice(&fp.to_le_bytes());
+            want.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            want.extend_from_slice(&bytes);
+        }
+        let mut h = Fnv64::new();
+        h.write(&want);
+        want.extend_from_slice(&h.finish().to_le_bytes());
+        let got = encode(&sample_entries());
+        assert_eq!(got, want);
+        // Decoding packs the same entries, which encode to the same file.
+        let back: Vec<_> = decode(&got)
+            .unwrap()
+            .into_iter()
+            .map(|(fp, s)| (fp, Arc::new(s)))
+            .collect();
+        assert_eq!(encode(&back), want);
     }
 
     #[test]

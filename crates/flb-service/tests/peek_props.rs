@@ -9,8 +9,9 @@
 //! * (b) a mutated payload (bit flip, truncation, extension) that the
 //!   peek maps onto a cached key always decodes, and schedules to the
 //!   cached schedule: a hit never answers what decoding would reject;
-//! * (c) the hit path's reply frame is byte-identical to
-//!   `write_response` of the equivalent `Response::Schedule`.
+//! * (c) the hit path's reply frame, unpacked from the cache entry, is
+//!   byte-identical to `write_response` of the equivalent
+//!   `Response::Schedule`.
 
 mod common;
 
@@ -19,7 +20,7 @@ use flb_core::{schedule_request, AlgorithmId, ScheduleRequest};
 use flb_sched::Schedule;
 use flb_service::fingerprint::{peek_request_key, request_fingerprint};
 use flb_service::proto::{decode_request, write_response, write_schedule_reply, Request, Response};
-use flb_service::ShardedLru;
+use flb_service::{PackedSchedule, ShardedLru};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -98,7 +99,8 @@ proptest! {
     fn the_hit_reply_frame_matches_write_response(seed in any::<u64>(), micros in any::<u64>()) {
         let (req, _) = random_request(seed);
         let schedule = schedule_request(&req);
-        let direct = frame(|w| write_schedule_reply(w, true, micros, &schedule));
+        let packed = PackedSchedule::from_schedule(&schedule);
+        let direct = frame(|w| write_schedule_reply(w, true, micros, &packed));
         let via_response = frame(|w| {
             write_response(w, &Response::Schedule { cached: true, micros, schedule: schedule.clone() })
         });

@@ -9,7 +9,8 @@ use flb_graph::gen;
 use flb_sched::Machine;
 use flb_service::fingerprint::Fnv64;
 use flb_service::{
-    request_fingerprint, serve, snapshot, Client, Endpoint, ServiceConfig, Submission,
+    request_fingerprint, serve, snapshot, Client, Endpoint, PackedSchedule, ServiceConfig,
+    Submission,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -159,7 +160,7 @@ fn version_1_snapshot_is_quarantined_and_the_cache_refills() {
                     ScheduleRequest::new(AlgorithmId::Flb, gen::chain(i + 2), Machine::new(2));
                 (
                     request_fingerprint(request.algorithm, &request.graph, &request.machine),
-                    Arc::new(schedule_request(&request)),
+                    Arc::new(PackedSchedule::from_schedule(&schedule_request(&request))),
                 )
             })
             .collect();
