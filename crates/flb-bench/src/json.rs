@@ -1,8 +1,7 @@
 //! A minimal JSON reader for the CLI's `--format json` schema tests.
 //!
-//! The workspace deliberately carries no JSON dependency, and the vendored
-//! `serde` stub has no serializer, so `flb-cli`'s tests parse what the CLI
-//! prints with this module instead. It implements just enough of RFC 8259
+//! The workspace deliberately carries no JSON dependency, so `flb-cli`'s
+//! tests parse what the CLI prints with this module instead. It implements just enough of RFC 8259
 //! for that: objects, arrays, strings with the standard escapes, `f64`
 //! numbers and the three literals, by plain recursive descent over bytes.
 

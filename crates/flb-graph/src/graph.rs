@@ -1,5 +1,6 @@
 //! The weighted task-DAG type and its builder.
 
+use crate::packed::{self, Column};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -151,8 +152,12 @@ impl TaskGraphBuilder {
 /// Tasks are identified by dense [`TaskId`]s. Adjacency is stored in
 /// compressed sparse row form in both directions, as `u32` offsets and
 /// `u32` endpoints. Each communication cost is stored once, beside its
-/// predecessor entry: 16 bytes per task and 16 per edge, plus 4 bytes
-/// per task for a topological order unless the ids already are one.
+/// predecessor entry. The computation and the communication costs are
+/// two [`packed`] columns, each value in the fewest bytes that hold the
+/// column's largest: 8 bytes per task and 8 per edge, plus one cost
+/// width per task and one per edge (1 byte each for costs below 256),
+/// plus 4 bytes per task for a topological order unless the ids already
+/// are one. [`heap_bytes`](Self::heap_bytes) counts them.
 /// Successor rows ascend by target and predecessor rows by source,
 /// whatever constructor built the graph, so [`succs`](Self::succs) finds
 /// each cost by a binary search of the target's predecessor row, in
@@ -161,14 +166,14 @@ impl TaskGraphBuilder {
 #[derive(Clone, Debug)]
 pub struct TaskGraph {
     name: String,
-    comp: Vec<Cost>,
+    comp: Column,
     succ_off: Vec<u32>,
     succ_dst: Vec<u32>,
     pred_off: Vec<u32>,
     pred_src: Vec<u32>,
-    /// `pred_w[i]` is the cost of the edge `pred_src[i] -> t` for the `t`
-    /// whose predecessor row holds `i`.
-    pred_w: Vec<Cost>,
+    /// `pred_w.get(i)` is the cost of the edge `pred_src[i] -> t` for
+    /// the `t` whose predecessor row holds `i`.
+    pred_w: Column,
     /// Kahn order, or empty when `0..V` is that order (every edge points
     /// from a smaller to a larger id).
     topo: Vec<u32>,
@@ -177,9 +182,11 @@ pub struct TaskGraph {
 impl TaskGraph {
     /// The one CSR constructor, over `edges` in strictly ascending
     /// `(src, dst)` order, which it walks twice. The first pass checks the
-    /// edges and fills the successor rows and the in-degrees; the second
-    /// fills the predecessor rows and their costs through one cursor per
-    /// task, so the costs are never held in successor order. A clone of
+    /// edges and fills the successor rows, the in-degrees and the largest
+    /// cost, which sets the cost column's width; the second fills the
+    /// predecessor rows and their costs through one cursor per task, so
+    /// the costs are never held in successor order. `comp` is packed into
+    /// its own column and freed before either pass. A clone of
     /// `edges` must yield the same edges as `edges`. `num_edges` sizes
     /// the arrays and should be the number of edges `edges` yields.
     ///
@@ -205,6 +212,8 @@ impl TaskGraph {
     {
         let v = comp.len();
         assert!(v < u32::MAX as usize, "graph too large for u32 ids");
+        let costs = Column::from_values(&comp);
+        drop(comp);
         let edges = edges.into_iter();
         let mut succ_off = Vec::with_capacity(v + 1);
         let mut succ_dst = Vec::with_capacity(num_edges);
@@ -212,7 +221,8 @@ impl TaskGraph {
         let mut pred_off = vec![0u32; v + 1];
         let mut duplicate = None;
         let mut prev = None;
-        for (src, dst, _) in edges.clone() {
+        let mut max_w = 0;
+        for (src, dst, w) in edges.clone() {
             for id in [src, dst] {
                 if id as usize >= v {
                     return Err(GraphError::UnknownTask(TaskId(id as usize)));
@@ -238,6 +248,7 @@ impl TaskGraph {
             }
             succ_dst.push(dst);
             pred_off[dst as usize + 1] += 1;
+            max_w = max_w.max(w);
         }
         if v == 0 {
             return Err(GraphError::Empty);
@@ -256,14 +267,15 @@ impl TaskGraph {
         }
         // The first pass checked every edge, so the second only places
         // them; sources arrive in ascending order, so each predecessor
-        // row ascends by source.
+        // row ascends by source. The costs land out of order, which
+        // `Column::set` allows.
         let mut pred_src = vec![0u32; e];
-        let mut pred_w = vec![0; e];
+        let mut pred_w = Column::zeroed(e, packed::width(max_w));
         let mut cursor = pred_off[..v].to_vec();
         for (s, d, w) in edges {
             let at = cursor[d as usize] as usize;
             pred_src[at] = s;
-            pred_w[at] = w;
+            pred_w.set(at, w);
             cursor[d as usize] += 1;
         }
         // Freed before the topological order is allocated: at a million
@@ -271,7 +283,7 @@ impl TaskGraph {
         drop(cursor);
         let mut graph = TaskGraph {
             name: name.into(),
-            comp,
+            comp: costs,
             succ_off,
             succ_dst,
             pred_off,
@@ -310,7 +322,7 @@ impl TaskGraph {
     #[inline]
     #[must_use]
     pub fn comp(&self, t: TaskId) -> Cost {
-        self.comp[t.0]
+        self.comp.get(t.0)
     }
 
     fn succ_row(&self, t: TaskId) -> std::ops::Range<usize> {
@@ -360,8 +372,8 @@ impl TaskGraph {
         let r = self.pred_row(t);
         self.pred_src[r.clone()]
             .iter()
-            .zip(&self.pred_w[r])
-            .map(|(&id, &c)| (TaskId(id as usize), c))
+            .zip(self.pred_w.range(r))
+            .map(|(&id, c)| (TaskId(id as usize), c))
     }
 
     /// The cost of `src -> dst`, searched in `dst`'s predecessor row.
@@ -372,7 +384,7 @@ impl TaskGraph {
         self.pred_src[r.clone()]
             .binary_search(&i)
             .ok()
-            .map(|k| self.pred_w[r.start + k])
+            .map(|k| self.pred_w.get(r.start + k))
     }
 
     /// Number of incoming edges of `t`.
@@ -426,6 +438,22 @@ impl TaskGraph {
     #[must_use]
     pub fn total_comm(&self) -> Cost {
         self.pred_w.iter().sum()
+    }
+
+    /// Bytes the graph's arrays hold on the heap: the two cost columns,
+    /// the id and offset arrays and the stored topological order.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        let ids = [
+            &self.succ_off,
+            &self.succ_dst,
+            &self.pred_off,
+            &self.pred_src,
+            &self.topo,
+        ];
+        self.comp.heap_bytes()
+            + self.pred_w.heap_bytes()
+            + ids.iter().map(|a| 4 * a.capacity()).sum::<usize>()
     }
 
     /// Average computation cost over tasks, as `f64`.
@@ -723,6 +751,136 @@ mod tests {
         assert_eq!(g.total_comp(), 10);
         // bl(3)=4, bl(1)=2+7+4=13, bl(2)=3+8+4=15, bl(0)=1+6+15=22
         assert_eq!(crate::levels::bottom_levels(&g), [22, 13, 15, 4]);
+    }
+
+    /// Largest costs the width tests put in a column: the first and last
+    /// value of each width the boundaries of `u8`, `u16`, `u32` and
+    /// `u64` touch.
+    const BOUNDARIES: [Cost; 8] = [
+        1,
+        0xFF,
+        0x100,
+        0xFFFF,
+        0x1_0000,
+        u32::MAX as Cost,
+        u32::MAX as Cost + 1,
+        Cost::MAX,
+    ];
+
+    /// Six tasks, eight edges in `(src, dst)` order. The second pass
+    /// places their costs out of row order: `(0, 5)` lands at row index
+    /// 5 before `(1, 3)` lands at 2.
+    const BOUNDARY_EDGES: [(u32, u32); 8] = [
+        (0, 1),
+        (0, 2),
+        (0, 5),
+        (1, 3),
+        (1, 5),
+        (2, 3),
+        (3, 4),
+        (3, 5),
+    ];
+
+    /// `n` costs whose largest is `max`, at index `at`; the others are
+    /// spread below it, zero included.
+    fn costs_up_to(max: Cost, n: usize, at: usize) -> Vec<Cost> {
+        (0..n)
+            .map(|i| {
+                if i == at % n {
+                    max
+                } else {
+                    [max >> 1, max - 1, 0, max >> 8, 1, max / 3][i % 6]
+                }
+            })
+            .collect()
+    }
+
+    /// Every accessor of `g` against a plain `Vec<u64>` model of the
+    /// costs, and each column's size against the width of its largest
+    /// cost.
+    fn assert_matches_model(g: &TaskGraph, comp: &[Cost], edges: &[(u32, u32, Cost)]) {
+        let case = format!("comp {comp:x?}, edges {edges:x?}");
+        assert_eq!(g.num_tasks(), comp.len(), "{case}");
+        assert_eq!(g.num_edges(), edges.len(), "{case}");
+        for t in g.tasks() {
+            assert_eq!(g.comp(t), comp[t.0], "{case}");
+            let model_succs = edges
+                .iter()
+                .filter(|e| e.0 as usize == t.0)
+                .map(|&(_, d, c)| (TaskId(d as usize), c));
+            assert!(g.succs(t).eq(model_succs), "succs of {t}: {case}");
+            let model_preds = edges
+                .iter()
+                .filter(|e| e.1 as usize == t.0)
+                .map(|&(s, _, c)| (TaskId(s as usize), c));
+            assert!(g.preds(t).eq(model_preds.clone()), "preds of {t}: {case}");
+            assert!(g.preds(t).rev().eq(model_preds.rev()), "{case}");
+        }
+        for &(s, d, c) in edges {
+            let (s, d) = (TaskId(s as usize), TaskId(d as usize));
+            assert_eq!(g.edge_comm(s, d), Some(c), "{case}");
+            assert_eq!(g.edge_comm(d, s), None, "{case}");
+        }
+        let weights: Vec<Cost> = edges.iter().map(|e| e.2).collect();
+        let sum = |costs: &[Cost]| costs.iter().try_fold(0, |a: Cost, &c| a.checked_add(c));
+        let (total_comp, total_comm) = (sum(comp), sum(&weights));
+        // The sums overflow as `u64` near `u64::MAX`, for the model too.
+        if let Some(total) = total_comp {
+            assert_eq!(g.total_comp(), total, "{case}");
+        }
+        if let Some(total) = total_comm {
+            assert_eq!(g.total_comm(), total, "{case}");
+        }
+        if let (Some(tc), Some(tw)) = (total_comp, total_comm) {
+            let ccr = (tw as f64 / edges.len() as f64) / (tc as f64 / comp.len() as f64);
+            assert_eq!(g.ccr().to_bits(), ccr.to_bits(), "{case}");
+        }
+        let width =
+            |costs: &[Cost]| usize::from(packed::width(costs.iter().copied().max().unwrap_or(0)));
+        let (comp_width, comm_width) = (width(comp), width(&weights));
+        assert_eq!(
+            g.comp.heap_bytes(),
+            comp.len() * comp_width + packed::SLACK,
+            "{case}"
+        );
+        assert_eq!(
+            g.pred_w.heap_bytes(),
+            edges.len() * comm_width + packed::SLACK,
+            "{case}"
+        );
+    }
+
+    /// Every pairing of the largest computation and the largest
+    /// communication cost at the width boundaries, built by the builder
+    /// (edges added in reverse) and by `from_sorted_edges`: the accessors
+    /// return exactly what was put in, and each column takes the fewest
+    /// bytes that hold its own largest cost.
+    #[test]
+    fn costs_at_every_width_boundary_read_back_exactly() {
+        for (i, &comp_max) in BOUNDARIES.iter().enumerate() {
+            for (j, &comm_max) in BOUNDARIES.iter().enumerate() {
+                let comp = costs_up_to(comp_max, 6, i + j);
+                let weights = costs_up_to(comm_max, BOUNDARY_EDGES.len(), i * 3 + j);
+                let edges: Vec<(u32, u32, Cost)> = BOUNDARY_EDGES
+                    .iter()
+                    .zip(&weights)
+                    .map(|(&(s, d), &c)| (s, d, c))
+                    .collect();
+                let direct =
+                    TaskGraph::from_sorted_edges("", comp.clone(), edges.len(), edges.clone())
+                        .unwrap();
+                assert_matches_model(&direct, &comp, &edges);
+                let mut b = TaskGraphBuilder::new();
+                for &c in &comp {
+                    b.add_task(c);
+                }
+                for &(s, d, c) in edges.iter().rev() {
+                    b.add_edge(TaskId(s as usize), TaskId(d as usize), c)
+                        .unwrap();
+                }
+                assert_matches_model(&b.build().unwrap(), &comp, &edges);
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`costs`] — random cost models with controlled communication-to-
 //!   computation ratio (CCR);
 //! * [`paper`] — the exact example graph of the paper's Fig. 1;
-//! * [`dot`] / [`serialize`] — DOT export and a line-oriented text format.
+//! * [`dot`] / [`serialize`] — DOT export and a line-oriented text format;
+//! * [`packed`] — integers stored in the fewest bytes a column's largest
+//!   value needs, as [`TaskGraph`] stores its costs.
 //!
 //! Times and costs are unsigned integers ([`Time`], [`Cost`]): schedulers
 //! compare and add them exactly, with no floating-point ordering pitfalls;
@@ -34,6 +36,7 @@ pub mod costs;
 pub mod dot;
 pub mod gen;
 pub mod levels;
+pub mod packed;
 pub mod paper;
 pub mod serialize;
 pub mod stg;

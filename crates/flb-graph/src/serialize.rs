@@ -1,10 +1,10 @@
 //! Serialisation of task graphs.
 //!
-//! Two formats:
+//! Two forms:
 //!
-//! * **serde** — [`TaskGraphData`] is a plain-old-data mirror of
-//!   [`TaskGraph`] deriving `Serialize`/`Deserialize`, convertible in both
-//!   directions (deserialisation re-validates through the builder);
+//! * **data** — [`TaskGraphData`] is a plain-old-data mirror of
+//!   [`TaskGraph`], convertible in both directions (the way back
+//!   re-validates through the builder);
 //! * **text** — a minimal line-oriented format for CLI interchange:
 //!
 //!   ```text
@@ -15,11 +15,10 @@
 //!   ```
 
 use crate::{Cost, GraphError, TaskGraph, TaskGraphBuilder, TaskId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Serde-friendly mirror of [`TaskGraph`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Plain-old-data mirror of [`TaskGraph`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TaskGraphData {
     /// Graph name.
     pub name: String,

@@ -182,7 +182,7 @@ proptest! {
     }
 
     #[test]
-    fn serde_and_text_roundtrip(g in arb_graph()) {
+    fn data_and_text_roundtrip(g in arb_graph()) {
         use flb_graph::serialize::{parse_text, to_text, TaskGraphData};
         let text = to_text(&g);
         let g2 = parse_text(&text).unwrap();

@@ -9,7 +9,8 @@
 //!
 //! * [`KernelRun`] — runs on [`flb_graph::TaskGraph`] itself, whose CSR
 //!   arrays (`u32` offsets and endpoints, each weight once beside its
-//!   predecessor entry) suit a million-task graph. It keeps 12 bytes per
+//!   predecessor entry, costs in packed columns of 1 byte each when below
+//!   256) suit a million-task graph. It keeps 12 bytes per
 //!   task (bottom level then finish time, readiness countdown then
 //!   processor) and the five FLB lists
 //!   in preallocated flat structures: [`list::FlatHeap`], a binary heap

@@ -1,4 +1,4 @@
-//! Schedule serialisation: a serde-friendly mirror, a line-oriented text
+//! Schedule serialisation: a plain-old-data mirror, a line-oriented text
 //! format for CLI interchange, and the binary [`wire`] codec the
 //! `flb-service` protocol rides on.
 //!
@@ -13,11 +13,10 @@
 
 use crate::{Placement, ProcId, Schedule};
 use flb_graph::Time;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Serde-friendly mirror of [`Schedule`].
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Plain-old-data mirror of [`Schedule`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScheduleData {
     /// Per-processor slowdown factors of the target machine (all 1 on the
     /// paper's homogeneous machines); the length is the processor count.

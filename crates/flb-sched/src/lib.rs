@@ -13,7 +13,7 @@
 //!   delays, processor exclusivity) used by the tests of every algorithm;
 //! * [`metrics`] — makespan, speedup, NSL, efficiency;
 //! * [`bounds`] — machine-independent makespan lower bounds;
-//! * [`io`] — schedule serialisation (serde mirror + text format);
+//! * [`io`] — schedule serialisation (data mirror, text format, wire codec);
 //! * [`gantt`] — ASCII Gantt-chart rendering;
 //! * [`Scheduler`] — the trait implemented by FLB and every baseline, with
 //!   [`TieBreak`] and [`RunStats`], shared by FLB's two engines.

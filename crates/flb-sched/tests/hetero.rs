@@ -129,7 +129,7 @@ fn text_io_roundtrips_speeds() {
     let back = io::parse_text(&text).unwrap();
     assert_eq!(back, s);
     assert_eq!(validate(&g, &back), Ok(()));
-    // serde mirror too.
+    // The data mirror too.
     let data = io::ScheduleData::from(&s);
     assert_eq!(data.slowdowns, vec![1, 3]);
     let back2: Schedule = data.into();

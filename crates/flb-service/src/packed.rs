@@ -9,14 +9,15 @@
 //! most 4 + 8 + 8 = 20 bytes, so an entry is never larger than its wire
 //! form.
 //!
-//! Records are written as 8-byte little-endian stores that advance by
-//! the column width, and read back as 8-byte loads masked to it, so
-//! neither direction branches on a width. The buffer ends in
-//! [`SLACK`] zero bytes for the last record's loads. Every reply is
-//! unpacked from the entry into exactly the bytes `wire::put_schedule`
-//! writes for the source schedule.
+//! The columns follow [`flb_graph::packed`]: each field is written in
+//! exactly its column's width and read back as an 8-byte load masked to
+//! it, so no read branches on a width, with [`SLACK`] zero bytes after
+//! the last record for its loads. Every reply is unpacked from the
+//! entry into exactly the bytes `wire::put_schedule` writes for the
+//! source schedule.
 
 use crate::fingerprint::Fnv64;
+use flb_graph::packed::{load, mask, store, width, SLACK};
 use flb_sched::io::wire;
 use flb_sched::Schedule;
 use std::sync::OnceLock;
@@ -24,10 +25,6 @@ use std::sync::OnceLock;
 /// Bytes of one wire placement record: processor `u32`, start `u64`,
 /// finish `u64`.
 const WIRE_RECORD: usize = 20;
-
-/// Zero bytes after the last record: a field is read as a whole 8-byte
-/// load however narrow it is.
-const SLACK: usize = 8;
 
 /// Records unpacked into the stack buffer per `emit`.
 const CHUNK: usize = 64;
@@ -45,31 +42,6 @@ pub struct PackedSchedule {
     /// [`crate::journal::schedule_digest`] of the source schedule,
     /// computed on first use.
     digest: OnceLock<u64>,
-}
-
-/// Bytes that hold `v`, at least 1.
-fn width(v: u64) -> u8 {
-    ((64 - v.leading_zeros()).div_ceil(8)).max(1) as u8
-}
-
-/// The low `w` bytes of a word, for `w` in `1..=8`.
-fn mask(w: usize) -> u64 {
-    u64::MAX >> (64 - 8 * w.clamp(1, 8))
-}
-
-/// Writes `v` as 8 little-endian bytes at `at`; the bytes past its
-/// width are zero, and the next column's store overwrites them.
-fn store(buf: &mut [u8], at: usize, v: u64) {
-    if let Some(dst) = buf.get_mut(at..).and_then(<[u8]>::first_chunk_mut::<8>) {
-        *dst = v.to_le_bytes();
-    }
-}
-
-/// The 8 little-endian bytes at `at`.
-fn load(buf: &[u8], at: usize) -> u64 {
-    buf.get(at..)
-        .and_then(<[u8]>::first_chunk::<8>)
-        .map_or(0, |b| u64::from_le_bytes(*b))
 }
 
 impl PackedSchedule {
@@ -97,9 +69,9 @@ impl PackedSchedule {
         bytes.resize(records_at + tasks * record + SLACK, 0);
         let mut at = records_at;
         for p in placements {
-            store(&mut bytes, at, proc_of(p));
-            store(&mut bytes, at + wp, p.start);
-            store(&mut bytes, at + wp + ws, p.finish.wrapping_sub(p.start));
+            store(&mut bytes, at, wp, proc_of(p));
+            store(&mut bytes, at + wp, ws, p.start);
+            store(&mut bytes, at + wp + ws, wd, p.finish.wrapping_sub(p.start));
             at += record;
         }
         PackedSchedule {

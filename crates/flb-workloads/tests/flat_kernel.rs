@@ -81,6 +81,13 @@ fn lu_flat_20k_counters_and_placements_are_pinned() {
     };
     let g = lu_flat(200, &model, 1999);
     assert_eq!(g.num_tasks(), 20_100);
+    // Costs below 256 take 1 byte each, plus 8 bytes of slack per cost
+    // column; `u32` offsets for 20,101 rows and `u32` endpoints for
+    // 39,800 edges, each way; no stored topological order.
+    assert_eq!(
+        g.heap_bytes(),
+        (20_100 + 8) + (39_800 + 8) + 2 * 4 * 20_101 + 2 * 4 * 39_800
+    );
     let mut run = KernelRun::new(&g, &[1; 64], TieBreak::BottomLevel);
     run.run();
     assert_eq!(
@@ -111,6 +118,8 @@ fn lu_flat_1m_counters_and_placements_are_pinned() {
     };
     let g = lu_flat(lu_order_for_tasks(1_000_000), &model, 1);
     assert_eq!(g.num_tasks(), 1_000_405);
+    // 26.99 MB with 1-byte costs; 47.97 MB when each cost took 8.
+    assert!(g.heap_bytes() <= 28_000_000, "{} bytes", g.heap_bytes());
     let mut run = KernelRun::new(&g, &[1; 64], TieBreak::BottomLevel);
     run.run();
     assert_eq!(
